@@ -2,25 +2,21 @@
 
 A library and benchmark harness for single- and multi-objective optimization:
 the adaptive engine (scheduled F/CR, dynamic neighborhoods, crowding
-selection, local refinement, stagnation stopping), a classic DE baseline,
-a 22-function benchmark battery plus ZDT/DTLZ-style suites, diagnostic
-metrics, and Welch-test / ranking comparison tooling.
+selection, local refinement, stagnation stopping) with classic DE as one of
+its presets, a 22-function benchmark battery plus ZDT/DTLZ-style suites,
+diagnostic metrics, and Welch-test / ranking comparison tooling.
 """
 
 __version__ = "0.1.0"
 
 from .core import (
-    Candidate,
     ConfigError,
     DomainError,
-    Population,
     RngStream,
     SearchSpace,
     ShapeError,
     SpaceError,
-    StateError,
     clip_to_bounds,
-    distinct_indices,
     init_population,
 )
 from .benchmarks import (
@@ -47,14 +43,11 @@ from .variation import (
 )
 from .engine import (
     EngineConfig,
-    NeighborhoodState,
     RunResult,
-    crowding_select,
     dynamic_neighborhood,
     has_converged,
     run_aded,
     run_classic_de,
-    update_neighborhoods,
 )
 from .moo import MoResult, nondominated_filter, pareto_dominates, run_aded_mo, scalarize
 from .metrics import (

@@ -8,17 +8,14 @@ success, 2 for configuration errors, 3 for runtime failures.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .benchmarks import UnknownBenchmarkError
 from .core import ConfigError, DomainError, ShapeError, SpaceError
 from .harness import (
-    DEFAULT_OUT_DIR,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
-    OUT_DIR_ENV,
     TOURNAMENT_BENCHMARKS,
     build_plan,
     cmd_compare,
@@ -27,6 +24,7 @@ from .harness import (
     cmd_run,
     cmd_tournament,
     resolve_options,
+    resolve_out_dir,
 )
 
 _CONFIG_ERRORS = (ConfigError, SpaceError, ShapeError, UnknownBenchmarkError, ValueError)
@@ -137,7 +135,7 @@ def _dispatch(args) -> int:
         options = _options_from_args(args)
         benchmarks = ([b.strip() for b in str(options["benchmark"]).split(",") if b.strip()]
                       if options.get("benchmark") else list(TOURNAMENT_BENCHMARKS))
-        out = options.get("out") or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR
+        out = resolve_out_dir(options)
         report = cmd_tournament(
             benchmarks=benchmarks,
             n_runs=options.get("runs", 5),

@@ -1,13 +1,13 @@
 """Core domain types shared by every other module.
 
-Provides box-bounded search spaces, candidate solutions, populations,
-the deterministic random-stream wrapper, and the low-level sampling
-primitives (bounded initialization, bound repair, distinct index draws).
+Provides box-bounded search spaces, the deterministic random-stream
+wrapper, and the low-level sampling primitives (bounded initialization and
+bound repair). A population is a plain ``(n, dim)`` array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +26,6 @@ class ShapeError(ValueError):
 
 class DomainError(ValueError):
     """A value is non-finite where a finite one is required."""
-
-
-class StateError(RuntimeError):
-    """Operation requires state (e.g. a fitness value) that is unset."""
 
 
 class RngStream:
@@ -116,55 +112,15 @@ class SearchSpace:
         return [(float(lo), float(hi)) for lo, hi in zip(self.lows, self.highs)]
 
 
-@dataclass
-class Candidate:
-    """Decision vector with a lazily cached objective value."""
-
-    x: np.ndarray
-    fitness: float | None = None
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-
-    @property
-    def evaluated(self) -> bool:
-        return self.fitness is not None
-
-
-@dataclass
-class Population:
-    """Ordered collection of candidates at a given generation."""
-
-    members: list = field(default_factory=list)
-    generation: int = 0
-
-    @classmethod
-    def from_matrix(cls, x: np.ndarray, generation: int = 0) -> "Population":
-        return cls([Candidate(row) for row in np.asarray(x, dtype=float)], generation)
-
-    def positions(self) -> np.ndarray:
-        """Member vectors stacked into an (n, dim) matrix."""
-        return np.array([m.x for m in self.members], dtype=float)
-
-    def fitnesses(self) -> np.ndarray:
-        if any(m.fitness is None for m in self.members):
-            raise StateError("population contains unevaluated members")
-        return np.array([m.fitness for m in self.members], dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def init_population(space: SearchSpace, n: int, rng: RngStream) -> Population:
-    """Sample ``n`` candidates uniformly inside the box; fitness left unset.
+def init_population(space: SearchSpace, n: int, rng: RngStream) -> np.ndarray:
+    """Sample an ``(n, dim)`` matrix of points uniformly inside the box.
 
     Requires n >= 4, the smallest population that supports difference-based
     mutation with distinct non-self indices.
     """
     if n < 4:
         raise ConfigError(f"population size must be >= 4, got {n}")
-    x = rng.uniform(space.lows, space.highs, size=(n, space.dim))
-    return Population.from_matrix(x)
+    return rng.uniform(space.lows, space.highs, size=(n, space.dim))
 
 
 def clip_to_bounds(x, space: SearchSpace) -> np.ndarray:
@@ -174,13 +130,3 @@ def clip_to_bounds(x, space: SearchSpace) -> np.ndarray:
         raise ShapeError(f"vector of shape {x.shape} does not match space dim {space.dim}")
     return np.clip(x, space.lows, space.highs)
 
-
-def distinct_indices(n: int, count: int, exclude, rng: RngStream) -> np.ndarray:
-    """Draw ``count`` pairwise-distinct indices in [0, n) avoiding ``exclude``."""
-    excluded = {int(e) for e in exclude}
-    allowed = np.array([i for i in range(n) if i not in excluded], dtype=int)
-    if count > allowed.size:
-        raise ConfigError(
-            f"cannot draw {count} distinct indices from {n} with {len(excluded)} excluded"
-        )
-    return rng.choice(allowed, size=count, replace=False)

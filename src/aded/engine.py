@@ -1,25 +1,24 @@
-"""Single-objective evolution loops: the adaptive engine with dynamic
+"""Single-objective evolution loop: the adaptive engine with dynamic
 neighborhoods, crowding selection, scheduled F/CR, optional local refinement,
-and stagnation stopping; plus the classic fixed-parameter DE baseline.
+and stagnation stopping. The classic fixed-parameter DE baseline is a preset
+of the same loop.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import metrics
 from .core import (
-    Candidate,
     ConfigError,
     DomainError,
     RngStream,
     SearchSpace,
-    StateError,
     clip_to_bounds,
-    distinct_indices,
     init_population,
 )
 from .variation import (
@@ -70,49 +69,11 @@ class EngineConfig:
             raise ConfigError(f"neighborhood must be 'dynamic' or 'all', got {self.neighborhood!r}")
 
 
-class NeighborhoodState:
-    """Per-individual map from neighbor index to the best trial fitness seen
-    over that link. Diagnostic state: written every generation, never read
-    back by selection."""
-
-    def __init__(self, n: int):
-        self._links = [dict() for _ in range(n)]
-
-    def get(self, i: int, j: int) -> float:
-        return self._links[i].get(j, float("inf"))
-
-    def as_lists(self) -> list:
-        return [dict(links) for links in self._links]
-
-    def __len__(self) -> int:
-        return len(self._links)
-
-
-def update_neighborhoods(state: NeighborhoodState, i: int, neighbors, trial_fitness: float):
-    """Monotone update: each link keeps the lowest trial fitness observed."""
-    links = state._links[i]
-    for j in neighbors:
-        j = int(j)
-        if j == i:
-            raise ConfigError("an individual cannot be its own neighbor")
-        if trial_fitness < links.get(j, float("inf")):
-            links[j] = trial_fitness
-    return state
-
-
 def dynamic_neighborhood(i: int, n: int, k: int, rng: RngStream) -> np.ndarray:
     """Uniform draw of min(k, n-1) distinct neighbor indices, never including i."""
     if n < 2:
         raise ConfigError("dynamic neighborhood needs a population of >= 2")
-    size = min(k, n - 1)
-    return distinct_indices(n, size, {i}, rng)
-
-
-def crowding_select(a: Candidate, b: Candidate) -> Candidate:
-    """Return the strictly fitter candidate; ties go to the incumbent ``a``."""
-    if a.fitness is None or b.fitness is None:
-        raise StateError("crowding selection needs both fitness values set")
-    return b if b.fitness < a.fitness else a
+    return rng.choice(np.delete(np.arange(n), i), size=min(k, n - 1), replace=False)
 
 
 def has_converged(history, stagnation_limit: int, tol: float = 0.0) -> bool:
@@ -141,7 +102,6 @@ class RunResult:
     wall_seconds: float
     terminated_by: str                    # "max-generations" | "stagnation"
     seed: int = 0
-    neighborhoods: list | None = None
 
     @property
     def generations_executed(self) -> int:
@@ -149,30 +109,31 @@ class RunResult:
 
 
 class _CountingObjective:
-    """Wraps the raw objective: counts every call, checks finiteness, and
-    attaches generation/individual context to failures."""
+    """Wraps the raw objective: counts every call, converts its value with
+    ``convert`` (``float`` for one objective, an array for several), checks
+    finiteness, and attaches generation/individual context to failures."""
 
-    __slots__ = ("fn", "count", "context")
+    __slots__ = ("fn", "convert", "count", "context")
 
-    def __init__(self, fn):
+    def __init__(self, fn, convert=float):
         self.fn = fn
+        self.convert = convert
         self.count = 0
         self.context = "initialization"
 
     def __call__(self, x):
         self.count += 1
         try:
-            value = float(self.fn(x))
+            value = self.convert(self.fn(x))
         except Exception as exc:
             raise DomainError(f"objective failed at {self.context}: {exc}") from exc
-        if not np.isfinite(value):
+        # math.isfinite on a float is a fraction of np.isfinite(...).all()'s cost
+        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
             raise DomainError(f"objective returned {value} at {self.context}")
         return value
 
 
-def _finish(
-    x, fit, best_hist, div_hist, fdc_hist, counting, t0, terminated_by, seed, state=None
-) -> RunResult:
+def _finish(x, fit, best_hist, div_hist, fdc_hist, counting, t0, terminated_by, seed) -> RunResult:
     best_hist = np.asarray(best_hist, dtype=float)
     best_idx = int(np.argmin(fit))
     rate = np.diff(best_hist) if best_hist.size >= 2 else np.empty(0)
@@ -187,7 +148,6 @@ def _finish(
         wall_seconds=time.perf_counter() - t0,
         terminated_by=terminated_by,
         seed=seed,
-        neighborhoods=state.as_lists() if state is not None else None,
     )
 
 
@@ -219,14 +179,13 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
     counting = _CountingObjective(objective)
     ls = cfg.local_search
 
-    x = init_population(space, n, rng).positions()
+    x = init_population(space, n, rng)
     fit = np.empty(n)
     for i in range(n):
         counting.context = f"initial member {i}"
         fit[i] = counting(x[i])
 
-    state = NeighborhoodState(n)
-    all_but_self = [np.array([j for j in range(n) if j != i]) for i in range(n)]
+    all_but_self = [np.delete(np.arange(n), i) for i in range(n)]
     best_hist: list = []
     div_hist: list = []
     fdc_hist: list = []
@@ -251,7 +210,6 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
                 trial, trial_f, _ = local_refine(counting, trial, space, ls)
             else:
                 trial_f = counting(trial)
-            update_neighborhoods(state, i, neighbors, trial_f)
             if trial_f < fit[i]:                   # crowding: incumbent wins ties
                 new_x[i] = trial
                 new_fit[i] = trial_f
@@ -261,49 +219,20 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
             terminated_by = "stagnation"
             break
 
-    return _finish(x, fit, best_hist, div_hist, fdc_hist, counting, t0, terminated_by,
-                   cfg.seed, state)
+    return _finish(x, fit, best_hist, div_hist, fdc_hist, counting, t0, terminated_by, cfg.seed)
 
 
 def run_classic_de(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
-    """Canonical DE baseline: rand/1 mutation, binomial crossover, greedy
-    one-to-one replacement, no neighborhoods, no local search. F and CR stay
-    constant at cfg.schedule.fixed_f / fixed_cr (default 0.8 / 0.9)."""
-    t0 = time.perf_counter()
-    rng = RngStream(cfg.seed)
-    n = cfg.population_size
-    f_rate = cfg.schedule.fixed_f if cfg.schedule.fixed_f is not None else CLASSIC_F
-    cr_rate = cfg.schedule.fixed_cr if cfg.schedule.fixed_cr is not None else CLASSIC_CR
-    strategy = StrategyId("rand1", "bin")
-
-    counting = _CountingObjective(objective)
-    x = init_population(space, n, rng).positions()
-    fit = np.empty(n)
-    for i in range(n):
-        counting.context = f"initial member {i}"
-        fit[i] = counting(x[i])
-
-    best_hist: list = []
-    div_hist: list = []
-    fdc_hist: list = []
-    terminated_by = "max-generations"
-
-    for gen in range(cfg.max_generations):
-        new_x = x.copy()
-        new_fit = fit.copy()
-        for i in range(n):
-            donor = mutate(strategy, x, i, None, f_rate, 0.0, rng)
-            trial = apply_crossover(strategy, x[i], donor, cr_rate, rng)
-            trial = clip_to_bounds(trial, space)
-            counting.context = f"generation {gen}, individual {i}"
-            trial_f = counting(trial)
-            if trial_f < fit[i]:
-                new_x[i] = trial
-                new_fit[i] = trial_f
-        x, fit = new_x, new_fit
-        _record(x, fit, space, best_hist, div_hist, fdc_hist)
-        if has_converged(best_hist, cfg.stagnation_limit, cfg.stagnation_tol):
-            terminated_by = "stagnation"
-            break
-
-    return _finish(x, fit, best_hist, div_hist, fdc_hist, counting, t0, terminated_by, cfg.seed)
+    """Canonical DE baseline (Storn & Price): ``run_aded`` with rand/1 mutation,
+    binomial crossover, every other member as neighbor, and no local search.
+    F and CR stay constant at cfg.schedule.fixed_f / fixed_cr (default 0.8 / 0.9)."""
+    f = cfg.schedule.fixed_f if cfg.schedule.fixed_f is not None else CLASSIC_F
+    cr = cfg.schedule.fixed_cr if cfg.schedule.fixed_cr is not None else CLASSIC_CR
+    classic = replace(
+        cfg,
+        schedule=ScheduleParams(mode="fixed", fixed_f=f, fixed_cr=cr),
+        strategy=StrategyId("rand1", "bin"),
+        neighborhood="all",
+        local_search=LocalSearchBudget(enabled=False),
+    )
+    return run_aded(objective, space, classic)

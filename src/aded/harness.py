@@ -163,14 +163,13 @@ def build_engine_config(options: dict) -> EngineConfig:
         gradient_step=options.get("ls_step", 1e-6),
         probability=options.get("ls_probability", 1.0),
     )
-    pop = options.get("pop", 100)
     return EngineConfig(
-        population_size=pop,
+        population_size=options.get("pop", 100),
         max_generations=options.get("gens", 100),
         schedule=schedule,
         strategy=StrategyId.parse(options.get("strategy", "adedrandbin")),
         neighborhood=options.get("neighborhood", "dynamic"),
-        neighborhood_size=min(options.get("neighborhood_size", 10), pop - 1),
+        neighborhood_size=options.get("neighborhood_size"),
         local_search=budget,
         stagnation_limit=options.get("stagnation_limit", 10),
         stagnation_tol=options.get("stagnation_tol", 1e-12),
@@ -204,12 +203,16 @@ class ExperimentPlan:
         self.out_dir = Path(self.out_dir) if self.out_dir is not None else None
 
 
+def resolve_out_dir(options: dict) -> str:
+    """Output directory: ``out`` option, else $ADED_OUT, else ./aded-out."""
+    return options.get("out") or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR
+
+
 def build_plan(options: dict) -> ExperimentPlan:
     benchmark = options.get("benchmark")
     if not benchmark:
         raise ConfigError("no benchmark selected (use --benchmark or a preset)")
     benchmarks = [b.strip() for b in str(benchmark).split(",") if b.strip()]
-    out = options.get("out") or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR
     return ExperimentPlan(
         benchmarks=benchmarks,
         config=build_engine_config(options),
@@ -218,7 +221,7 @@ def build_plan(options: dict) -> ExperimentPlan:
         base_seed=options.get("seed", 0),
         dim=options.get("dim"),
         jobs=options.get("jobs", 1),
-        out_dir=out,
+        out_dir=resolve_out_dir(options),
         fmt=options.get("format", "csv"),
     )
 
@@ -467,15 +470,10 @@ def cmd_tournament(
     detail_rows = []
     scores = []
     for variant, fixed_f, fixed_cr in TOURNAMENT_PAIRS:
-        cfg = EngineConfig(
-            population_size=pop,
-            max_generations=gens,
-            schedule=ScheduleParams(mode="fixed", fixed_f=fixed_f, fixed_cr=fixed_cr),
-            strategy=StrategyId.parse(variant),
-            neighborhood="dynamic",
-            neighborhood_size=min(10, pop - 1),
-            seed=base_seed,
-        )
+        cfg = build_engine_config({
+            "pop": pop, "gens": gens, "mode": "fixed", "fixed_f": fixed_f,
+            "fixed_cr": fixed_cr, "strategy": variant, "seed": base_seed,
+        })
         per_function = []
         for benchmark_id in benchmarks:
             plan = ExperimentPlan(

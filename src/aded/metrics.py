@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, Population, SearchSpace, ShapeError
+from .core import ConfigError, SearchSpace, ShapeError
 
 
 class UndefinedMetricError(ValueError):
@@ -17,8 +17,6 @@ class UndefinedMetricError(ValueError):
 
 
 def _positions(population) -> np.ndarray:
-    if isinstance(population, Population):
-        return population.positions()
     x = np.asarray(population, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"expected an (n, dim) population matrix, got shape {x.shape}")
@@ -26,7 +24,7 @@ def _positions(population) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Population diagnostics
+# Per-generation diagnostics
 # ---------------------------------------------------------------------------
 
 def fdc(population, fitnesses, reference) -> float:

@@ -7,19 +7,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    DomainError,
-    RngStream,
-    SearchSpace,
-    ShapeError,
-    clip_to_bounds,
-    distinct_indices,
-)
-from .engine import EngineConfig, has_converged
+from .core import ConfigError, RngStream, SearchSpace, ShapeError, clip_to_bounds, init_population
+from .engine import EngineConfig, _CountingObjective, has_converged
 from .variation import local_refine
 
 
@@ -71,21 +64,6 @@ class MoResult:
     seed: int = 0
 
 
-class _CountingMulti:
-    __slots__ = ("fn", "count")
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.count = 0
-
-    def __call__(self, x):
-        self.count += 1
-        value = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-        if not np.isfinite(value).all():
-            raise DomainError(f"objective vector contains non-finite entries: {value}")
-        return value
-
-
 def _archive_insert(archive_x: list, archive_obj: list, x, objs) -> None:
     """Keep the archive mutually non-dominated; exact duplicates are skipped."""
     if archive_obj:
@@ -117,14 +95,14 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
     if np.any(weights < 0.0) or weights.sum() <= 0.0:
         raise ConfigError("weights must be non-negative with a positive sum")
     rng = RngStream(cfg.seed)
-    counting = _CountingMulti(objectives)
+    counting = _CountingObjective(objectives, convert=partial(np.asarray, dtype=float))
     ls = cfg.local_search
 
     def scalar_objective(z):
         return scalarize(counting(z), weights)
 
     n = cfg.population_size
-    x = rng.uniform(space.lows, space.highs, size=(n, space.dim))
+    x = init_population(space, n, rng)
 
     archive_x: list = []
     archive_obj: list = []
@@ -141,7 +119,8 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
         new_x: list = []
         new_obj: list = []
         for i in range(n):
-            r = distinct_indices(n, 2, set(), rng)
+            counting.context = f"generation {gen}, individual {i}"
+            r = rng.choice(n, size=2, replace=False)
             trial = x[i] + f_rate * (x[r[0]] - x[i]) + f_rate * (x[r[1]] - x[i])
             trial = clip_to_bounds(trial, space)
             if ls.enabled and (ls.probability >= 1.0 or rng.random() < ls.probability):

@@ -11,10 +11,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .core import (
-    Candidate,
     ConfigError,
     DomainError,
-    Population,
     RngStream,
     SearchSpace,
     ShapeError,
@@ -159,18 +157,6 @@ class StrategyId:
         return MUTATION_INDEX_COUNT[self.mutation]
 
 
-def _as_matrix(pop) -> np.ndarray:
-    if isinstance(pop, Population):
-        return pop.positions()
-    return np.asarray(pop, dtype=float)
-
-
-def _as_vector(v) -> np.ndarray:
-    if isinstance(v, Candidate):
-        return v.x
-    return np.asarray(v, dtype=float)
-
-
 def mutate(
     strategy: StrategyId,
     pop,
@@ -187,12 +173,13 @@ def mutate(
     every index except ``i``); all drawn indices are pairwise distinct. The
     donor is returned without bound repair.
     """
-    x = _as_matrix(pop)
-    n = x.shape[0]
+    x = np.asarray(pop, dtype=float)
     if pool is None:
-        pool = np.array([j for j in range(n) if j != i], dtype=int)
+        pool = np.delete(np.arange(x.shape[0]), i)
     else:
         pool = np.asarray(pool, dtype=int)
+    if strategy.uses_best:
+        best = np.asarray(best, dtype=float)
     need = strategy.index_count
     if pool.size < need:
         raise ConfigError(
@@ -204,17 +191,17 @@ def mutate(
     if m == "rand1":
         return x[r[0]] + f * (x[r[1]] - x[r[2]])
     if m == "best1":
-        return _as_vector(best) + f * (x[r[0]] - x[r[1]])
+        return best + f * (x[r[0]] - x[r[1]])
     if m == "rand2":
         return x[r[0]] + f * (x[r[1]] - x[r[2]] + x[r[3]] - x[r[4]])
     if m == "best2":
-        return _as_vector(best) + f * (x[r[0]] - x[r[1]] + x[r[2]] - x[r[3]])
+        return best + f * (x[r[0]] - x[r[1]] + x[r[2]] - x[r[3]])
     if m == "currenttorand1":
         return x[i] + k * (x[r[2]] - x[i]) + f * (x[r[0]] - x[r[1]])
     if m == "currenttobest1":
-        return x[i] + k * (_as_vector(best) - x[i]) + f * (x[r[0]] - x[r[1]])
+        return x[i] + k * (best - x[i]) + f * (x[r[0]] - x[r[1]])
     if m == "randtobest1":
-        return x[r[0]] + f * (_as_vector(best) - x[r[0]]) + f * (x[r[1]] - x[r[2]])
+        return x[r[0]] + f * (best - x[r[0]]) + f * (x[r[1]] - x[r[2]])
     if m == "adedrand":
         return x[i] + f * (x[r[0]] - x[i]) + f * (x[r[1]] - x[r[2]])
     if m == "adedneighbors":

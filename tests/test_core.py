@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from aded import (
     ConfigError,
-    Population,
     RngStream,
     SearchSpace,
     ShapeError,
     SpaceError,
     clip_to_bounds,
-    distinct_indices,
     init_population,
 )
 from aded.benchmarks import BATTERY_IDS, lookup
@@ -75,11 +73,10 @@ class TestRngStream:
 class TestInitPopulation:
     def test_bounds_containment(self):
         space = SearchSpace.cube(-1.0, 1.0, 2)
-        pop = init_population(space, 4, RngStream(7))
-        assert len(pop) == 4
-        for member in pop.members:
-            assert space.contains(member.x)
-            assert member.fitness is None
+        x = init_population(space, 4, RngStream(7))
+        assert x.shape == (4, 2)
+        for row in x:
+            assert space.contains(row)
 
     def test_too_small_population_rejected(self):
         with pytest.raises(ConfigError):
@@ -87,15 +84,14 @@ class TestInitPopulation:
 
     def test_seeded_runs_bitwise_identical(self):
         space = SearchSpace.cube(-5.0, 5.0, 3)
-        a = init_population(space, 10, RngStream(42)).positions()
-        b = init_population(space, 10, RngStream(42)).positions()
+        a = init_population(space, 10, RngStream(42))
+        b = init_population(space, 10, RngStream(42))
         assert (a == b).all()
 
     def test_inside_bounds_for_whole_battery(self):
         for benchmark_id in BATTERY_IDS:
             space = lookup(benchmark_id).space()
-            pop = init_population(space, 8, RngStream(11))
-            x = pop.positions()
+            x = init_population(space, 8, RngStream(11))
             assert (x >= space.lows).all() and (x <= space.highs).all(), benchmark_id
 
 
@@ -123,36 +119,3 @@ class TestClipToBounds:
         once = clip_to_bounds(values, space)
         assert (clip_to_bounds(once, space) == once).all()
 
-
-class TestDistinctIndices:
-    def test_exclusion(self):
-        picked = distinct_indices(5, 3, {2}, RngStream(0))
-        assert len(set(picked.tolist())) == 3
-        assert 2 not in picked
-
-    def test_pigeonhole_error(self):
-        with pytest.raises(ConfigError):
-            distinct_indices(4, 4, {0}, RngStream(0))
-
-    def test_seeded_reproducibility(self):
-        a = distinct_indices(10, 4, {1, 3}, RngStream(99))
-        b = distinct_indices(10, 4, {1, 3}, RngStream(99))
-        assert a.tolist() == b.tolist()
-
-    def test_never_duplicates_or_excluded_small_n(self):
-        rng = RngStream(5)
-        for n in range(4, 9):
-            for _ in range(200):
-                exclude = {0, n - 1}
-                out = distinct_indices(n, n - 2, exclude, rng).tolist()
-                assert len(set(out)) == len(out)
-                assert not (set(out) & exclude)
-                assert all(0 <= i < n for i in out)
-
-
-class TestPopulation:
-    def test_round_trip(self):
-        x = np.arange(8.0).reshape(4, 2)
-        pop = Population.from_matrix(x)
-        assert (pop.positions() == x).all()
-        assert len(pop) == 4

@@ -20,10 +20,11 @@ from aded.harness import (
     cmd_tournament,
     load_config_file,
     resolve_options,
+    resolve_out_dir,
 )
 from aded.moo import pareto_dominates
 from aded.stats import rank_variants
-from aded.variation import CANONICAL_VARIANTS, LocalSearchBudget
+from aded.variation import CANONICAL_VARIANTS, LocalSearchBudget, ScheduleParams, StrategyId
 
 
 def tiny_options(**kwargs):
@@ -73,6 +74,28 @@ class TestOptionResolution:
         assert cfg.strategy.name == "best1exp"
         assert not cfg.local_search.enabled
         assert cfg.stagnation_tol == 0.0
+
+    def test_tournament_variant_config(self):
+        # the tournament's per-variant config spelled out field by field; an
+        # unset neighborhood_size resolves to min(10, pop - 1)
+        cfg = build_engine_config({"pop": 8, "gens": 5, "mode": "fixed", "fixed_f": 0.9,
+                                   "fixed_cr": 0.5, "strategy": "rand1bin", "seed": 3})
+        assert cfg == EngineConfig(
+            population_size=8,
+            max_generations=5,
+            schedule=ScheduleParams(mode="fixed", fixed_f=0.9, fixed_cr=0.5),
+            strategy=StrategyId.parse("rand1bin"),
+            neighborhood="dynamic",
+            neighborhood_size=7,
+            seed=3,
+        )
+
+    def test_out_dir_precedence(self, monkeypatch):
+        monkeypatch.delenv("ADED_OUT", raising=False)
+        assert resolve_out_dir({}) == "aded-out"
+        monkeypatch.setenv("ADED_OUT", "from-env")
+        assert resolve_out_dir({}) == "from-env"
+        assert resolve_out_dir({"out": "from-flag"}) == "from-flag"
 
     def test_build_plan_requires_benchmark(self):
         with pytest.raises(ConfigError):
@@ -264,6 +287,26 @@ class TestCli:
                      "--runs", "1", "--out", str(tmp_path)])
         assert code == 3
         assert "runtime failure" in capsys.readouterr().err
+
+    def test_out_of_range_neighborhood_size_exit_two(self, tmp_path, capsys):
+        code = main(["run", "--benchmark", "sphere", "--pop", "8", "--gens", "2",
+                     "--runs", "1", "--neighborhood-size", "20", "--out", str(tmp_path)])
+        assert code == 2
+        assert "neighborhood_size" in capsys.readouterr().err
+
+    def test_raising_multi_objective_exit_three(self, tmp_path, capsys, monkeypatch):
+        from aded import benchmarks
+
+        def boom(x):
+            raise ValueError("boom")
+
+        broken = benchmarks.MultiObjectiveSpec("broken_mo", boom, 2, 2, (0.0, 1.0))
+        monkeypatch.setitem(benchmarks.CATALOG, "broken_mo", broken)
+        code = main(["moo", "--benchmark", "broken_mo", "--pop", "8", "--gens", "2",
+                     "--runs", "1", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "runtime failure" in err and "generation 0" in err
 
     def test_list_benchmarks_prints(self, capsys):
         assert main(["list-benchmarks"]) == 0

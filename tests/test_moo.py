@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from aded import (
     ConfigError,
+    DomainError,
     EngineConfig,
     LocalSearchBudget,
     ScheduleParams,
@@ -209,3 +210,17 @@ class TestRunAdedMo:
         spec = lookup("mo_demo")
         result = run_aded_mo(spec.evaluate, spec.space(), mo_cfg(seed=4), [0.5, 0.5])
         assert len(result.front) >= 1
+
+    def test_raising_objective_reports_generation(self):
+        def raising(x):
+            raise ValueError("boom")
+
+        with pytest.raises(DomainError, match=r"generation 0, individual 0: boom"):
+            run_aded_mo(raising, SearchSpace.cube(0.0, 1.0, 2), mo_cfg(), [0.5, 0.5])
+
+    def test_non_finite_objective_reports_generation(self):
+        def nan_second(x):
+            return np.array([float(np.sum(x)), np.nan])
+
+        with pytest.raises(DomainError, match=r"nan.*generation 0"):
+            run_aded_mo(nan_second, SearchSpace.cube(0.0, 1.0, 2), mo_cfg(), [0.5, 0.5])

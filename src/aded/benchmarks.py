@@ -26,22 +26,38 @@ class UnknownBenchmarkError(KeyError):
 
 # ---------------------------------------------------------------------------
 # Single-objective evaluators
+#
+# Every evaluator takes an array whose last axis holds the coordinates: one
+# point ``(d,)`` or a batch ``(m, d)``, and returns a value per point.
 # ---------------------------------------------------------------------------
 
+def _pow(base, exponent):
+    """``base ** exponent`` element by element in NumPy's scalar arithmetic.
+
+    NumPy raises a float64 scalar to a power with the C library's pow(), but
+    a float64 array with its own kernels (x * x for a square, SIMD code
+    otherwise), and the two disagree in the last bit for some inputs. The
+    catalog's values are those of scalar powers; taking every power this way
+    keeps them, for a single point and for each row of a batch alike.
+    """
+    base = np.asarray(base)
+    return np.array([b ** exponent for b in base.ravel()]).reshape(base.shape)
+
+
 def sphere(x):
-    return float(np.sum(x * x))
+    return np.sum(x * x, axis=-1)
 
 
 def sinusoidal(x):
     """Non-convex demo objective sin(x0) + sin(x1), global minimum -2."""
-    return float(np.sin(x[0]) + np.sin(x[1]))
+    return np.sin(x[..., 0]) + np.sin(x[..., 1])
 
 
 def ackley(x):
-    d = x.size
-    return float(
-        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x) / d))
-        - np.exp(np.sum(np.cos(2 * PI * x)) / d)
+    d = x.shape[-1]
+    return (
+        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x, axis=-1) / d))
+        - np.exp(np.sum(np.cos(2 * PI * x), axis=-1) / d)
         + 20.0
         + np.e
     )
@@ -49,111 +65,128 @@ def ackley(x):
 
 def bukin_n6(x):
     # absolute values inside both terms keep the surface real-valued
-    return float(100.0 * np.sqrt(abs(x[1] - 0.01 * x[0] ** 2)) + 0.01 * abs(x[0] + 10.0))
+    x0, x1 = x[..., 0], x[..., 1]
+    return 100.0 * np.sqrt(np.abs(x1 - 0.01 * _pow(x0, 2))) + 0.01 * np.abs(x0 + 10.0)
 
 
 def rastrigin(x):
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2 * PI * x)))
+    return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2 * PI * x), axis=-1)
 
 
 def cross_in_tray(x):
-    inner = abs(np.sin(x[0]) * np.sin(x[1]) * np.exp(abs(100.0 - np.hypot(x[0], x[1]) / PI)))
-    return float(-0.0001 * (inner + 1.0) ** 0.1)
+    x0, x1 = x[..., 0], x[..., 1]
+    inner = np.abs(np.sin(x0) * np.sin(x1) * np.exp(np.abs(100.0 - np.hypot(x0, x1) / PI)))
+    return -0.0001 * _pow(inner + 1.0, 0.1)
 
 
 def levy_n13(x):
-    return float(
-        np.sin(3 * PI * x[0]) ** 2
-        + (x[0] - 1.0) ** 2 * (1.0 + np.sin(3 * PI * x[1]) ** 2)
-        + (x[1] - 1.0) ** 2 * (1.0 + np.sin(2 * PI * x[1]) ** 2)
+    x0, x1 = x[..., 0], x[..., 1]
+    return (
+        _pow(np.sin(3 * PI * x0), 2)
+        + _pow(x0 - 1.0, 2) * (1.0 + _pow(np.sin(3 * PI * x1), 2))
+        + _pow(x1 - 1.0, 2) * (1.0 + _pow(np.sin(2 * PI * x1), 2))
     )
 
 
 def eggholder(x):
-    a = -(x[1] + 47.0) * np.sin(np.sqrt(abs(x[1] + x[0] / 2.0 + 47.0)))
-    b = -x[0] * np.sin(np.sqrt(abs(x[0] - (x[1] + 47.0))))
-    return float(a + b)
+    x0, x1 = x[..., 0], x[..., 1]
+    a = -(x1 + 47.0) * np.sin(np.sqrt(np.abs(x1 + x0 / 2.0 + 47.0)))
+    b = -x0 * np.sin(np.sqrt(np.abs(x0 - (x1 + 47.0))))
+    return a + b
 
 
 def schaffer_n2(x):
-    num = np.sin(x[0] ** 2 - x[1] ** 2) ** 2 - 0.5
-    den = (1.0 + 0.001 * (x[0] ** 2 + x[1] ** 2)) ** 2
-    return float(0.5 + num / den)
+    x0, x1 = x[..., 0], x[..., 1]
+    num = _pow(np.sin(_pow(x0, 2) - _pow(x1, 2)), 2) - 0.5
+    den = _pow(1.0 + 0.001 * (_pow(x0, 2) + _pow(x1, 2)), 2)
+    return 0.5 + num / den
 
 
 def schwefel(x):
-    return float(418.9829 * x.size - np.sum(x * np.sin(np.sqrt(np.abs(x)))))
+    return 418.9829 * x.shape[-1] - np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
 
 
 def shubert(x):
     i = np.arange(1, 6)
-    return float(np.sum(i * np.cos((i + 1) * x[0] + i)) * np.sum(i * np.cos((i + 1) * x[1] + i)))
+    x0, x1 = x[..., 0, None], x[..., 1, None]
+    return (np.sum(i * np.cos((i + 1) * x0 + i), axis=-1)
+            * np.sum(i * np.cos((i + 1) * x1 + i), axis=-1))
 
 
 def drop_wave(x):
     # leading minus: the surface dips to -1 at the origin
-    r2 = x[0] ** 2 + x[1] ** 2
-    return float(-(1.0 + np.cos(12.0 * np.sqrt(r2))) / (0.5 * r2 + 2.0))
+    r2 = _pow(x[..., 0], 2) + _pow(x[..., 1], 2)
+    return -(1.0 + np.cos(12.0 * np.sqrt(r2))) / (0.5 * r2 + 2.0)
 
 
 def himmelblau(x):
-    return float((x[0] ** 2 + x[1] - 11.0) ** 2 + (x[0] + x[1] ** 2 - 7.0) ** 2)
+    x0, x1 = x[..., 0], x[..., 1]
+    return _pow(_pow(x0, 2) + x1 - 11.0, 2) + _pow(x0 + _pow(x1, 2) - 7.0, 2)
 
 
 def booth(x):
-    return float((x[0] + 2 * x[1] - 7.0) ** 2 + (2 * x[0] + x[1] - 5.0) ** 2)
+    x0, x1 = x[..., 0], x[..., 1]
+    return _pow(x0 + 2 * x1 - 7.0, 2) + _pow(2 * x0 + x1 - 5.0, 2)
 
 
 def matyas(x):
-    return float(0.26 * (x[0] ** 2 + x[1] ** 2) - 0.48 * x[0] * x[1])
+    x0, x1 = x[..., 0], x[..., 1]
+    return 0.26 * (_pow(x0, 2) + _pow(x1, 2)) - 0.48 * x0 * x1
 
 
 def mccormick(x):
-    return float(np.sin(x[0] + x[1]) + (x[0] - x[1]) ** 2 - 1.5 * x[0] + 2.5 * x[1] + 1.0)
+    x0, x1 = x[..., 0], x[..., 1]
+    return np.sin(x0 + x1) + _pow(x0 - x1, 2) - 1.5 * x0 + 2.5 * x1 + 1.0
 
 
 def three_hump_camel(x):
-    return float(2 * x[0] ** 2 - 1.05 * x[0] ** 4 + x[0] ** 6 / 6.0 + x[0] * x[1] + x[1] ** 2)
+    x0, x1 = x[..., 0], x[..., 1]
+    return 2 * _pow(x0, 2) - 1.05 * _pow(x0, 4) + _pow(x0, 6) / 6.0 + x0 * x1 + _pow(x1, 2)
 
 
 def six_hump_camel(x):
-    return float(
-        (4.0 - 2.1 * x[0] ** 2 + x[0] ** 4 / 3.0) * x[0] ** 2
-        + x[0] * x[1]
-        + (-4.0 + 4.0 * x[1] ** 2) * x[1] ** 2
+    x0, x1 = x[..., 0], x[..., 1]
+    return (
+        (4.0 - 2.1 * _pow(x0, 2) + _pow(x0, 4) / 3.0) * _pow(x0, 2)
+        + x0 * x1
+        + (-4.0 + 4.0 * _pow(x1, 2)) * _pow(x1, 2)
     )
 
 
 def rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
+    head, tail = x[..., :-1], x[..., 1:]
+    return np.sum(100.0 * (tail - head ** 2) ** 2 + (head - 1.0) ** 2, axis=-1)
 
 
 def dixon_price(x):
-    i = np.arange(2, x.size + 1)
-    return float((x[0] - 1.0) ** 2 + np.sum(i * (2 * x[1:] ** 2 - x[:-1]) ** 2))
+    i = np.arange(2, x.shape[-1] + 1)
+    return _pow(x[..., 0] - 1.0, 2) + np.sum(i * (2 * x[..., 1:] ** 2 - x[..., :-1]) ** 2, axis=-1)
 
 
 def beale(x):
-    return float(
-        (1.5 - x[0] + x[0] * x[1]) ** 2
-        + (2.25 - x[0] + x[0] * x[1] ** 2) ** 2
-        + (2.625 - x[0] + x[0] * x[1] ** 3) ** 2
+    x0, x1 = x[..., 0], x[..., 1]
+    return (
+        _pow(1.5 - x0 + x0 * x1, 2)
+        + _pow(2.25 - x0 + x0 * _pow(x1, 2), 2)
+        + _pow(2.625 - x0 + x0 * _pow(x1, 3), 2)
     )
 
 
 def goldstein_price(x):
-    a = 1.0 + (x[0] + x[1] + 1.0) ** 2 * (
-        19.0 - 14.0 * x[0] + 3.0 * x[0] ** 2 - 14.0 * x[1] + 6.0 * x[0] * x[1] + 3.0 * x[1] ** 2
+    x0, x1 = x[..., 0], x[..., 1]
+    a = 1.0 + _pow(x0 + x1 + 1.0, 2) * (
+        19.0 - 14.0 * x0 + 3.0 * _pow(x0, 2) - 14.0 * x1 + 6.0 * x0 * x1 + 3.0 * _pow(x1, 2)
     )
-    b = 30.0 + (2.0 * x[0] - 3.0 * x[1]) ** 2 * (
-        18.0 - 32.0 * x[0] + 12.0 * x[0] ** 2 + 48.0 * x[1] - 36.0 * x[0] * x[1] + 27.0 * x[1] ** 2
+    b = 30.0 + _pow(2.0 * x0 - 3.0 * x1, 2) * (
+        18.0 - 32.0 * x0 + 12.0 * _pow(x0, 2) + 48.0 * x1 - 36.0 * x0 * x1 + 27.0 * _pow(x1, 2)
     )
-    return float(a * b)
+    return a * b
 
 
 def forrester(x):
     """One-dimensional test curve (6x-2)^2 sin(12x-4) on [0, 1]."""
-    return float((6.0 * x[0] - 2.0) ** 2 * np.sin(12.0 * x[0] - 4.0))
+    x0 = x[..., 0]
+    return _pow(6.0 * x0 - 2.0, 2) * np.sin(12.0 * x0 - 4.0)
 
 
 def devilliersglasser02(x):
@@ -162,46 +195,49 @@ def devilliersglasser02(x):
     Note this is not the 5D curve-fitting DeVilliersGlasser02 of the wider
     benchmarking literature; it is the 2D quadratic variant used here.
     """
-    return float(
-        (2.0 * x[0] - 3.0 * x[1]) ** 2
-        + 18.0 * x[0]
-        - 32.0 * x[1]
-        + 12.0 * x[0] ** 2
-        + 48.0 * x[1]
-        + 27.0 * x[1] ** 2
+    x0, x1 = x[..., 0], x[..., 1]
+    return (
+        _pow(2.0 * x0 - 3.0 * x1, 2)
+        + 18.0 * x0
+        - 32.0 * x1
+        + 12.0 * _pow(x0, 2)
+        + 48.0 * x1
+        + 27.0 * _pow(x1, 2)
     )
 
 
 # ---------------------------------------------------------------------------
-# Multi-objective evaluators
+# Multi-objective evaluators: one objective vector per point, on the last axis
 # ---------------------------------------------------------------------------
 
 def zdt1(x):
-    f1 = x[0]
-    g = 1.0 + 9.0 * np.sum(x[1:]) / (x.size - 1)
+    f1 = x[..., 0]
+    g = 1.0 + 9.0 * np.sum(x[..., 1:], axis=-1) / (x.shape[-1] - 1)
     f2 = g * (1.0 - np.sqrt(f1 / g))
-    return np.array([f1, f2])
+    return np.stack([f1, f2], axis=-1)
 
 
 def zdt2(x):
-    f1 = x[0]
-    g = 1.0 + 9.0 * np.sum(x[1:]) / (x.size - 1)
-    f2 = g * (1.0 - (f1 / g) ** 2)
-    return np.array([f1, f2])
+    f1 = x[..., 0]
+    g = 1.0 + 9.0 * np.sum(x[..., 1:], axis=-1) / (x.shape[-1] - 1)
+    f2 = g * (1.0 - _pow(f1 / g, 2))
+    return np.stack([f1, f2], axis=-1)
 
 
 def dltz1(x):
     """Three-objective simplex problem, 2 position + 5 distance variables."""
-    tail = x[2:]
-    g = 100.0 * (tail.size + np.sum((tail - 0.5) ** 2 - np.cos(20.0 * PI * (tail - 0.5))))
+    x0, x1, tail = x[..., 0], x[..., 1], x[..., 2:]
+    g = 100.0 * (tail.shape[-1]
+                 + np.sum((tail - 0.5) ** 2 - np.cos(20.0 * PI * (tail - 0.5)), axis=-1))
     h = 0.5 * (1.0 + g)
-    return np.array([h * x[0] * x[1], h * x[0] * (1.0 - x[1]), h * (1.0 - x[0])])
+    return np.stack([h * x0 * x1, h * x0 * (1.0 - x1), h * (1.0 - x0)], axis=-1)
 
 
 def mo_demo(x):
     """Bi-objective demo: a sinusoid against a Gaussian bump centred at (5, 5)."""
-    return np.array(
-        [np.sin(x[0]) + np.cos(x[1]), np.exp(-((x[0] - 5.0) ** 2) - (x[1] - 5.0) ** 2)]
+    x0, x1 = x[..., 0], x[..., 1]
+    return np.stack(
+        [np.sin(x0) + np.cos(x1), np.exp(-_pow(x0 - 5.0, 2) - _pow(x1 - 5.0, 2))], axis=-1
     )
 
 
@@ -248,18 +284,21 @@ class BenchmarkSpec:
     def n_objectives(self) -> int:
         return 1
 
-    def evaluate(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise ShapeError(f"expected a 1-d vector, got shape {x.shape}")
+    def evaluate(self, x):
+        """Value at one point ``(d,)`` as a float, or at each row of an
+        ``(m, d)`` batch as an ``(m,)`` array."""
+        x = _checked_input(self.id, x)
+        d = x.shape[-1]
         if self.dim_rule == "any-n":
-            if x.size < self.min_dim:
+            if d < self.min_dim:
                 raise ShapeError(f"{self.id} needs at least {self.min_dim} dimensions")
-        elif x.size != len(self.bounds):
-            raise ShapeError(f"{self.id} expects {len(self.bounds)} dimensions, got {x.size}")
-        if not np.isfinite(x).all():
-            raise DomainError(f"non-finite input to {self.id}")
-        return self.fn(x)
+        elif d != len(self.bounds):
+            raise ShapeError(f"{self.id} expects {len(self.bounds)} dimensions, got {d}")
+        if x.ndim == 1:
+            return float(self.fn(x))
+        return _checked_output(self.id, self.fn(x), x.shape[:1])
+
+    evaluate.batched = True
 
 
 @dataclass(frozen=True)
@@ -285,14 +324,34 @@ class MultiObjectiveSpec:
         return self.n_vars
 
     def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size < 2:
-            raise ShapeError(f"expected a 1-d vector of >= 2 variables, got shape {x.shape}")
-        if self.id == "dltz1" and x.size != self.n_vars:
-            raise ShapeError(f"{self.id} expects {self.n_vars} variables, got {x.size}")
-        if not np.isfinite(x).all():
-            raise DomainError(f"non-finite input to {self.id}")
-        return np.asarray(self.fn(x), dtype=float)
+        """Objective vector ``(k,)`` at one point ``(d,)``, or ``(m, k)`` for
+        an ``(m, d)`` batch."""
+        x = _checked_input(self.id, x)
+        d = x.shape[-1]
+        if d < 2:
+            raise ShapeError(f"{self.id} needs at least 2 variables, got {d}")
+        if self.id == "dltz1" and d != self.n_vars:
+            raise ShapeError(f"{self.id} expects {self.n_vars} variables, got {d}")
+        return _checked_output(self.id, self.fn(x), x.shape[:-1] + (self.n_objectives,))
+
+    evaluate.batched = True
+
+
+def _checked_input(benchmark_id: str, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ShapeError(f"expected a point (d,) or a batch (m, d), got shape {x.shape}")
+    if not np.isfinite(x).all():
+        where = "" if x.ndim == 1 else f" in row {int(np.argmin(np.isfinite(x).all(axis=1)))}"
+        raise DomainError(f"non-finite input to {benchmark_id}{where}")
+    return x
+
+
+def _checked_output(benchmark_id: str, values, shape: tuple) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ShapeError(f"{benchmark_id} returned shape {values.shape}, expected {shape}")
+    return values
 
 
 def _zdt1_front(k: int) -> np.ndarray:

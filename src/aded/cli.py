@@ -65,6 +65,10 @@ _OPTION_KEYS = (
 )
 
 
+# The only options `tournament` uses; any other is refused, not ignored.
+_TOURNAMENT_KEYS = ("benchmark", "runs", "pop", "gens", "seed", "jobs", "out")
+
+
 def _options_from_args(args, **extra) -> dict:
     overrides = {k: getattr(args, k, None) for k in _OPTION_KEYS}
     overrides.update(extra)
@@ -133,6 +137,13 @@ def _dispatch(args) -> int:
 
     if args.command == "tournament":
         options = _options_from_args(args)
+        unsupported = [k for k in options if k not in _TOURNAMENT_KEYS]
+        if unsupported:
+            raise ConfigError(
+                "tournament does not take "
+                + ", ".join(f"--{k.replace('_', '-')}" for k in unsupported)
+                + "; every variant runs at its own fixed F/CR with the default engine settings"
+            )
         benchmarks = ([b.strip() for b in str(options["benchmark"]).split(",") if b.strip()]
                       if options.get("benchmark") else list(TOURNAMENT_BENCHMARKS))
         out = resolve_out_dir(options)

@@ -124,9 +124,19 @@ def init_population(space: SearchSpace, n: int, rng: RngStream) -> np.ndarray:
 
 
 def clip_to_bounds(x, space: SearchSpace) -> np.ndarray:
-    """Clamp every coordinate into the box; in-bounds input passes through."""
+    """Clamp every coordinate of a point, or of each row of an ``(m, dim)``
+    batch, into the box; in-bounds input passes through."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (space.dim,):
-        raise ShapeError(f"vector of shape {x.shape} does not match space dim {space.dim}")
+    if x.ndim not in (1, 2) or x.shape[-1] != space.dim:
+        raise ShapeError(f"array of shape {x.shape} does not match space dim {space.dim}")
     return np.clip(x, space.lows, space.highs)
+
+
+def evaluate_rows(objective, points) -> np.ndarray:
+    """Values of ``objective`` at the rows of ``points``: in one call when the
+    objective declares ``batched = True`` (it then takes an ``(m, d)`` array),
+    else one call per row."""
+    if getattr(objective, "batched", False):
+        return np.asarray(objective(points), dtype=float)
+    return np.array([objective(p) for p in points], dtype=float)
 

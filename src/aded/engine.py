@@ -17,6 +17,7 @@ from .core import (
     ConfigError,
     DomainError,
     RngStream,
+    ShapeError,
     SearchSpace,
     clip_to_bounds,
     init_population,
@@ -25,9 +26,10 @@ from .variation import (
     LocalSearchBudget,
     ScheduleParams,
     StrategyId,
-    apply_crossover,
+    crossover_masks,
+    draw_crossover,
     local_refine,
-    mutate,
+    mutation_donors,
 )
 
 CLASSIC_F = 0.8
@@ -73,7 +75,9 @@ def dynamic_neighborhood(i: int, n: int, k: int, rng: RngStream) -> np.ndarray:
     """Uniform draw of min(k, n-1) distinct neighbor indices, never including i."""
     if n < 2:
         raise ConfigError("dynamic neighborhood needs a population of >= 2")
-    return rng.choice(np.delete(np.arange(n), i), size=min(k, n - 1), replace=False)
+    # the same draw as choosing from the n - 1 indices other than i
+    pick = rng.choice(n - 1, size=min(k, n - 1), replace=False)
+    return pick + (pick >= i)
 
 
 def has_converged(history, stagnation_limit: int, tol: float = 0.0) -> bool:
@@ -109,28 +113,62 @@ class RunResult:
 
 
 class _CountingObjective:
-    """Wraps the raw objective: counts every call, converts its value with
-    ``convert`` (``float`` for one objective, an array for several), checks
-    finiteness, and attaches generation/individual context to failures."""
+    """Wraps the raw objective: counts every evaluated point, checks
+    finiteness, and attaches generation/individual context to failures.
 
-    __slots__ = ("fn", "convert", "count", "context")
+    It takes one point, or an ``(m, d)`` batch (so it is itself ``batched``).
+    A batch reaches an objective that declares ``batched = True`` in one call,
+    and any other objective one row at a time. Values are floats, or arrays
+    when ``multi`` (several objectives).
+    """
 
-    def __init__(self, fn, convert=float):
+    batched = True
+    __slots__ = ("fn", "fn_batched", "multi", "count", "context")
+
+    def __init__(self, fn, multi: bool = False):
         self.fn = fn
-        self.convert = convert
+        self.fn_batched = bool(getattr(fn, "batched", False))
+        self.multi = multi
         self.count = 0
         self.context = "initialization"
 
     def __call__(self, x):
+        if np.ndim(x) == 2:
+            return self.batch(x)
         self.count += 1
+        return self._point(x, self.context)
+
+    def _point(self, x, where: str):
         try:
-            value = self.convert(self.fn(x))
+            value = np.asarray(self.fn(x), dtype=float) if self.multi else float(self.fn(x))
         except Exception as exc:
-            raise DomainError(f"objective failed at {self.context}: {exc}") from exc
+            raise DomainError(f"objective failed at {where}: {exc}") from exc
         # math.isfinite on a float is a fraction of np.isfinite(...).all()'s cost
-        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
-            raise DomainError(f"objective returned {value} at {self.context}")
+        if not (np.isfinite(value).all() if self.multi else math.isfinite(value)):
+            raise DomainError(f"objective returned {value} at {where}")
         return value
+
+    def batch(self, points, where=None) -> np.ndarray:
+        """Values at the rows of ``points``; ``where(r)`` names row r in
+        errors (default: the current context)."""
+        where = where or (lambda r: self.context)
+        m = len(points)
+        self.count += m
+        if not self.fn_batched:
+            return np.array([self._point(p, where(r)) for r, p in enumerate(points)])
+        try:
+            values = np.asarray(self.fn(points), dtype=float)
+            if values.ndim != 1 + self.multi or values.shape[0] != m:
+                raise ShapeError(f"a batch of {m} points gave values of shape {values.shape}")
+        except Exception as exc:
+            for r, p in enumerate(points):     # name the first point that fails alone
+                self._point(p, where(r))
+            raise DomainError(f"objective failed on the batch at {where(0)}: {exc}") from exc
+        finite = np.isfinite(values)
+        if not finite.all():
+            r = int(np.argmin(finite.reshape(m, -1).all(axis=1)))
+            raise DomainError(f"objective returned {values[r]} at {where(r)}")
+        return values
 
 
 def _finish(x, fit, best_hist, div_hist, fdc_hist, counting, t0, terminated_by, seed) -> RunResult:
@@ -161,10 +199,45 @@ def _record(x, fit, space, best_hist, div_hist, fdc_hist):
         fdc_hist.append(float("nan"))
 
 
+def _draw_trials(cfg: EngineConfig, n: int, d: int, cr: float, rng: RngStream):
+    """Draw one generation's randomness trial by trial, in the engine's fixed
+    order: neighbors, k coefficient, bases, crossover, refinement coin.
+
+    Returns the ``(n, index_count)`` base indices, the ``(n,)`` k
+    coefficients, the ``(n, d)`` crossover masks and the ``(n,)`` refinement
+    flags.
+    """
+    strategy = cfg.strategy
+    need = strategy.index_count
+    dynamic = cfg.neighborhood == "dynamic"
+    pool_size = min(cfg.neighborhood_size, n - 1) if dynamic else n - 1
+    bases = np.empty((n, need), dtype=np.intp)
+    k_coeff = np.zeros(n)
+    firsts = np.empty(n, dtype=np.intp)
+    seconds = []
+    refine = np.empty(n, dtype=bool)
+    for i in range(n):
+        if dynamic:
+            neighbors = dynamic_neighborhood(i, n, cfg.neighborhood_size, rng)
+        if strategy.uses_k:
+            k_coeff[i] = rng.random()
+        pick = rng.choice(pool_size, size=need, replace=False)
+        bases[i] = neighbors[pick] if dynamic else pick + (pick >= i)
+        firsts[i], second = draw_crossover(strategy.crossover, d, cr, rng)
+        seconds.append(second)
+        refine[i] = cfg.local_search.refines(rng)
+    return bases, k_coeff, crossover_masks(strategy.crossover, d, cr, firsts, seconds), refine
+
+
 def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
     """Adaptive run: scheduled F/CR, per-individual dynamic neighborhoods,
     strategy-built trials with crossover and bound repair, optional local
-    refinement, crowding selection, and stagnation-based early stopping."""
+    refinement, crowding selection, and stagnation-based early stopping.
+
+    Each generation is built from the previous one as a whole. Trials are
+    evaluated in index order; every run of consecutive trials that are not
+    refined reaches the objective as one batch.
+    """
     t0 = time.perf_counter()
     rng = RngStream(cfg.seed)
     n = cfg.population_size
@@ -180,12 +253,8 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
     ls = cfg.local_search
 
     x = init_population(space, n, rng)
-    fit = np.empty(n)
-    for i in range(n):
-        counting.context = f"initial member {i}"
-        fit[i] = counting(x[i])
+    fit = counting.batch(x, lambda r: f"initial member {r}")
 
-    all_but_self = [np.delete(np.arange(n), i) for i in range(n)]
     best_hist: list = []
     div_hist: list = []
     fdc_hist: list = []
@@ -193,27 +262,23 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
 
     for gen in range(cfg.max_generations):
         f_rate, cr_rate = cfg.schedule.rates_at(gen, cfg.max_generations, fixed)
-        gen_best = x[int(np.argmin(fit))].copy()
-        new_x = x.copy()
-        new_fit = fit.copy()
-        for i in range(n):
-            if cfg.neighborhood == "dynamic":
-                neighbors = dynamic_neighborhood(i, n, cfg.neighborhood_size, rng)
-            else:
-                neighbors = all_but_self[i]
-            k_coeff = float(rng.random()) if cfg.strategy.uses_k else 0.0
-            donor = mutate(cfg.strategy, x, i, gen_best, f_rate, k_coeff, rng, pool=neighbors)
-            trial = apply_crossover(cfg.strategy, x[i], donor, cr_rate, rng)
-            trial = clip_to_bounds(trial, space)
-            counting.context = f"generation {gen}, individual {i}"
-            if ls.enabled and (ls.probability >= 1.0 or rng.random() < ls.probability):
-                trial, trial_f, _ = local_refine(counting, trial, space, ls)
-            else:
-                trial_f = counting(trial)
-            if trial_f < fit[i]:                   # crowding: incumbent wins ties
-                new_x[i] = trial
-                new_fit[i] = trial_f
-        x, fit = new_x, new_fit
+        gen_best = x[int(np.argmin(fit))]
+        bases, k_coeff, masks, refine = _draw_trials(cfg, n, space.dim, cr_rate, rng)
+        donors = mutation_donors(cfg.strategy, x, bases, gen_best, f_rate, k_coeff)
+        trials = clip_to_bounds(np.where(masks, donors, x), space)
+        trial_f = np.empty(n)
+        start = 0
+        for i in [*np.flatnonzero(refine).tolist(), n]:
+            if start < i:
+                trial_f[start:i] = counting.batch(
+                    trials[start:i], lambda r: f"generation {gen}, individual {start + r}")
+            if i < n:
+                counting.context = f"generation {gen}, individual {i}"
+                trials[i], trial_f[i], _ = local_refine(counting, trials[i], space, ls)
+            start = i + 1
+        improved = trial_f < fit                   # crowding: incumbent wins ties
+        x = np.where(improved[:, None], trials, x)
+        fit = np.where(improved, trial_f, fit)
         _record(x, fit, space, best_hist, div_hist, fdc_hist)
         if has_converged(best_hist, cfg.stagnation_limit, cfg.stagnation_tol):
             terminated_by = "stagnation"

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -95,11 +94,16 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
     if np.any(weights < 0.0) or weights.sum() <= 0.0:
         raise ConfigError("weights must be non-negative with a positive sum")
     rng = RngStream(cfg.seed)
-    counting = _CountingObjective(objectives, convert=partial(np.asarray, dtype=float))
+    counting = _CountingObjective(objectives, multi=True)
     ls = cfg.local_search
 
     def scalar_objective(z):
-        return scalarize(counting(z), weights)
+        objs = counting(z)
+        if objs.ndim == 1:
+            return scalarize(objs, weights)
+        return np.array([o @ weights for o in objs])   # per row, as scalarize computes it
+
+    scalar_objective.batched = True
 
     n = cfg.population_size
     x = init_population(space, n, rng)
@@ -116,16 +120,29 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
 
     for gen in range(cfg.max_generations):
         f_rate, _ = cfg.schedule.rates_at(gen, cfg.max_generations, fixed)
+        pulls = np.empty((n, 2), dtype=np.intp)
+        refine = np.empty(n, dtype=bool)
+        for i in range(n):
+            pulls[i] = rng.choice(n, size=2, replace=False)
+            refine[i] = ls.refines(rng)
+        trials = x + f_rate * (x[pulls[:, 0]] - x) + f_rate * (x[pulls[:, 1]] - x)
+        trials = clip_to_bounds(trials, space)
+        # trials are evaluated in index order: a refined trial's objective
+        # vector opens the batch of the unrefined trials after it
+        parts = []
+        start = 0
+        for i in [*np.flatnonzero(refine).tolist(), n]:
+            if start < i:
+                parts.append(counting.batch(
+                    trials[start:i], lambda r: f"generation {gen}, individual {start + r}"))
+            if i < n:
+                counting.context = f"generation {gen}, individual {i}"
+                trials[i], _, _ = local_refine(scalar_objective, trials[i], space, ls)
+            start = i
+        trial_objs = np.concatenate(parts)
         new_x: list = []
         new_obj: list = []
-        for i in range(n):
-            counting.context = f"generation {gen}, individual {i}"
-            r = rng.choice(n, size=2, replace=False)
-            trial = x[i] + f_rate * (x[r[0]] - x[i]) + f_rate * (x[r[1]] - x[i])
-            trial = clip_to_bounds(trial, space)
-            if ls.enabled and (ls.probability >= 1.0 or rng.random() < ls.probability):
-                trial, _, _ = local_refine(scalar_objective, trial, space, ls)
-            objs = counting(trial)
+        for trial, objs in zip(trials, trial_objs):
             dominated = any(pareto_dominates(o, objs) for o in new_obj)
             if not dominated:
                 new_x.append(trial)

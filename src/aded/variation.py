@@ -17,6 +17,7 @@ from .core import (
     SearchSpace,
     ShapeError,
     clip_to_bounds,
+    evaluate_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -157,6 +158,40 @@ class StrategyId:
         return MUTATION_INDEX_COUNT[self.mutation]
 
 
+def mutation_donors(strategy: StrategyId, pop, bases, best, f: float, k, current=None) -> np.ndarray:
+    """Donor vectors, one per row of ``bases``, without bound repair.
+
+    ``bases`` holds each donor's ``index_count`` random base indices into
+    ``pop``, ``k`` the coefficients of the current-to-* strategies, and
+    ``current`` the individuals the donors belong to (default: ``pop``
+    itself, one donor per member).
+    """
+    x = np.asarray(pop, dtype=float)
+    r = [x[bases[:, j]] for j in range(strategy.index_count)]
+    cur = x if current is None else current
+    k = np.asarray(k, dtype=float)[:, None]
+    m = strategy.mutation
+    if m == "rand1":
+        return r[0] + f * (r[1] - r[2])
+    if m == "best1":
+        return best + f * (r[0] - r[1])
+    if m == "rand2":
+        return r[0] + f * (r[1] - r[2] + r[3] - r[4])
+    if m == "best2":
+        return best + f * (r[0] - r[1] + r[2] - r[3])
+    if m == "currenttorand1":
+        return cur + k * (r[2] - cur) + f * (r[0] - r[1])
+    if m == "currenttobest1":
+        return cur + k * (best - cur) + f * (r[0] - r[1])
+    if m == "randtobest1":
+        return r[0] + f * (best - r[0]) + f * (r[1] - r[2])
+    if m == "adedrand":
+        return cur + f * (r[0] - cur) + f * (r[1] - r[2])
+    if m == "adedneighbors":
+        return cur + f * (r[0] - cur) + f * (r[1] - cur)
+    raise ConfigError(f"unhandled mutation {m!r}")  # pragma: no cover
+
+
 def mutate(
     strategy: StrategyId,
     pop,
@@ -174,83 +209,66 @@ def mutate(
     donor is returned without bound repair.
     """
     x = np.asarray(pop, dtype=float)
-    if pool is None:
-        pool = np.delete(np.arange(x.shape[0]), i)
-    else:
-        pool = np.asarray(pool, dtype=int)
-    if strategy.uses_best:
-        best = np.asarray(best, dtype=float)
+    pool = np.delete(np.arange(x.shape[0]), i) if pool is None else np.asarray(pool, dtype=int)
     need = strategy.index_count
     if pool.size < need:
         raise ConfigError(
             f"strategy {strategy.name} needs {need} distinct non-self indices, "
             f"pool has {pool.size}"
         )
-    r = rng.choice(pool, size=need, replace=False)
-    m = strategy.mutation
-    if m == "rand1":
-        return x[r[0]] + f * (x[r[1]] - x[r[2]])
-    if m == "best1":
-        return best + f * (x[r[0]] - x[r[1]])
-    if m == "rand2":
-        return x[r[0]] + f * (x[r[1]] - x[r[2]] + x[r[3]] - x[r[4]])
-    if m == "best2":
-        return best + f * (x[r[0]] - x[r[1]] + x[r[2]] - x[r[3]])
-    if m == "currenttorand1":
-        return x[i] + k * (x[r[2]] - x[i]) + f * (x[r[0]] - x[r[1]])
-    if m == "currenttobest1":
-        return x[i] + k * (best - x[i]) + f * (x[r[0]] - x[r[1]])
-    if m == "randtobest1":
-        return x[r[0]] + f * (best - x[r[0]]) + f * (x[r[1]] - x[r[2]])
-    if m == "adedrand":
-        return x[i] + f * (x[r[0]] - x[i]) + f * (x[r[1]] - x[r[2]])
-    if m == "adedneighbors":
-        return x[i] + f * (x[r[0]] - x[i]) + f * (x[r[1]] - x[i])
-    raise ConfigError(f"unhandled mutation {m!r}")  # pragma: no cover
+    bases = rng.choice(pool, size=need, replace=False)[None, :]
+    if strategy.uses_best:
+        best = np.asarray(best, dtype=float)
+    return mutation_donors(strategy, x, bases, best, f, [k], current=x[i:i + 1])[0]
 
 
 # ---------------------------------------------------------------------------
 # Crossover
 # ---------------------------------------------------------------------------
 
-def crossover_binomial(target, donor, cr: float, rng: RngStream) -> np.ndarray:
-    """Per-component Bernoulli mix; at least one donor component survives."""
+def draw_crossover(kind: str, d: int, cr: float, rng: RngStream) -> tuple:
+    """One trial's crossover draws: a start index, then ``d`` uniforms for
+    ``bin``, or the run length for ``exp`` (extended while U < CR)."""
+    first = int(rng.integers(d))
+    if kind == "bin":
+        return first, rng.random(d)
+    length = 1
+    while length < d and rng.random() < cr:
+        length += 1
+    return first, length
+
+
+def crossover_masks(kind: str, d: int, cr: float, firsts, seconds) -> np.ndarray:
+    """``(m, d)`` masks of the components a trial takes from its donor, from
+    the ``draw_crossover`` draws of m trials."""
+    if not 0.0 <= cr <= 1.0:
+        raise ConfigError(f"CR must lie in [0, 1], got {cr}")
+    firsts = np.asarray(firsts, dtype=np.intp)
+    if kind == "bin":
+        take = np.asarray(seconds) < cr
+        take[np.arange(firsts.size), firsts] = True      # at least one donor component
+        return take
+    lengths = np.asarray(seconds)[:, None]
+    return (np.arange(d) - firsts[:, None]) % d < lengths   # a circular run from first
+
+
+def _crossover(kind: str, target, donor, cr: float, rng: RngStream) -> np.ndarray:
     target = np.asarray(target, dtype=float)
     donor = np.asarray(donor, dtype=float)
     if target.shape != donor.shape:
         raise ShapeError(f"target {target.shape} vs donor {donor.shape}")
-    if not 0.0 <= cr <= 1.0:
-        raise ConfigError(f"CR must lie in [0, 1], got {cr}")
-    d = target.size
-    j_rand = int(rng.integers(d))
-    take = rng.random(d) < cr
-    take[j_rand] = True
-    return np.where(take, donor, target)
+    first, second = draw_crossover(kind, target.size, cr, rng)
+    return np.where(crossover_masks(kind, target.size, cr, [first], [second])[0], donor, target)
+
+
+def crossover_binomial(target, donor, cr: float, rng: RngStream) -> np.ndarray:
+    """Per-component Bernoulli mix; at least one donor component survives."""
+    return _crossover("bin", target, donor, cr, rng)
 
 
 def crossover_exponential(target, donor, cr: float, rng: RngStream) -> np.ndarray:
     """Copy a circular run of consecutive donor components, length >= 1."""
-    target = np.asarray(target, dtype=float)
-    donor = np.asarray(donor, dtype=float)
-    if target.shape != donor.shape:
-        raise ShapeError(f"target {target.shape} vs donor {donor.shape}")
-    if not 0.0 <= cr <= 1.0:
-        raise ConfigError(f"CR must lie in [0, 1], got {cr}")
-    d = target.size
-    start = int(rng.integers(d))
-    length = 1
-    while length < d and rng.random() < cr:
-        length += 1
-    idx = (start + np.arange(length)) % d
-    trial = target.copy()
-    trial[idx] = donor[idx]
-    return trial
-
-
-def apply_crossover(strategy: StrategyId, target, donor, cr: float, rng: RngStream) -> np.ndarray:
-    if strategy.crossover == "bin":
-        return crossover_binomial(target, donor, cr, rng)
-    return crossover_exponential(target, donor, cr, rng)
+    return _crossover("exp", target, donor, cr, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +292,34 @@ class LocalSearchBudget:
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigError(f"probability must lie in [0, 1], got {self.probability}")
 
+    def refines(self, rng: RngStream) -> bool:
+        """Whether one trial is refined: one uniform draw when the probability
+        is below 1, no draw otherwise."""
+        return self.enabled and (self.probability >= 1.0 or rng.random() < self.probability)
+
 
 def finite_difference_gradient(objective, x, step: float = 1e-6, lows=None, highs=None) -> np.ndarray:
     """Central-difference gradient with per-coordinate step h_j = step*max(1, |x_j|).
 
     When bounds are supplied, probe points are clamped inside them, which
     degrades gracefully to a one-sided difference at the box boundary (some
-    objectives are only defined inside the box).
+    objectives are only defined inside the box). The 2d probes, x + h_j e_j
+    then x - h_j e_j for each j, go to the objective as one ``(2d, d)`` batch
+    when it is ``batched``, else one at a time in that order.
     """
     x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for j in range(x.size):
-        h = step * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        if lows is not None:
-            xp[j] = min(xp[j], highs[j])
-            xm[j] = max(xm[j], lows[j])
-        denom = xp[j] - xm[j]
-        grad[j] = (objective(xp) - objective(xm)) / denom if denom > 0.0 else 0.0
+    h = step * np.maximum(1.0, np.abs(x))
+    up, down = x + h, x - h
+    if lows is not None:
+        up, down = np.minimum(up, highs), np.maximum(down, lows)
+    j = np.arange(x.size)
+    probes = np.repeat(x[None, :], 2 * x.size, axis=0)
+    probes[2 * j, j] = up
+    probes[2 * j + 1, j] = down
+    values = evaluate_rows(objective, probes)
+    denom = up - down
+    grad = np.zeros_like(x)
+    np.divide(values[0::2] - values[1::2], denom, out=grad, where=denom > 0.0)
     return grad
 
 
@@ -303,7 +328,8 @@ def local_refine(objective, x0, space: SearchSpace, budget: LocalSearchBudget):
 
     Gradients come from central finite differences, every probe counts as an
     objective evaluation, and the result is never worse than the start point
-    nor outside the box. Returns (x, f, evals).
+    nor outside the box. A ``batched`` objective gets each gradient's probes
+    in one call. Returns (x, f, evals).
     """
     x0 = clip_to_bounds(x0, space)
     count = 0
@@ -313,6 +339,13 @@ def local_refine(objective, x0, space: SearchSpace, budget: LocalSearchBudget):
         count += 1
         return float(objective(np.asarray(z, dtype=float)))
 
+    def probes(points):
+        nonlocal count
+        count += len(points)
+        return evaluate_rows(objective, points)
+
+    probes.batched = True
+
     f0 = wrapped(x0)
     if not np.isfinite(f0):
         raise DomainError(f"objective is non-finite at the local-search start point: {f0}")
@@ -321,7 +354,7 @@ def local_refine(objective, x0, space: SearchSpace, budget: LocalSearchBudget):
         wrapped,
         x0,
         jac=lambda z: finite_difference_gradient(
-            wrapped, z, budget.gradient_step, lows=space.lows, highs=space.highs
+            probes, z, budget.gradient_step, lows=space.lows, highs=space.highs
         ),
         method="L-BFGS-B",
         bounds=space.as_pairs(),

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -180,3 +183,100 @@ class TestDeVilliersGlasser02Variant:
         spec = lookup("devilliersglasser02")
         assert grid_min(spec) == pytest.approx(74.0)
         assert spec.evaluate([1.0, 1.0]) == 74.0
+
+
+def probe_points(spec, seed, n_inside=1000):
+    """Seeded points inside the box, up to 16 box corners, and the inside
+    points scaled by 3 (mostly outside the box, where probes may land)."""
+    space = spec.space()
+    rng = np.random.default_rng(seed)
+    inside = rng.uniform(space.lows, space.highs, size=(n_inside, space.dim))
+    corners = np.array([np.where(bits, space.highs, space.lows)
+                        for bits in itertools.islice(itertools.product((0, 1), repeat=space.dim), 16)])
+    return np.vstack([inside, corners, 3.0 * inside])
+
+
+# sha256 prefixes of the one-point values at probe_points(spec, i), with i
+# the catalog position, recorded from the one-point-at-a-time evaluators
+# that preceded the batch protocol.
+ONE_POINT_VALUES = {
+    "sphere": "48c8c0ca38fa6a5266af0b3c",
+    "sinusoidal": "779e0cc416b2a9afe489f464",
+    "ackley": "c5ae21efc052737cad0dea7c",
+    "bukin_n6": "b24f2d945ade129abc79011e",
+    "rastrigin": "c7ec38661c1e3ce6d9c41956",
+    "cross_in_tray": "e43f475dca44f059d1e46a91",
+    "levy_n13": "b077e3921655cedd985a7feb",
+    "eggholder": "b6f7e221bcb02d657aa1be0f",
+    "schaffer_n2": "0c59becb30bbb867afbdc65f",
+    "schwefel": "131458644838ac7579fb8a4b",
+    "shubert": "2c2c7bb80bab23936669592e",
+    "drop_wave": "500b6fda7114fe07e6380410",
+    "himmelblau": "8b227087cd5767e5ed4d6d72",
+    "booth": "d7359587ae3c749733101cfa",
+    "matyas": "11663b35e61c305393d62981",
+    "mccormick": "19366a86f54c29db26ea846a",
+    "three_hump_camel": "2e24e71a4172b9c4fd52c4a7",
+    "six_hump_camel": "c95f8bf5b76ef195c81aa419",
+    "rosenbrock": "d6a9ed31d41e27dcea8d246b",
+    "dixon_price": "3184f1d20a841006b8319090",
+    "beale": "a6d368b54ccfc9678aeec470",
+    "goldstein_price": "dc5cfd793c3d6187e8c10222",
+    "forrester": "139c86d5d251cb37936f0725",
+    "devilliersglasser02": "c92045e2a5827994b9510bc8",
+    "zdt1": "1fa608dc26e5221bbb4cd5b3",
+    "zdt2": "ca0ca9e8093350ff7ad4cc7e",
+    "dltz1": "d052b536efd1adebb6bf9539",
+    "mo_demo": "1feb942838f2f167dd6bc2da",
+}
+
+
+class TestBatchEvaluation:
+    @pytest.mark.parametrize("position,benchmark_id", list(enumerate(CATALOG)))
+    def test_one_point_values_unchanged(self, position, benchmark_id):
+        spec = CATALOG[benchmark_id]
+        values = np.array([spec.evaluate(x) for x in probe_points(spec, position)], dtype=float)
+        digest = hashlib.sha256(values.tobytes()).hexdigest()[:24]
+        assert digest == ONE_POINT_VALUES[benchmark_id]
+
+    @pytest.mark.parametrize("position,benchmark_id", list(enumerate(CATALOG)))
+    def test_batch_rows_equal_one_point_calls(self, position, benchmark_id):
+        spec = CATALOG[benchmark_id]
+        points = probe_points(spec, 100 + position, n_inside=200)
+        batch = spec.evaluate(points)
+        rows = np.array([spec.evaluate(x) for x in points], dtype=float)
+        assert batch.shape == rows.shape
+        assert batch.tobytes() == rows.tobytes()
+
+    def test_batch_shapes_and_marker(self):
+        for spec in CATALOG.values():
+            assert spec.evaluate.batched is True
+            points = probe_points(spec, 0, n_inside=3)
+            expected = (len(points),) if spec.n_objectives == 1 else (len(points), spec.n_objectives)
+            assert spec.evaluate(points).shape == expected
+        assert isinstance(lookup("sphere").evaluate([1.0, 2.0]), float)
+        assert lookup("zdt1").evaluate(np.zeros(30)).shape == (2,)
+
+    @pytest.mark.parametrize("benchmark_id,width", [("booth", 3), ("rosenbrock", 1), ("dltz1", 6)])
+    def test_wrong_batch_width(self, benchmark_id, width):
+        with pytest.raises(ShapeError):
+            lookup(benchmark_id).evaluate(np.zeros((4, width)))
+
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(ShapeError):
+            lookup("sphere").evaluate(np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("benchmark_id", ["sphere", "zdt1"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row(self, benchmark_id, bad):
+        spec = lookup(benchmark_id)
+        points = np.zeros((5, spec.dim))
+        points[3, 1] = bad
+        with pytest.raises(DomainError, match="row 3"):
+            spec.evaluate(points)
+
+    def test_evaluator_with_wrong_batch_output(self):
+        spec = BenchmarkSpec("scalar_only", lambda x: 1.0, "fixed-2d", ((0.0, 1.0), (0.0, 1.0)))
+        assert spec.evaluate([0.5, 0.5]) == 1.0
+        with pytest.raises(ShapeError):
+            spec.evaluate(np.zeros((3, 2)))

@@ -166,6 +166,14 @@ class TestRunAded:
         result = run_aded(spec.evaluate, spec.space(), cfg)
         assert np.isfinite(result.best_f)
 
+    @pytest.mark.parametrize("strategy", ["rand1bin", "rand1exp"])
+    def test_out_of_range_fixed_cr_rejected(self, strategy):
+        spec = lookup("sphere")
+        cfg = small_cfg(strategy=StrategyId.parse(strategy),
+                        schedule=ScheduleParams(mode="fixed", fixed_f=0.5, fixed_cr=1.5))
+        with pytest.raises(ConfigError, match="CR must lie in"):
+            run_aded(spec.evaluate, spec.space(), cfg)
+
     def test_strategy_needs_enough_neighbors(self):
         cfg = small_cfg(
             strategy=StrategyId.parse("rand2bin"), neighborhood_size=3

@@ -294,6 +294,15 @@ class TestCli:
         assert code == 2
         assert "neighborhood_size" in capsys.readouterr().err
 
+    def test_tournament_refuses_flags_it_does_not_use(self, tmp_path, capsys):
+        code = main(["tournament", "--benchmark", "sphere", "--pop", "8", "--gens", "1",
+                     "--runs", "1", "--neighborhood-size", "20", "--ls-iterations", "0",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--neighborhood-size" in err and "--ls-iterations" in err
+        assert not (tmp_path / "tournament.csv").exists()
+
     def test_raising_multi_objective_exit_three(self, tmp_path, capsys, monkeypatch):
         from aded import benchmarks
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from aded import metrics
+
 from aded import (
     ConfigError,
     FrontPair,
@@ -105,6 +107,21 @@ class TestDiversity:
                     count += 1
             expected = (total / count) / space.diagonal()
             assert diversity(x, space) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (9, 2), (40, 3), (31, 7), (25, 8), (12, 30)])
+    @pytest.mark.parametrize("block", [None, 64])
+    def test_bit_identical_to_row_norm_sums(self, n, d, block, monkeypatch):
+        """Same value, to the bit, as summing np.linalg.norm over the members
+        after each member in turn, whatever the block size."""
+        if block is not None:
+            monkeypatch.setattr(metrics, "_DIVERSITY_BLOCK", block)
+        rng = np.random.default_rng(n * d)
+        space = SearchSpace.cube(-3.0, 4.0, d)
+        x = rng.uniform(-3, 4, size=(n, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+        total = 0.0
+        for i in range(n - 1):
+            total += float(np.sum(np.linalg.norm(x[i + 1:] - x[i], axis=1)))
+        assert diversity(x, space) == total / (n * (n - 1) / 2) / space.diagonal()
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(3)

@@ -16,7 +16,7 @@ from .harness import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
-    TOURNAMENT_BENCHMARKS,
+    _given,
     build_plan,
     cmd_compare,
     cmd_list_benchmarks,
@@ -144,18 +144,13 @@ def _dispatch(args) -> int:
                 + ", ".join(f"--{k.replace('_', '-')}" for k in unsupported)
                 + "; every variant runs at its own fixed F/CR with the default engine settings"
             )
-        benchmarks = ([b.strip() for b in str(options["benchmark"]).split(",") if b.strip()]
-                      if options.get("benchmark") else list(TOURNAMENT_BENCHMARKS))
+        kwargs = _given(options, {"runs": "n_runs", "pop": "pop", "gens": "gens",
+                                  "seed": "base_seed", "jobs": "jobs"})
+        if options.get("benchmark"):
+            kwargs["benchmarks"] = [b.strip() for b in str(options["benchmark"]).split(",")
+                                    if b.strip()]
         out = resolve_out_dir(options)
-        report = cmd_tournament(
-            benchmarks=benchmarks,
-            n_runs=options.get("runs", 5),
-            pop=options.get("pop", 40),
-            gens=options.get("gens", 40),
-            base_seed=options.get("seed", 0),
-            out_dir=out,
-            jobs=options.get("jobs", 1),
-        )
+        report = cmd_tournament(out_dir=out, **kwargs)
         for row in report["table"]:
             print(f"{row['variant']:<20} aov={row['aov']:.6g} cs={row['cs']:.6g} "
                   f"q={row['q']:.6g} avg_rank={row['average_rank']:.4f}")

@@ -229,14 +229,35 @@ def _draw_trials(cfg: EngineConfig, n: int, d: int, cr: float, rng: RngStream):
     return bases, k_coeff, crossover_masks(strategy.crossover, d, cr, firsts, seconds), refine
 
 
+def _evaluate_trials(counting, trials, refine, gen, refine_trial) -> np.ndarray:
+    """Objective values of a generation's trials, evaluated in index order.
+
+    Each run of consecutive trials that are not refined reaches the objective
+    as one batch; ``refine_trial(trial) -> (trial, value)`` refines the others
+    one at a time, and the refined trial replaces its row of ``trials``.
+    """
+    n = len(trials)
+    parts = []
+    start = 0
+    for i in [*np.flatnonzero(refine).tolist(), n]:
+        if start < i:
+            parts.append(counting.batch(
+                trials[start:i], lambda r: f"generation {gen}, individual {start + r}"))
+        if i < n:
+            counting.context = f"generation {gen}, individual {i}"
+            trials[i], value = refine_trial(trials[i])
+            parts.append([value])
+        start = i + 1
+    return np.concatenate(parts)
+
+
 def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
     """Adaptive run: scheduled F/CR, per-individual dynamic neighborhoods,
     strategy-built trials with crossover and bound repair, optional local
     refinement, crowding selection, and stagnation-based early stopping.
 
-    Each generation is built from the previous one as a whole. Trials are
-    evaluated in index order; every run of consecutive trials that are not
-    refined reaches the objective as one batch.
+    Each generation is built from the previous one as a whole, and its trials
+    are evaluated by ``_evaluate_trials``.
     """
     t0 = time.perf_counter()
     rng = RngStream(cfg.seed)
@@ -250,7 +271,9 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
     fixed = cfg.schedule.resolve_fixed(rng) if cfg.schedule.mode == "fixed" else None
 
     counting = _CountingObjective(objective)
-    ls = cfg.local_search
+
+    def refine_trial(trial):
+        return local_refine(counting, trial, space, cfg.local_search)[:2]
 
     x = init_population(space, n, rng)
     fit = counting.batch(x, lambda r: f"initial member {r}")
@@ -266,16 +289,7 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
         bases, k_coeff, masks, refine = _draw_trials(cfg, n, space.dim, cr_rate, rng)
         donors = mutation_donors(cfg.strategy, x, bases, gen_best, f_rate, k_coeff)
         trials = clip_to_bounds(np.where(masks, donors, x), space)
-        trial_f = np.empty(n)
-        start = 0
-        for i in [*np.flatnonzero(refine).tolist(), n]:
-            if start < i:
-                trial_f[start:i] = counting.batch(
-                    trials[start:i], lambda r: f"generation {gen}, individual {start + r}")
-            if i < n:
-                counting.context = f"generation {gen}, individual {i}"
-                trials[i], trial_f[i], _ = local_refine(counting, trials[i], space, ls)
-            start = i + 1
+        trial_f = _evaluate_trials(counting, trials, refine, gen, refine_trial)
         improved = trial_f < fit                   # crowding: incumbent wins ties
         x = np.where(improved[:, None], trials, x)
         fit = np.where(improved, trial_f, fit)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import BenchmarkSpec, CATALOG, analytic_front, lookup
-from .core import ConfigError
+from .core import ConfigError, ShapeError
 from .engine import EngineConfig, RunResult, run_aded, run_classic_de
 from .metrics import (
     FrontPair,
@@ -148,33 +148,28 @@ def resolve_options(preset: str | None = None, config_file=None, overrides: dict
     return {k: _coerce(k, v) for k, v in merged.items()}
 
 
+def _given(options: dict, names: dict) -> dict:
+    """Keyword arguments for the options that are set, keyed by the field
+    names in ``names``; an option that is not set keeps its field default."""
+    return {name: options[key] for key, name in names.items() if key in options}
+
+
 def build_engine_config(options: dict) -> EngineConfig:
-    schedule = ScheduleParams(
-        initial_f=options.get("f0", 0.5),
-        initial_cr=options.get("cr0", 0.5),
-        mode=options.get("mode", "scheduled"),
-        fixed_f=options.get("fixed_f"),
-        fixed_cr=options.get("fixed_cr"),
-    )
-    enabled = str(options.get("local_search", "on")).lower() not in ("off", "false", "0", "no")
-    budget = LocalSearchBudget(
-        enabled=enabled,
-        max_iterations=options.get("ls_iterations", 25),
-        gradient_step=options.get("ls_step", 1e-6),
-        probability=options.get("ls_probability", 1.0),
-    )
-    return EngineConfig(
-        population_size=options.get("pop", 100),
-        max_generations=options.get("gens", 100),
-        schedule=schedule,
-        strategy=StrategyId.parse(options.get("strategy", "adedrandbin")),
-        neighborhood=options.get("neighborhood", "dynamic"),
-        neighborhood_size=options.get("neighborhood_size"),
-        local_search=budget,
-        stagnation_limit=options.get("stagnation_limit", 10),
-        stagnation_tol=options.get("stagnation_tol", 1e-12),
-        seed=options.get("seed", 0),
-    )
+    schedule = _given(options, {"f0": "initial_f", "cr0": "initial_cr", "mode": "mode",
+                                "fixed_f": "fixed_f", "fixed_cr": "fixed_cr"})
+    budget = _given(options, {"ls_iterations": "max_iterations", "ls_step": "gradient_step",
+                              "ls_probability": "probability"})
+    if "local_search" in options:
+        budget["enabled"] = str(options["local_search"]).lower() not in ("off", "false", "0", "no")
+    engine = _given(options, {"pop": "population_size", "gens": "max_generations",
+                              "neighborhood": "neighborhood",
+                              "neighborhood_size": "neighborhood_size",
+                              "stagnation_limit": "stagnation_limit",
+                              "stagnation_tol": "stagnation_tol", "seed": "seed"})
+    if "strategy" in options:
+        engine["strategy"] = StrategyId.parse(options["strategy"])
+    return EngineConfig(schedule=ScheduleParams(**schedule),
+                        local_search=LocalSearchBudget(**budget), **engine)
 
 
 @dataclass
@@ -216,13 +211,9 @@ def build_plan(options: dict) -> ExperimentPlan:
     return ExperimentPlan(
         benchmarks=benchmarks,
         config=build_engine_config(options),
-        algorithm=options.get("algorithm", "aded"),
-        n_runs=options.get("runs", 10),
-        base_seed=options.get("seed", 0),
-        dim=options.get("dim"),
-        jobs=options.get("jobs", 1),
         out_dir=resolve_out_dir(options),
-        fmt=options.get("format", "csv"),
+        **_given(options, {"algorithm": "algorithm", "runs": "n_runs", "seed": "base_seed",
+                           "dim": "dim", "jobs": "jobs", "format": "fmt"}),
     )
 
 
@@ -551,6 +542,8 @@ def cmd_moo(plan: ExperimentPlan, weights=None, reference_size: int = 1000) -> d
         space = spec.space(plan.dim)
         w = np.asarray(weights, dtype=float) if weights is not None else (
             np.full(spec.n_objectives, 1.0 / spec.n_objectives))
+        if w.shape != (spec.n_objectives,):
+            raise ShapeError(f"{benchmark_id} has {spec.n_objectives} objectives, weights {w.shape}")
         try:
             reference = analytic_front(benchmark_id, reference_size)
         except KeyError:

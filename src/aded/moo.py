@@ -11,8 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, RngStream, SearchSpace, ShapeError, clip_to_bounds, init_population
-from .engine import EngineConfig, _CountingObjective, has_converged
+from .engine import EngineConfig, _CountingObjective, _evaluate_trials, has_converged
 from .variation import local_refine
+
+
+def _dominates(a, b):
+    """Pareto dominance (minimization) over the last axis, broadcasting over
+    the leading ones: no worse everywhere and strictly better somewhere."""
+    return np.all(a <= b, axis=-1) & np.any(a < b, axis=-1)
 
 
 def pareto_dominates(a, b) -> bool:
@@ -22,7 +28,7 @@ def pareto_dominates(a, b) -> bool:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ShapeError(f"objective vectors differ in shape: {a.shape} vs {b.shape}")
-    return bool(np.all(a <= b) and np.any(a < b))
+    return bool(_dominates(a, b))
 
 
 def scalarize(objs, weights) -> float:
@@ -31,9 +37,13 @@ def scalarize(objs, weights) -> float:
     weights = np.asarray(weights, dtype=float)
     if objs.shape != weights.shape:
         raise ShapeError(f"objectives {objs.shape} vs weights {weights.shape}")
+    _check_weights(weights)
+    return float(objs @ weights)
+
+
+def _check_weights(weights) -> None:
     if np.any(weights < 0.0) or weights.sum() <= 0.0:
         raise ConfigError("weights must be non-negative with a positive sum")
-    return float(objs @ weights)
 
 
 def nondominated_filter(points) -> np.ndarray:
@@ -41,13 +51,7 @@ def nondominated_filter(points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise ConfigError("nondominated_filter needs at least one point")
-    n = pts.shape[0]
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        dominated = np.all(pts <= pts[i], axis=1) & np.any(pts < pts[i], axis=1)
-        if dominated.any():
-            keep[i] = False
-    return np.flatnonzero(keep)
+    return np.flatnonzero([not _dominates(pts, p).any() for p in pts])
 
 
 @dataclass
@@ -63,36 +67,45 @@ class MoResult:
     seed: int = 0
 
 
-def _archive_insert(archive_x: list, archive_obj: list, x, objs) -> None:
-    """Keep the archive mutually non-dominated; exact duplicates are skipped."""
-    if archive_obj:
-        a = np.array(archive_obj)
-        if np.any(np.all(a == objs, axis=1)):
-            return
-        if np.any(np.all(a <= objs, axis=1) & np.any(a < objs, axis=1)):
-            return
-        survivors = ~(np.all(objs <= a, axis=1) & np.any(objs < a, axis=1))
-        if not survivors.all():
-            archive_x[:] = [v for v, s in zip(archive_x, survivors) if s]
-            archive_obj[:] = [v for v, s in zip(archive_obj, survivors) if s]
-    archive_x.append(np.array(x))
-    archive_obj.append(np.array(objs))
+def _admit(trial_objs) -> np.ndarray:
+    """Mask of the trials admitted in index order: trial i is admitted when
+    no earlier admitted trial dominates it. A later trial that dominates an
+    admitted one does not evict it."""
+    admitted = np.zeros(len(trial_objs), dtype=bool)
+    for i, objs in enumerate(trial_objs):
+        admitted[i] = not _dominates(trial_objs[:i][admitted[:i]], objs).any()
+    return admitted
+
+
+def _archive_add(arch_x, arch_obj, new_x, new_obj):
+    """The archive after inserting the new points in order, each unless an
+    archived point dominates or equals it, and each evicting what it
+    dominates. By transitivity, that keeps the points of old + new that none
+    dominates, each objective vector once, in insertion order."""
+    m = len(arch_obj)
+    objs = np.concatenate([arch_obj, new_obj])
+    beaten = _dominates(new_obj[:, None], objs).any(axis=0)
+    beaten[m:] |= _dominates(arch_obj[:, None], new_obj).any(axis=0)
+    # new point j is row m + j: a repeat of any earlier row is dropped
+    beaten[m:] |= np.tril(np.all(new_obj[:, None] == objs, axis=-1), m - 1).any(axis=1)
+    return np.concatenate([arch_x, new_x])[~beaten], objs[~beaten]
 
 
 def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> MoResult:
     """Multi-objective adaptive run.
 
     Per generation each individual spawns a trial pulled toward two random
-    population members, optionally refined against the scalarized objective;
-    a trial joins the next population only if no already-admitted trial
-    dominates it. The reported front is the non-dominated set over every
-    admitted point, and the run stops on generation budget or when the
-    scalarized best stagnates.
+    population members, optionally refined against the scalarized objective.
+    Trials are admitted in index order: a trial joins the next population
+    only if no earlier admitted trial of the generation dominates it, so a
+    trial admitted early stays even when a later trial dominates it. The
+    archive does prune such a trial: it holds the points admitted so far
+    that no admitted point dominates, and it is the reported front. The run
+    stops on generation budget or when the scalarized best stagnates.
     """
     t0 = time.perf_counter()
     weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0.0) or weights.sum() <= 0.0:
-        raise ConfigError("weights must be non-negative with a positive sum")
+    _check_weights(weights)
     rng = RngStream(cfg.seed)
     counting = _CountingObjective(objectives, multi=True)
     ls = cfg.local_search
@@ -100,17 +113,19 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
     def scalar_objective(z):
         objs = counting(z)
         if objs.ndim == 1:
-            return scalarize(objs, weights)
+            return float(objs @ weights)
         return np.array([o @ weights for o in objs])   # per row, as scalarize computes it
 
     scalar_objective.batched = True
 
+    def refine_trial(trial):
+        trial = local_refine(scalar_objective, trial, space, ls)[0]
+        return trial, counting(trial)
+
     n = cfg.population_size
     x = init_population(space, n, rng)
 
-    archive_x: list = []
-    archive_obj: list = []
-    best_x = None
+    arch_x = arch_obj = None
     best_obj = None
     scal_hist: list = []
     front_size_hist: list = []
@@ -127,47 +142,29 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
             refine[i] = ls.refines(rng)
         trials = x + f_rate * (x[pulls[:, 0]] - x) + f_rate * (x[pulls[:, 1]] - x)
         trials = clip_to_bounds(trials, space)
-        # trials are evaluated in index order: a refined trial's objective
-        # vector opens the batch of the unrefined trials after it
-        parts = []
-        start = 0
-        for i in [*np.flatnonzero(refine).tolist(), n]:
-            if start < i:
-                parts.append(counting.batch(
-                    trials[start:i], lambda r: f"generation {gen}, individual {start + r}"))
-            if i < n:
-                counting.context = f"generation {gen}, individual {i}"
-                trials[i], _, _ = local_refine(scalar_objective, trials[i], space, ls)
-            start = i
-        trial_objs = np.concatenate(parts)
-        new_x: list = []
-        new_obj: list = []
-        for trial, objs in zip(trials, trial_objs):
-            dominated = any(pareto_dominates(o, objs) for o in new_obj)
-            if not dominated:
-                new_x.append(trial)
-                new_obj.append(objs)
-                _archive_insert(archive_x, archive_obj, trial, objs)
-            if best_obj is None or pareto_dominates(objs, best_obj):
-                best_x, best_obj = trial, objs
-        scal_hist.append(scalarize(best_obj, weights))
-        front_size_hist.append(len(archive_obj))
-        if len(new_x) < n:
-            fill = rng.uniform(space.lows, space.highs, size=(n - len(new_x), space.dim))
-            x = np.vstack([new_x, fill]) if new_x else fill
-        else:
-            x = np.array(new_x)
+        trial_objs = _evaluate_trials(counting, trials, refine, gen, refine_trial)
+        admitted = _admit(trial_objs)
+        if arch_obj is None:                   # the objective count is known now
+            arch_x, arch_obj = trials[:0], trial_objs[:0]
+        arch_x, arch_obj = _archive_add(arch_x, arch_obj, trials[admitted], trial_objs[admitted])
+        for objs in trial_objs:
+            if best_obj is None or _dominates(objs, best_obj):
+                best_obj = objs
+        scal_hist.append(float(best_obj @ weights))
+        front_size_hist.append(len(arch_obj))
+        x = trials[admitted]
+        if len(x) < n:
+            fill = rng.uniform(space.lows, space.highs, size=(n - len(x), space.dim))
+            x = np.vstack([x, fill])
         if has_converged(scal_hist, cfg.stagnation_limit, cfg.stagnation_tol):
             terminated_by = "stagnation"
             break
 
-    keep = nondominated_filter(np.array(archive_obj))
-    front = [(archive_x[i], archive_obj[i]) for i in keep]
-    scal_values = [scalarize(o, weights) for _, o in front]
+    scal_values = [float(o @ weights) for o in arch_obj]
     best_idx = int(np.argmin(scal_values))
     return MoResult(
-        front=front,
-        best_scalarized=(front[best_idx][0], scal_values[best_idx]),
+        front=list(zip(arch_x, arch_obj)),
+        best_scalarized=(arch_x[best_idx], scal_values[best_idx]),
         front_size_history=front_size_hist,
         n_evaluations=counting.count,
         wall_seconds=time.perf_counter() - t0,

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as t_dist
+from scipy.special import stdtr
 
 from .core import ConfigError
 from .metrics import RunBatch
@@ -51,7 +51,7 @@ def welch_t(sample_a, sample_b) -> TTestResult:
         (qa ** 2 / (a.size - 1) if qa > 0 else 0.0)
         + (qb ** 2 / (b.size - 1) if qb > 0 else 0.0)
     )
-    p = 2.0 * float(t_dist.sf(abs(t), df))
+    p = 2.0 * float(stdtr(df, -abs(t)))        # the t survival function at |t|
     return TTestResult(float(t), min(p, 1.0), float(df))
 
 

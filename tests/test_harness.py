@@ -18,6 +18,7 @@ from aded.harness import (
     cmd_moo,
     cmd_run,
     cmd_tournament,
+    config_hash,
     load_config_file,
     resolve_options,
     resolve_out_dir,
@@ -89,6 +90,22 @@ class TestOptionResolution:
             neighborhood_size=7,
             seed=3,
         )
+
+    def test_config_hash_unchanged_by_option_defaults(self):
+        # recorded when every option default was spelled out in build_engine_config
+        recorded = {
+            None: "dfcd716bce3c1569",
+            "sinusoidal-dynamic": "3a0a30154814b56f",
+            "sinusoidal-global": "17139f24cf8d5b11",
+            "battery-2d": "ac4177e839f5be09",
+            "classic-convex": "a2e6a1f8c2185f10",
+            "tournament-desk": "a758484386bb5686",
+            "moo-zdt1": "36b94d94feb84e62",
+        }
+        assert set(recorded) == {None, *PRESETS}
+        for preset, expected in recorded.items():
+            options = dict(PRESETS[preset]) if preset else {}
+            assert config_hash(build_engine_config(options)) == expected, preset
 
     def test_out_dir_precedence(self, monkeypatch):
         monkeypatch.delenv("ADED_OUT", raising=False)
@@ -302,6 +319,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--neighborhood-size" in err and "--ls-iterations" in err
         assert not (tmp_path / "tournament.csv").exists()
+
+    def test_tournament_passes_only_the_options_set(self, tmp_path, monkeypatch, capsys):
+        import aded.cli
+
+        seen = []
+        monkeypatch.setattr(aded.cli, "cmd_tournament",
+                            lambda **kwargs: seen.append(kwargs) or {"table": []})
+        assert main(["tournament", "--out", str(tmp_path)]) == 0
+        assert main(["tournament", "--benchmark", "sphere, booth", "--runs", "2", "--pop", "8",
+                     "--gens", "3", "--seed", "4", "--jobs", "1", "--out", str(tmp_path)]) == 0
+        assert seen == [
+            {"out_dir": str(tmp_path)},
+            {"out_dir": str(tmp_path), "benchmarks": ["sphere", "booth"], "n_runs": 2,
+             "pop": 8, "gens": 3, "base_seed": 4, "jobs": 1},
+        ]
+
+    def test_moo_weights_of_wrong_length_exit_two(self, tmp_path, capsys):
+        code = main(["moo", "--benchmark", "zdt1", "--weights", "1,1,1", "--pop", "6",
+                     "--gens", "1", "--runs", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "zdt1 has 2 objectives" in capsys.readouterr().err
 
     def test_raising_multi_objective_exit_three(self, tmp_path, capsys, monkeypatch):
         from aded import benchmarks

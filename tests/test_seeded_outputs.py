@@ -86,3 +86,44 @@ def test_aded_mo_front():
     assert sha(*[objs for _, objs in result.front]) == (
         "c531775131b2a4cb4b81d02a9ae54e46b58286d3ce1ec6d0de27e30913e7c43d")
     assert repr(float(result.best_scalarized[1])) == "0.3750000000051675"
+
+
+def mo_fingerprint(result):
+    return (result.n_evaluations, len(result.front), sha(*[x for x, _ in result.front]),
+            sha(*[objs for _, objs in result.front]), repr(float(result.best_scalarized[1])),
+            result.front_size_history, result.terminated_by)
+
+
+def test_aded_mo_three_objectives_refining_every_trial():
+    spec = lookup("dltz1")
+    cfg = EngineConfig(
+        population_size=16, max_generations=10, seed=4, stagnation_limit=10,
+        schedule=ScheduleParams(initial_f=2.0, initial_cr=0.9),
+        local_search=LocalSearchBudget(enabled=True, max_iterations=2, probability=1.0),
+    )
+    result = run_aded_mo(spec.evaluate, spec.space(), cfg, [0.2, 0.3, 0.5])
+    assert mo_fingerprint(result) == (
+        11045, 7,
+        "c10be50ed6f7cf595433d530930f2efefbfdeb824a912b461e87600a1b1e6167",
+        "9d60f5b1b638892cedb767f38a6a53964b6fa13e4ee5207e760e332ae350ea9b",
+        "0.10066976579789824", [5, 5, 6, 6, 6, 6, 7, 7, 7, 7], "stagnation",
+    )
+
+
+def test_aded_mo_without_refinement():
+    spec = lookup("zdt2")
+    cfg = EngineConfig(
+        population_size=40, max_generations=30, seed=7, stagnation_limit=30,
+        schedule=ScheduleParams(initial_f=0.5, initial_cr=0.9),
+        local_search=LocalSearchBudget(enabled=False),
+    )
+    result = run_aded_mo(spec.evaluate, spec.space(), cfg, [0.5, 0.5])
+    assert mo_fingerprint(result) == (
+        1200, 6,
+        "86f8e08fe59a001994503fd2eb8e137c30031803de1779e8ff3fe06c8c78656b",
+        "1433544e66836fd793e52cd7c8ff5a2a6eebe1ee639df29d101bc411fca9e4b5",
+        "2.349237322412961",
+        [5, 5, 5, 7, 8, 8, 9, 10, 10, 7, 9, 9, 9, 10, 10, 11, 11, 10, 10, 10, 10, 10, 10, 9,
+         6, 6, 6, 6, 6, 6],
+        "max-generations",
+    )

@@ -1,4 +1,6 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import pytest
 from aded import ConfigError, DegenerateSampleError, compare_batches, rank_variants, welch_t
 from aded.metrics import RunBatch
 from aded.stats import significance_stars
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +118,25 @@ class TestWelchT:
             t_ref, df_ref = welch_oracle(a, b)
             assert result.t == pytest.approx(t_ref, abs=1e-9)
             assert result.p == pytest.approx(two_sided_p_oracle(abs(t_ref), df_ref), abs=1e-6)
+
+    def test_p_equals_scipy_t_survival_exactly(self):
+        from scipy.stats import t as t_dist
+
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            a = rng.normal(0.0, 1.0, size=rng.integers(2, 30))
+            b = rng.normal(rng.normal(), rng.uniform(0.1, 3.0), size=rng.integers(2, 30))
+            result = welch_t(a, b)
+            assert result.p == min(2.0 * float(t_dist.sf(abs(result.t), result.df)), 1.0)
+
+    def test_import_leaves_scipy_stats_out(self):
+        import subprocess
+        import sys
+
+        code = "import sys, aded; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert out.stdout.strip() == "False"
 
     def test_antisymmetric_in_arguments(self):
         rng = np.random.default_rng(1)

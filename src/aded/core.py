@@ -57,9 +57,6 @@ class RngStream:
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size=size)
 
-    def choice(self, candidates, size=None, replace=True):
-        return self._gen.choice(candidates, size=size, replace=replace)
-
     def __repr__(self):
         return f"RngStream(seed={self.seed}, path={self.path})"
 

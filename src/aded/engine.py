@@ -26,8 +26,8 @@ from .variation import (
     LocalSearchBudget,
     ScheduleParams,
     StrategyId,
-    crossover_masks,
     draw_crossover,
+    draw_distinct,
     local_refine,
     mutation_donors,
 )
@@ -71,13 +71,15 @@ class EngineConfig:
             raise ConfigError(f"neighborhood must be 'dynamic' or 'all', got {self.neighborhood!r}")
 
 
-def dynamic_neighborhood(i: int, n: int, k: int, rng: RngStream) -> np.ndarray:
-    """Uniform draw of min(k, n-1) distinct neighbor indices, never including i."""
+def dynamic_neighborhood(i, n: int, k: int, rng: RngStream) -> np.ndarray:
+    """Uniform draw of min(k, n-1) distinct neighbor indices, never including
+    i. For an index array ``i`` (``np.arange(n)`` for a whole generation) the
+    draws are made at once, one row per entry."""
     if n < 2:
         raise ConfigError("dynamic neighborhood needs a population of >= 2")
-    # the same draw as choosing from the n - 1 indices other than i
-    pick = rng.choice(n - 1, size=min(k, n - 1), replace=False)
-    return pick + (pick >= i)
+    members = np.atleast_1d(i)
+    rows = draw_distinct(rng, n, min(k, n - 1), members.size, skip=members)
+    return rows if np.ndim(i) else rows[0]
 
 
 def has_converged(history, stagnation_limit: int, tol: float = 0.0) -> bool:
@@ -200,8 +202,8 @@ def _record(x, fit, space, best_hist, div_hist, fdc_hist):
 
 
 def _draw_trials(cfg: EngineConfig, n: int, d: int, cr: float, rng: RngStream):
-    """Draw one generation's randomness trial by trial, in the engine's fixed
-    order: neighbors, k coefficient, bases, crossover, refinement coin.
+    """Draw one generation's randomness, one array per kind, in a fixed order:
+    k coefficients, neighbors, bases, crossover, refinement coins.
 
     Returns the ``(n, index_count)`` base indices, the ``(n,)`` k
     coefficients, the ``(n, d)`` crossover masks and the ``(n,)`` refinement
@@ -209,24 +211,16 @@ def _draw_trials(cfg: EngineConfig, n: int, d: int, cr: float, rng: RngStream):
     """
     strategy = cfg.strategy
     need = strategy.index_count
-    dynamic = cfg.neighborhood == "dynamic"
-    pool_size = min(cfg.neighborhood_size, n - 1) if dynamic else n - 1
-    bases = np.empty((n, need), dtype=np.intp)
-    k_coeff = np.zeros(n)
-    firsts = np.empty(n, dtype=np.intp)
-    seconds = []
-    refine = np.empty(n, dtype=bool)
-    for i in range(n):
-        if dynamic:
-            neighbors = dynamic_neighborhood(i, n, cfg.neighborhood_size, rng)
-        if strategy.uses_k:
-            k_coeff[i] = rng.random()
-        pick = rng.choice(pool_size, size=need, replace=False)
-        bases[i] = neighbors[pick] if dynamic else pick + (pick >= i)
-        firsts[i], second = draw_crossover(strategy.crossover, d, cr, rng)
-        seconds.append(second)
-        refine[i] = cfg.local_search.refines(rng)
-    return bases, k_coeff, crossover_masks(strategy.crossover, d, cr, firsts, seconds), refine
+    members = np.arange(n)
+    k_coeff = rng.random(n) if strategy.uses_k else np.zeros(n)
+    if cfg.neighborhood == "dynamic":
+        neighbors = dynamic_neighborhood(members, n, cfg.neighborhood_size, rng)
+        picks = draw_distinct(rng, neighbors.shape[1], need, n)
+        bases = np.take_along_axis(neighbors, picks, axis=1)
+    else:
+        bases = draw_distinct(rng, n, need, n, skip=members)
+    masks = draw_crossover(strategy.crossover, d, cr, rng, n)
+    return bases, k_coeff, masks, cfg.local_search.refines(rng, n)
 
 
 def _evaluate_trials(counting, trials, refine, gen, refine_trial) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import ConfigError, RngStream, SearchSpace, ShapeError, clip_to_bounds, init_population
 from .engine import EngineConfig, _CountingObjective, _evaluate_trials, has_converged
-from .variation import local_refine
+from .variation import draw_distinct, local_refine
 
 
 def _dominates(a, b):
@@ -135,11 +135,8 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
 
     for gen in range(cfg.max_generations):
         f_rate, _ = cfg.schedule.rates_at(gen, cfg.max_generations, fixed)
-        pulls = np.empty((n, 2), dtype=np.intp)
-        refine = np.empty(n, dtype=bool)
-        for i in range(n):
-            pulls[i] = rng.choice(n, size=2, replace=False)
-            refine[i] = ls.refines(rng)
+        pulls = draw_distinct(rng, n, 2, n)
+        refine = ls.refines(rng, n)
         trials = x + f_rate * (x[pulls[:, 0]] - x) + f_rate * (x[pulls[:, 1]] - x)
         trials = clip_to_bounds(trials, space)
         trial_objs = _evaluate_trials(counting, trials, refine, gen, refine_trial)

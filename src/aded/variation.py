@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     ConfigError,
@@ -158,6 +157,35 @@ class StrategyId:
         return MUTATION_INDEX_COUNT[self.mutation]
 
 
+def draw_distinct(rng: RngStream, pool: int, k: int, m: int, skip=None) -> np.ndarray:
+    """``(m, k)`` indices from ``range(pool)``, distinct within each row, each
+    row a uniformly random ordered pick; row r never holds ``skip[r]`` when an
+    ``(m,)`` index array ``skip`` is given.
+
+    Every row is first drawn with replacement; the rows that hold a repeat are
+    drawn again without replacement, a column at a time. A row is a uniform
+    ordered pick either way, so the result is exact, in two RNG calls.
+    """
+    s = 0 if skip is None else 1        # indices each row leaves out
+    picks = rng.integers(0, pool - s, size=(m, k))
+    if s:
+        picks += picks >= skip[:, None]
+    ordered = np.sort(picks, axis=1)
+    redo = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    taken = np.empty((redo.size, s + k), dtype=np.intp)
+    if s:
+        taken[:, 0] = skip[redo]
+    ranks = rng.integers(0, pool - s - np.arange(k), size=(redo.size, k))
+    for j in range(k):
+        # column j takes the free index of rank r: r plus the count of taken
+        # indices c_t (ascending, t = 0, 1, ...) with c_t - t <= r
+        below = np.sort(taken[:, :s + j], axis=1) - np.arange(s + j)
+        r = ranks[:, j]
+        taken[:, s + j] = r + (below <= r[:, None]).sum(axis=1)
+    picks[redo] = taken[:, s:]
+    return picks
+
+
 def mutation_donors(strategy: StrategyId, pop, bases, best, f: float, k, current=None) -> np.ndarray:
     """Donor vectors, one per row of ``bases``, without bound repair.
 
@@ -216,7 +244,7 @@ def mutate(
             f"strategy {strategy.name} needs {need} distinct non-self indices, "
             f"pool has {pool.size}"
         )
-    bases = rng.choice(pool, size=need, replace=False)[None, :]
+    bases = pool[draw_distinct(rng, pool.size, need, 1)]
     if strategy.uses_best:
         best = np.asarray(best, dtype=float)
     return mutation_donors(strategy, x, bases, best, f, [k], current=x[i:i + 1])[0]
@@ -226,30 +254,24 @@ def mutate(
 # Crossover
 # ---------------------------------------------------------------------------
 
-def draw_crossover(kind: str, d: int, cr: float, rng: RngStream) -> tuple:
-    """One trial's crossover draws: a start index, then ``d`` uniforms for
-    ``bin``, or the run length for ``exp`` (extended while U < CR)."""
-    first = int(rng.integers(d))
-    if kind == "bin":
-        return first, rng.random(d)
-    length = 1
-    while length < d and rng.random() < cr:
-        length += 1
-    return first, length
+def draw_crossover(kind: str, d: int, cr: float, rng: RngStream, m: int) -> np.ndarray:
+    """``(m, d)`` masks of the components m trials take from their donors.
 
-
-def crossover_masks(kind: str, d: int, cr: float, firsts, seconds) -> np.ndarray:
-    """``(m, d)`` masks of the components a trial takes from its donor, from
-    the ``draw_crossover`` draws of m trials."""
+    Each trial draws a start index; ``bin`` then takes each component on a
+    uniform below CR, and the start one always; ``exp`` takes a circular run
+    from the start whose length is 1 plus the number of leading uniforms
+    below CR among d - 1.
+    """
     if not 0.0 <= cr <= 1.0:
         raise ConfigError(f"CR must lie in [0, 1], got {cr}")
-    firsts = np.asarray(firsts, dtype=np.intp)
+    firsts = rng.integers(d, size=m)
     if kind == "bin":
-        take = np.asarray(seconds) < cr
-        take[np.arange(firsts.size), firsts] = True      # at least one donor component
+        take = rng.random((m, d)) < cr
+        take[np.arange(m), firsts] = True      # at least one donor component
         return take
-    lengths = np.asarray(seconds)[:, None]
-    return (np.arange(d) - firsts[:, None]) % d < lengths   # a circular run from first
+    extend = rng.random((m, d - 1)) < cr
+    lengths = 1 + np.logical_and.accumulate(extend, axis=1).sum(axis=1)
+    return (np.arange(d) - firsts[:, None]) % d < lengths[:, None]
 
 
 def _crossover(kind: str, target, donor, cr: float, rng: RngStream) -> np.ndarray:
@@ -257,8 +279,7 @@ def _crossover(kind: str, target, donor, cr: float, rng: RngStream) -> np.ndarra
     donor = np.asarray(donor, dtype=float)
     if target.shape != donor.shape:
         raise ShapeError(f"target {target.shape} vs donor {donor.shape}")
-    first, second = draw_crossover(kind, target.size, cr, rng)
-    return np.where(crossover_masks(kind, target.size, cr, [first], [second])[0], donor, target)
+    return np.where(draw_crossover(kind, target.size, cr, rng, 1)[0], donor, target)
 
 
 def crossover_binomial(target, donor, cr: float, rng: RngStream) -> np.ndarray:
@@ -292,10 +313,12 @@ class LocalSearchBudget:
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigError(f"probability must lie in [0, 1], got {self.probability}")
 
-    def refines(self, rng: RngStream) -> bool:
-        """Whether one trial is refined: one uniform draw when the probability
-        is below 1, no draw otherwise."""
-        return self.enabled and (self.probability >= 1.0 or rng.random() < self.probability)
+    def refines(self, rng: RngStream, m: int) -> np.ndarray:
+        """Mask of which of m trials are refined: one uniform per trial when
+        refinement is on with a probability below 1, no draw otherwise."""
+        if not self.enabled or self.probability >= 1.0:
+            return np.full(m, self.enabled)
+        return rng.random(m) < self.probability
 
 
 def finite_difference_gradient(objective, x, step: float = 1e-6, lows=None, highs=None) -> np.ndarray:
@@ -323,6 +346,14 @@ def finite_difference_gradient(objective, x, step: float = 1e-6, lows=None, high
     return grad
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use, so that ``import
+    aded`` does not load ``scipy.optimize`` for runs that never refine."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def local_refine(objective, x0, space: SearchSpace, budget: LocalSearchBudget):
     """Box-constrained L-BFGS descent from ``x0``.
 
@@ -332,12 +363,21 @@ def local_refine(objective, x0, space: SearchSpace, budget: LocalSearchBudget):
     in one call. Returns (x, f, evals).
     """
     x0 = clip_to_bounds(x0, space)
-    count = 0
+    f0 = float(objective(x0))
+    if not np.isfinite(f0):
+        raise DomainError(f"objective is non-finite at the local-search start point: {f0}")
+    count = 1
+    at_start = True
 
     def wrapped(z):
-        nonlocal count
+        nonlocal count, at_start
+        z = np.asarray(z, dtype=float)
+        if at_start:            # L-BFGS-B first asks for f(x0), known already
+            at_start = False
+            if np.array_equal(z, x0):
+                return f0
         count += 1
-        return float(objective(np.asarray(z, dtype=float)))
+        return float(objective(z))
 
     def probes(points):
         nonlocal count
@@ -345,10 +385,6 @@ def local_refine(objective, x0, space: SearchSpace, budget: LocalSearchBudget):
         return evaluate_rows(objective, points)
 
     probes.batched = True
-
-    f0 = wrapped(x0)
-    if not np.isfinite(f0):
-        raise DomainError(f"objective is non-finite at the local-search start point: {f0}")
 
     result = minimize(
         wrapped,

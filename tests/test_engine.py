@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from aded import (
     ConfigError,
@@ -15,6 +16,7 @@ from aded import (
     run_aded,
     run_classic_de,
 )
+from aded import engine
 from aded.benchmarks import lookup
 
 
@@ -70,6 +72,110 @@ class TestDynamicNeighborhood:
     def test_tiny_population_rejected(self):
         with pytest.raises(ConfigError):
             dynamic_neighborhood(0, 1, 3, RngStream(0))
+
+    def test_index_array_draws_one_row_per_entry(self):
+        n, k = 12, 5
+        rows = dynamic_neighborhood(np.arange(n), n, k, RngStream(4))
+        assert rows.shape == (n, k)
+        for i, row in enumerate(rows):
+            assert len(set(row.tolist())) == k
+            assert i not in row
+            assert row.min() >= 0 and row.max() < n
+
+    def test_scalar_is_the_one_row_case(self):
+        for i in range(7):
+            one = dynamic_neighborhood(i, 7, 3, RngStream(i))
+            rows = dynamic_neighborhood(np.array([i]), 7, 3, RngStream(i))
+            assert one.tolist() == rows[0].tolist()
+
+
+def chi_square_uniform(counts) -> bool:
+    """Whether counts over equally likely cells pass a chi-square test at 0.1%."""
+    counts = np.asarray(counts, dtype=float)
+    expected = counts.sum() / counts.size
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    return stat < chi2.ppf(0.999, counts.size - 1)
+
+
+class TestGenerationDraws:
+    """One generation's random draws, made as whole-generation arrays."""
+
+    @pytest.mark.parametrize("strategy", ["adedrandbin", "rand2exp", "currenttobest1bin"])
+    def test_bases_distinct_non_self_and_inside_the_neighborhood(self, monkeypatch, strategy):
+        drawn = []
+
+        def recording(*args):
+            drawn.append(dynamic_neighborhood(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(engine, "dynamic_neighborhood", recording)
+        n = 40
+        cfg = small_cfg(population_size=n, neighborhood_size=7,
+                        strategy=StrategyId.parse(strategy))
+        rng = RngStream(11)
+        for _ in range(20):
+            bases = engine._draw_trials(cfg, n, 3, 0.5, rng)[0]
+            neighbors = drawn[-1]
+            assert neighbors.shape == (n, 7)
+            assert bases.shape == (n, cfg.strategy.index_count)
+            for i in range(n):
+                assert len(set(bases[i].tolist())) == bases.shape[1]
+                assert i not in bases[i]
+                assert set(bases[i].tolist()) <= set(neighbors[i].tolist())
+
+    @pytest.mark.parametrize("neighborhood", ["dynamic", "all"])
+    def test_bases_uniform_in_every_position(self, neighborhood):
+        # pooled over members: each base position holds each offset
+        # (base - member) mod n in 1..n-1 with equal probability
+        n, reps = 30, 300
+        cfg = small_cfg(population_size=n, neighborhood=neighborhood, neighborhood_size=6,
+                        strategy=StrategyId.parse("adedrandbin"))
+        rng = RngStream(23)
+        counts = np.zeros((3, n))
+        for _ in range(reps):
+            bases = engine._draw_trials(cfg, n, 2, 0.5, rng)[0]
+            offsets = (bases - np.arange(n)[:, None]) % n
+            for j in range(3):
+                counts[j] += np.bincount(offsets[:, j], minlength=n)
+        assert (counts[:, 0] == 0).all()
+        for j in range(3):
+            assert chi_square_uniform(counts[j, 1:]), counts[j]
+
+    @pytest.mark.parametrize("runner", [run_aded, run_classic_de])
+    def test_rng_calls_independent_of_population_size(self, monkeypatch, runner):
+        calls = []
+
+        class Counted(RngStream):
+            def random(self, size=None):
+                calls.append("random")
+                return super().random(size)
+
+            def integers(self, low, high=None, size=None):
+                calls.append("integers")
+                return super().integers(low, high, size)
+
+            def uniform(self, low=0.0, high=1.0, size=None):
+                calls.append("uniform")
+                return super().uniform(low, high, size)
+
+        monkeypatch.setattr(engine, "RngStream", Counted)
+        spec = lookup("rastrigin")
+        counts = []
+        for n in (10, 60):
+            calls.clear()
+            cfg = small_cfg(population_size=n, max_generations=5, stagnation_limit=6,
+                            strategy=StrategyId.parse("currenttobest1exp"), neighborhood_size=6,
+                            local_search=LocalSearchBudget(max_iterations=1, probability=0.5))
+            runner(spec.evaluate, spec.space(), cfg)
+            counts.append(list(calls))
+        assert counts[0] == counts[1]
+
+    def test_k_coefficients_only_for_current_to_strategies(self):
+        for name, drawn in (("currenttorand1bin", True), ("rand1bin", False)):
+            cfg = small_cfg(strategy=StrategyId.parse(name))
+            k = engine._draw_trials(cfg, 16, 2, 0.5, RngStream(3))[1]
+            assert bool(k.any()) == drawn
+            assert ((k >= 0.0) & (k < 1.0)).all()
 
 
 class TestCrowdingSelect:

@@ -16,6 +16,7 @@ from aded import (
     run_aded_mo,
     scalarize,
 )
+from aded import moo
 from aded.benchmarks import lookup
 from aded.moo import _admit, _archive_add
 
@@ -217,6 +218,24 @@ class TestRunAdedMo:
         assert len(a.front) == len(b.front)
         for (xa, oa), (xb, ob) in zip(a.front, b.front):
             assert (xa == xb).all() and (oa == ob).all()
+
+    def test_pull_pairs_distinct(self, monkeypatch):
+        drawn = []
+        draw_distinct = moo.draw_distinct
+
+        def recording(*args):
+            drawn.append(draw_distinct(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(moo, "draw_distinct", recording)
+        spec = lookup("zdt1")
+        cfg = mo_cfg(seed=1)
+        run_aded_mo(spec.evaluate, spec.space(), cfg, [0.5, 0.5])
+        assert drawn
+        for pulls in drawn:
+            assert pulls.shape == (cfg.population_size, 2)
+            assert (pulls[:, 0] != pulls[:, 1]).all()
+            assert ((pulls >= 0) & (pulls < cfg.population_size)).all()
 
     def test_best_scalarized_is_front_minimum(self):
         spec = lookup("zdt1")

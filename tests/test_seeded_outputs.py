@@ -6,6 +6,10 @@ values and say so.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -37,9 +41,9 @@ def test_classic_de_default_rates():
     cfg = EngineConfig(population_size=20, max_generations=30, seed=3,
                        stagnation_limit=30, stagnation_tol=0.0)
     assert fingerprint(run_classic_de(spec.evaluate, spec.space(), cfg)) == (
-        "0.3095166554923914", 620,
-        "26b1fafde86f7683bcf2b2afbfd46c07c9d4d964dfa5901e68241c2d079391fa",
-        "044191d0fd810074ca5fcb7f2995414833a4d8ee02acc4b4e76d3590e5db4785",
+        "2.251213027056668", 620,
+        "9b60b1835f4a927425c27dddaa3ba8e996708ab9a5785cbcd85164cd8ec698a0",
+        "c59a6ad6ad76121c121f7b32bc34634e908f9f28de3d4c4c10ee593397ca0fe5",
         "max-generations",
     )
 
@@ -49,9 +53,9 @@ def test_classic_de_explicit_rates():
     cfg = EngineConfig(population_size=20, max_generations=30, seed=3,
                        schedule=ScheduleParams(mode="fixed", fixed_f=0.6, fixed_cr=0.3))
     assert fingerprint(run_classic_de(spec.evaluate, spec.space(), cfg)) == (
-        "0.3329067985874161", 240,
-        "0a7739757db96308e1c05b15e2fe7e58593fc58e2e59b77ab102087b6bea32b7",
-        "9baa87c2de8ac16e452c728b8c8f8b38b764c57098fbd33f9caad4ca691ab2c3",
+        "1.0213976606676738", 440,
+        "c46994ed1117c38a66224cf3cb04e8b85e1167819eb1e468ec88bceb8d007417",
+        "f0065925049726119675a6d1771ef351d8e4ef35137842669f6ef300331c8080",
         "stagnation",
     )
 
@@ -64,9 +68,9 @@ def test_aded_dynamic_neighborhood_with_local_search():
         local_search=LocalSearchBudget(enabled=True, max_iterations=5, probability=0.3),
     )
     assert fingerprint(run_aded(spec.evaluate, spec.space(), cfg)) == (
-        "0.0008593829709053757", 2766,
-        "f7c128db8a843e0d1145b6178d3e22c9693f8fedd8fa4be7b8f3a46ded20d5d5",
-        "b8a76f0e658ed3355bba237a4bae6d150f8f6dd48e7d1b5b89c73b4c53654596",
+        "0.0003105666436664656", 2811,
+        "2dd021f76a2deef4ee6a16493eb073315e094ca325dfc2e991037d38dc7e251c",
+        "c20de2b32280b72d11e8a9e28192e1ca188c2157781ae2d785bd92f892593533",
         "max-generations",
     )
 
@@ -79,13 +83,13 @@ def test_aded_mo_front():
         local_search=LocalSearchBudget(enabled=True, max_iterations=5, probability=0.2),
     )
     result = run_aded_mo(spec.evaluate, spec.space(), cfg, [0.5, 0.5])
-    assert result.n_evaluations == 24758
-    assert len(result.front) == 65
+    assert result.n_evaluations == 24151
+    assert len(result.front) == 64
     assert sha(*[x for x, _ in result.front]) == (
-        "32abb2385a48c417b04e3666d858c6676f88ce44fcc948dcc4040a06d8ca55bf")
+        "b3a629a18d718d8905e888214ed3416bfdd69ee89c39be9ffaff63c3aabb1053")
     assert sha(*[objs for _, objs in result.front]) == (
-        "c531775131b2a4cb4b81d02a9ae54e46b58286d3ce1ec6d0de27e30913e7c43d")
-    assert repr(float(result.best_scalarized[1])) == "0.3750000000051675"
+        "2b0e3b4a1100590fb5f9b09c7e065a26228f7fb9280e6befe4be9cf0f24b453e")
+    assert repr(float(result.best_scalarized[1])) == "0.375"
 
 
 def mo_fingerprint(result):
@@ -103,10 +107,10 @@ def test_aded_mo_three_objectives_refining_every_trial():
     )
     result = run_aded_mo(spec.evaluate, spec.space(), cfg, [0.2, 0.3, 0.5])
     assert mo_fingerprint(result) == (
-        11045, 7,
-        "c10be50ed6f7cf595433d530930f2efefbfdeb824a912b461e87600a1b1e6167",
-        "9d60f5b1b638892cedb767f38a6a53964b6fa13e4ee5207e760e332ae350ea9b",
-        "0.10066976579789824", [5, 5, 6, 6, 6, 6, 7, 7, 7, 7], "stagnation",
+        11155, 3,
+        "665e4361d594ca3b73dbc0626fe1bc577d23775b9a59212f562fe14b8fe23474",
+        "a0d6aca941b0a8e3bb568d0fca7a24b54db660c4e1dc3e7b591790322e0c2c5f",
+        "0.1006697657954291", [5, 2, 3, 3, 3, 3, 3, 3, 3, 3], "max-generations",
     )
 
 
@@ -120,10 +124,44 @@ def test_aded_mo_without_refinement():
     result = run_aded_mo(spec.evaluate, spec.space(), cfg, [0.5, 0.5])
     assert mo_fingerprint(result) == (
         1200, 6,
-        "86f8e08fe59a001994503fd2eb8e137c30031803de1779e8ff3fe06c8c78656b",
-        "1433544e66836fd793e52cd7c8ff5a2a6eebe1ee639df29d101bc411fca9e4b5",
-        "2.349237322412961",
-        [5, 5, 5, 7, 8, 8, 9, 10, 10, 7, 9, 9, 9, 10, 10, 11, 11, 10, 10, 10, 10, 10, 10, 9,
-         6, 6, 6, 6, 6, 6],
+        "c50d874c0f5410d20c8b26ba7951c090524fdf59ea43014b6f75d10622c40a5e",
+        "b2960b40d7926724fff08bb633e3d0a5b3c35dfae93a4c83cde85edaee8710c8",
+        "2.4148551460488705",
+        [4, 5, 4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 8, 8, 8, 7, 7, 6],
         "max-generations",
     )
+
+
+REPEATED_RUNS = """
+import hashlib
+import numpy as np
+from aded import EngineConfig, LocalSearchBudget, StrategyId, run_aded, run_aded_mo, run_classic_de
+from aded.benchmarks import lookup
+
+digest = hashlib.sha256()
+spec = lookup("ackley")
+cfg = EngineConfig(population_size=16, max_generations=8, seed=5,
+                   strategy=StrategyId.parse("currenttobest1exp"),
+                   local_search=LocalSearchBudget(max_iterations=3, probability=0.3))
+for runner in (run_aded, run_classic_de):
+    r = runner(spec.evaluate, spec.space(), cfg)
+    for a in (r.best_x, r.best_f_history, r.diversity_history, r.fdc_history, [r.n_evaluations]):
+        digest.update(np.asarray(a, dtype=float).tobytes())
+spec = lookup("zdt1")
+r = run_aded_mo(spec.evaluate, spec.space(), cfg, [0.5, 0.5])
+for x, objs in r.front:
+    digest.update(x.tobytes() + objs.tobytes())
+digest.update(np.asarray(r.front_size_history + [r.n_evaluations], dtype=float).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_repeated_invocations_byte_identical():
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = [
+        subprocess.run([sys.executable, "-c", REPEATED_RUNS], capture_output=True, text=True,
+                       check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        for _ in range(2)
+    ]
+    assert len(outputs[0].strip()) == 64
+    assert outputs[0] == outputs[1]

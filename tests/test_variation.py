@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from aded import (
     ConfigError,
@@ -19,7 +25,9 @@ from aded import (
     mutate,
 )
 from aded.benchmarks import lookup
-from aded.variation import CANONICAL_VARIANTS, ScheduleParams
+from aded.variation import CANONICAL_VARIANTS, ScheduleParams, draw_crossover, draw_distinct
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestSchedules:
@@ -162,6 +170,28 @@ class TestMutate:
             assert np.isfinite(donor).all()
 
 
+class TestDrawDistinct:
+    def test_rows_distinct_and_skip_avoided(self):
+        skip = np.arange(50) % 9
+        rows = draw_distinct(RngStream(1), 9, 8, 50, skip=skip)
+        assert rows.shape == (50, 8)
+        for row, s in zip(rows, skip):
+            assert sorted(row.tolist()) == [j for j in range(9) if j != s]
+
+    def test_every_ordered_tuple_equally_likely(self):
+        # the 4 * 3 * 2 ordered picks of 3 from {0, 1, 3, 4}, skipping 2
+        m = 48000
+        rows = draw_distinct(RngStream(2), 5, 3, m, skip=np.full(m, 2))
+        codes = rows @ np.array([25, 5, 1])
+        counts = np.bincount(codes, minlength=125)
+        seen = np.flatnonzero(counts)
+        assert seen.size == 24
+        assert not np.isin(2, rows)
+        expected = m / 24
+        stat = float(((counts[seen] - expected) ** 2 / expected).sum())
+        assert stat < chi2.ppf(0.999, 23)
+
+
 class TestBinomialCrossover:
     def test_cr_one_copies_donor(self):
         target = np.zeros(8)
@@ -222,6 +252,16 @@ class TestExponentialCrossover:
             assert breaks <= 1
 
 
+    def test_run_length_follows_truncated_geometric_law(self):
+        d, cr, m = 6, 0.6, 60000
+        lengths = draw_crossover("exp", d, cr, RngStream(8), m).sum(axis=1)
+        counts = np.bincount(lengths, minlength=d + 1)[1:]
+        law = np.array([cr ** (l - 1) * (1 - cr) for l in range(1, d)] + [cr ** (d - 1)])
+        expected = m * law
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        assert stat < chi2.ppf(0.999, d - 1)
+
+
 class TestAtLeastOneDonorComponent:
     @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=999))
     @settings(max_examples=120)
@@ -231,6 +271,22 @@ class TestAtLeastOneDonorComponent:
         rng = RngStream(seed)
         assert crossover_binomial(target, donor, cr, rng).sum() >= 1.0
         assert crossover_exponential(target, donor, cr, rng).sum() >= 1.0
+
+
+class TestRefinementCoin:
+    def test_coin_frequency(self):
+        m, p = 100000, 0.3
+        refined = LocalSearchBudget(probability=p).refines(RngStream(6), m)
+        sigma = np.sqrt(p * (1 - p) / m)
+        assert abs(refined.mean() - p) < 3 * sigma
+
+    @pytest.mark.parametrize("budget", [LocalSearchBudget(probability=1.0),
+                                        LocalSearchBudget(enabled=False, probability=0.3)])
+    def test_no_coin_drawn_without_a_choice(self, budget):
+        rng = RngStream(6)
+        mask = budget.refines(rng, 10)
+        assert mask.tolist() == [budget.enabled] * 10
+        assert rng.random() == RngStream(6).random()
 
 
 class TestFiniteDifferenceGradient:
@@ -312,6 +368,24 @@ class TestLocalRefine:
         space = SearchSpace.cube(-5.0, 5.0, 3)
         _, _, evals = local_refine(counted, [1.0, 2.0, -1.0], space, LocalSearchBudget())
         assert evals == calls
+
+    def test_start_point_evaluated_once(self):
+        points = []
+
+        def logged(z):
+            points.append(np.array(z))
+            return float(np.sum(z * z))
+
+        space = SearchSpace.cube(-5.0, 5.0, 2)
+        local_refine(logged, [1.0, 2.0], space, LocalSearchBudget(max_iterations=3))
+        assert points[0].tolist() == [1.0, 2.0]
+        assert points[1].tolist() != [1.0, 2.0]
+
+    def test_import_leaves_scipy_optimize_out(self):
+        code = "import sys, aded; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert out.stdout.strip() == "False"
 
     def test_non_finite_start_rejected(self):
         from aded import DomainError

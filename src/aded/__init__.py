@@ -1,9 +1,9 @@
 """Adaptive differential evolution with diversification.
 
 A library and benchmark harness for single- and multi-objective optimization:
-the adaptive engine (scheduled F/CR, dynamic neighborhoods, crowding
-selection, local refinement, stagnation stopping) with classic DE as one of
-its presets, a 22-function benchmark battery plus ZDT/DTLZ-style suites,
+the adaptive engine (scheduled F/CR, a random neighborhood per member,
+crowding selection, local refinement, stagnation stopping) with classic DE as
+one of its presets, a 22-function benchmark battery plus ZDT/DTLZ-style suites,
 diagnostic metrics, and Welch-test / ranking comparison tooling.
 """
 
@@ -39,7 +39,6 @@ from .variation import (
     crossover_exponential,
     finite_difference_gradient,
     local_refine,
-    mutate,
 )
 from .engine import (
     EngineConfig,
@@ -74,4 +73,17 @@ from .stats import (
     welch_t,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ConfigError", "DomainError", "RngStream", "SearchSpace", "ShapeError", "SpaceError",
+    "clip_to_bounds", "init_population", "BenchmarkSpec", "CATALOG", "MultiObjectiveSpec",
+    "UnknownBenchmarkError", "analytic_front", "evaluate_multi", "evaluate_single", "lookup",
+    "LocalSearchBudget", "ScheduleParams", "StrategyId", "adaptive_crossover_rate",
+    "adaptive_mutation_rate", "crossover_binomial", "crossover_exponential",
+    "finite_difference_gradient", "local_refine", "EngineConfig", "RunResult",
+    "dynamic_neighborhood", "has_converged", "run_aded", "run_classic_de", "MoResult",
+    "nondominated_filter", "pareto_dominates", "run_aded_mo", "scalarize", "FrontPair",
+    "RunBatch", "UndefinedMetricError", "aov", "convergence_rate", "convergence_speed",
+    "diversity", "fdc", "generational_distance", "q_measure", "spread", "success_rate",
+    "ComparisonRow", "DegenerateSampleError", "TTestResult", "VariantScore", "compare_batches",
+    "rank_variants", "welch_t",
+]

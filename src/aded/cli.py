@@ -52,7 +52,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fixed-f", type=float, dest="fixed_f")
     parser.add_argument("--fixed-cr", type=float, dest="fixed_cr")
     parser.add_argument("--dim", type=int, help="dimensionality for any-n benchmarks")
-    parser.add_argument("--jobs", type=int, help="parallel worker count")
+    parser.add_argument("--jobs", type=int, help="worker processes for the command's runs")
     parser.add_argument("--out", help="output directory (default: $ADED_OUT or ./aded-out)")
     parser.add_argument("--format", choices=["csv", "json"], help="listing/report format")
 

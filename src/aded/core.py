@@ -31,21 +31,15 @@ class DomainError(ValueError):
 class RngStream:
     """Deterministic random stream backed by the counter-based Philox generator.
 
-    Identical seeds reproduce identical draw sequences across platforms, and
-    ``substream`` splits off statistically independent child streams, so
-    batches of seeded runs can execute in any order (or in parallel) without
-    perturbing each other.
+    Identical seeds reproduce identical draw sequences across platforms. A
+    batch of seeded runs gives each run its own seed, so the runs can
+    execute in any order, or in parallel, without perturbing each other.
     """
 
-    def __init__(self, seed: int, path: tuple = ()):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self.path = tuple(int(p) for p in path)
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
+        seq = np.random.SeedSequence(entropy=self.seed)
         self._gen = np.random.Generator(np.random.Philox(seq))
-
-    def substream(self, *indices: int) -> "RngStream":
-        """Independent child stream addressed by one or more integer indices."""
-        return RngStream(self.seed, self.path + tuple(indices))
 
     def random(self, size=None):
         """Uniform draw(s) on [0, 1)."""
@@ -58,7 +52,7 @@ class RngStream:
         return self._gen.integers(low, high, size=size)
 
     def __repr__(self):
-        return f"RngStream(seed={self.seed}, path={self.path})"
+        return f"RngStream(seed={self.seed})"
 
 
 @dataclass(frozen=True)

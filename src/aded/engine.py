@@ -1,4 +1,4 @@
-"""Single-objective evolution loop: the adaptive engine with dynamic
+"""Single-objective evolution loop: the adaptive engine with random
 neighborhoods, crowding selection, scheduled F/CR, optional local refinement,
 and stagnation stopping. The classic fixed-parameter DE baseline is a preset
 of the same loop.
@@ -103,7 +103,6 @@ class RunResult:
     best_f_history: np.ndarray
     diversity_history: np.ndarray
     fdc_history: np.ndarray
-    convergence_rate_history: np.ndarray
     n_evaluations: int
     wall_seconds: float
     terminated_by: str                    # "max-generations" | "stagnation"
@@ -176,14 +175,12 @@ class _CountingObjective:
 def _finish(x, fit, best_hist, div_hist, fdc_hist, counting, t0, terminated_by, seed) -> RunResult:
     best_hist = np.asarray(best_hist, dtype=float)
     best_idx = int(np.argmin(fit))
-    rate = np.diff(best_hist) if best_hist.size >= 2 else np.empty(0)
     return RunResult(
         best_x=x[best_idx].copy(),
         best_f=float(fit[best_idx]),
         best_f_history=best_hist,
         diversity_history=np.asarray(div_hist, dtype=float),
         fdc_history=np.asarray(fdc_hist, dtype=float),
-        convergence_rate_history=rate,
         n_evaluations=counting.count,
         wall_seconds=time.perf_counter() - t0,
         terminated_by=terminated_by,
@@ -246,9 +243,14 @@ def _evaluate_trials(counting, trials, refine, gen, refine_trial) -> np.ndarray:
 
 
 def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
-    """Adaptive run: scheduled F/CR, per-individual dynamic neighborhoods,
-    strategy-built trials with crossover and bound repair, optional local
-    refinement, crowding selection, and stagnation-based early stopping.
+    """Adaptive run: scheduled F/CR, strategy-built trials with crossover and
+    bound repair, optional local refinement, crowding selection, and
+    stagnation-based early stopping.
+
+    With ``neighborhood="dynamic"`` each member draws its mutation bases
+    from a fresh uniform subset of ``neighborhood_size`` other members. The
+    bases then have the same distribution as with ``neighborhood="all"``:
+    the neighborhood does not adapt to trial fitness.
 
     Each generation is built from the previous one as a whole, and its trials
     are evaluated by ``_evaluate_trials``.

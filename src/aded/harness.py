@@ -1,6 +1,7 @@
-"""Experiment driver: named presets, seeded batch execution (optionally
-parallel), algorithm comparisons, the 14-variant strategy tournament,
-multi-objective evaluation, and CSV/JSON report emission.
+"""Experiment harness: named presets, seeded batch execution, algorithm
+comparisons, the 14-variant strategy tournament, multi-objective evaluation,
+and CSV/JSON report emission. Every command's runs go through one runner,
+which uses at most one process pool per command.
 
 Raw CSV artifacts are pure functions of (config, seed): they carry no wall
 times, so repeated invocations are byte-identical. Timings live only in the
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from .benchmarks import BenchmarkSpec, CATALOG, analytic_front, lookup
 from .core import ConfigError, ShapeError
-from .engine import EngineConfig, RunResult, run_aded, run_classic_de
+from .engine import EngineConfig, run_aded, run_classic_de
 from .metrics import (
     FrontPair,
     RunBatch,
@@ -221,27 +222,40 @@ def build_plan(options: dict) -> ExperimentPlan:
 # Batch execution
 # ---------------------------------------------------------------------------
 
-def _execute_run(benchmark_id: str, algorithm: str, cfg: EngineConfig, dim) -> RunResult:
+def _execute_run(benchmark_id: str, algorithm: str, cfg: EngineConfig, dim, weights):
     spec = lookup(benchmark_id)
     space = spec.space(dim)
+    if algorithm == "aded_mo":
+        return run_aded_mo(spec.evaluate, space, cfg, weights)
     if algorithm == "classic_de":
         return run_classic_de(spec.evaluate, space, cfg)
-    if algorithm == "aded":
-        return run_aded(spec.evaluate, space, cfg)
-    raise ConfigError(f"single-objective batches cannot dispatch {algorithm!r}")
+    return run_aded(spec.evaluate, space, cfg)
 
 
-def run_batch(plan: ExperimentPlan, benchmark_id: str) -> list:
-    """Execute the plan's seeded runs for one benchmark, ordered by run index."""
-    cfgs = [replace(plan.config, seed=plan.base_seed + i) for i in range(plan.n_runs)]
-    if plan.jobs > 1:
-        with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
-            futures = [
-                pool.submit(_execute_run, benchmark_id, plan.algorithm, cfg, plan.dim)
-                for cfg in cfgs
-            ]
-            return [f.result() for f in futures]
-    return [_execute_run(benchmark_id, plan.algorithm, cfg, plan.dim) for cfg in cfgs]
+def _seeded_runs(plan: ExperimentPlan, benchmark_id: str, weights=None) -> list:
+    """``_execute_run`` arguments of the plan's runs on one benchmark, run i
+    on seed base_seed + i."""
+    return [(benchmark_id, plan.algorithm, replace(plan.config, seed=plan.base_seed + i),
+             plan.dim, weights) for i in range(plan.n_runs)]
+
+
+def _execute_batches(batches: list, jobs: int) -> list:
+    """Results of a command's runs, given as a list of batches (each a list
+    of ``_seeded_runs`` items) and returned in the same shape and order.
+
+    When there is more than one worker to use (``min(jobs, runs) > 1``) every
+    run goes to one process pool; otherwise the runs execute here, one after
+    another. Either way a failure raises the first failing run's error.
+    """
+    runs = [run for batch in batches for run in batch]
+    workers = min(jobs, len(runs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_execute_run, *zip(*runs)))
+    else:
+        results = [_execute_run(*run) for run in runs]
+    flat = iter(results)
+    return [[next(flat) for _ in batch] for batch in batches]
 
 
 def batch_for(plan: ExperimentPlan, benchmark_id: str, results: list) -> RunBatch:
@@ -286,7 +300,7 @@ def write_history_csv(path: Path, batches: dict) -> None:
     rows = []
     for benchmark_id, results in batches.items():
         for run_idx, r in enumerate(results):
-            rate = r.convergence_rate_history
+            rate = np.diff(r.best_f_history)
             for g in range(r.generations_executed):
                 rows.append([
                     benchmark_id, run_idx, r.seed, g,
@@ -370,7 +384,8 @@ def cmd_run(plan: ExperimentPlan) -> dict:
     """Execute the plan and emit raw history, per-run summary, and a report."""
     if plan.algorithm == "aded_mo":
         raise ConfigError("multi-objective plans go through the `moo` command")
-    batches = {b: run_batch(plan, b) for b in plan.benchmarks}
+    batches = dict(zip(plan.benchmarks, _execute_batches(
+        [_seeded_runs(plan, b) for b in plan.benchmarks], plan.jobs)))
     report = {
         "version": __version__,
         "algorithm": plan.algorithm,
@@ -409,14 +424,17 @@ def _comparison_text(rows: list) -> str:
 
 
 def cmd_compare(plan_a: ExperimentPlan, plan_b: ExperimentPlan) -> dict:
-    """Run two plans over a shared benchmark list and emit Welch comparisons."""
+    """Run two plans over a shared benchmark list and emit Welch comparisons.
+    Both arms' runs share one runner, with ``plan_a.jobs`` workers."""
     if list(plan_a.benchmarks) != list(plan_b.benchmarks):
         raise ConfigError("compared plans must share the same benchmark list")
+    results = iter(_execute_batches(
+        [_seeded_runs(plan, b) for b in plan_a.benchmarks for plan in (plan_a, plan_b)],
+        plan_a.jobs))
     rows = []
     per_benchmark = {}
     for benchmark_id in plan_a.benchmarks:
-        results_a = run_batch(plan_a, benchmark_id)
-        results_b = run_batch(plan_b, benchmark_id)
+        results_a, results_b = next(results), next(results)
         row = compare_batches(
             batch_for(plan_a, benchmark_id, results_a),
             batch_for(plan_b, benchmark_id, results_b),
@@ -458,21 +476,21 @@ def cmd_tournament(
 ) -> dict:
     """Run every strategy variant with its fixed (F, CR) pair over the given
     benchmarks, score AOV / convergence speed / Q, and rank by average rank."""
-    detail_rows = []
-    scores = []
-    for variant, fixed_f, fixed_cr in TOURNAMENT_PAIRS:
-        cfg = build_engine_config({
+    plans = [ExperimentPlan(
+        benchmarks=list(benchmarks), n_runs=n_runs, base_seed=base_seed, jobs=jobs,
+        config=build_engine_config({
             "pop": pop, "gens": gens, "mode": "fixed", "fixed_f": fixed_f,
             "fixed_cr": fixed_cr, "strategy": variant, "seed": base_seed,
-        })
+        }),
+    ) for variant, fixed_f, fixed_cr in TOURNAMENT_PAIRS]
+    results = iter(_execute_batches(
+        [_seeded_runs(plan, b) for plan in plans for b in benchmarks], jobs))
+    detail_rows = []
+    scores = []
+    for (variant, _, _), plan in zip(TOURNAMENT_PAIRS, plans):
         per_function = []
         for benchmark_id in benchmarks:
-            plan = ExperimentPlan(
-                benchmarks=[benchmark_id], config=cfg, algorithm="aded",
-                n_runs=n_runs, base_seed=base_seed, jobs=jobs,
-            )
-            results = run_batch(plan, benchmark_id)
-            batch = batch_for(plan, benchmark_id, results)
+            batch = batch_for(plan, benchmark_id, next(results))
             batch.success_tol = success_tol
             qm = q_measure(batch)
             entry = {
@@ -525,7 +543,11 @@ def cmd_tournament(
 
 
 def cmd_moo(plan: ExperimentPlan, weights=None, reference_size: int = 1000) -> dict:
-    """Seeded multi-objective runs with front export and GD / spread scoring."""
+    """Seeded multi-objective runs with front export and GD / spread scoring.
+
+    Every run uses the multi-objective engine, whatever ``plan.algorithm``
+    says, and the weights are checked for every benchmark before any run
+    starts."""
     report = {
         "version": __version__,
         "config": asdict(plan.config),
@@ -534,27 +556,27 @@ def cmd_moo(plan: ExperimentPlan, weights=None, reference_size: int = 1000) -> d
         "base_seed": plan.base_seed,
         "benchmarks": {},
     }
-    all_results = {}
+    batches = []
     for benchmark_id in plan.benchmarks:
         spec = lookup(benchmark_id)
         if isinstance(spec, BenchmarkSpec):
             raise ConfigError(f"{benchmark_id!r} is single-objective; use `run` instead")
-        space = spec.space(plan.dim)
         w = np.asarray(weights, dtype=float) if weights is not None else (
             np.full(spec.n_objectives, 1.0 / spec.n_objectives))
         if w.shape != (spec.n_objectives,):
             raise ShapeError(f"{benchmark_id} has {spec.n_objectives} objectives, weights {w.shape}")
+        batches.append(_seeded_runs(replace(plan, algorithm="aded_mo"), benchmark_id, w))
+    all_results = {}
+    for benchmark_id, results in zip(plan.benchmarks, _execute_batches(batches, plan.jobs)):
         try:
             reference = analytic_front(benchmark_id, reference_size)
         except KeyError:
             reference = None
         runs = []
-        for i in range(plan.n_runs):
-            cfg = replace(plan.config, seed=plan.base_seed + i)
-            result = run_aded_mo(spec.evaluate, space, cfg, w)
+        for result in results:
             front = np.array([objs for _, objs in result.front])
             entry = {
-                "seed": cfg.seed,
+                "seed": result.seed,
                 "front_size": len(result.front),
                 "n_evaluations": result.n_evaluations,
                 "terminated_by": result.terminated_by,

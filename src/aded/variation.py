@@ -104,7 +104,6 @@ MUTATION_INDEX_COUNT = {
     "adedneighbors": 2,   # x_i + F (n1 - x_i) + F (n2 - x_i)
 }
 
-_USES_BEST = {"best1", "best2", "currenttobest1", "randtobest1"}
 _USES_K = {"currenttorand1", "currenttobest1"}
 
 CROSSOVER_KINDS = ("bin", "exp")
@@ -145,10 +144,6 @@ class StrategyId:
         return f"{self.mutation}{self.crossover}"
 
     @property
-    def uses_best(self) -> bool:
-        return self.mutation in _USES_BEST
-
-    @property
     def uses_k(self) -> bool:
         return self.mutation in _USES_K
 
@@ -186,17 +181,15 @@ def draw_distinct(rng: RngStream, pool: int, k: int, m: int, skip=None) -> np.nd
     return picks
 
 
-def mutation_donors(strategy: StrategyId, pop, bases, best, f: float, k, current=None) -> np.ndarray:
+def mutation_donors(strategy: StrategyId, pop, bases, best, f: float, k) -> np.ndarray:
     """Donor vectors, one per row of ``bases``, without bound repair.
 
-    ``bases`` holds each donor's ``index_count`` random base indices into
-    ``pop``, ``k`` the coefficients of the current-to-* strategies, and
-    ``current`` the individuals the donors belong to (default: ``pop``
-    itself, one donor per member).
+    Row i of ``bases`` holds the ``index_count`` random base indices into
+    ``pop`` of member i, the member that the current-to-* and ADED
+    strategies start from, and ``k[i]`` is its current-to-* coefficient.
     """
     x = np.asarray(pop, dtype=float)
     r = [x[bases[:, j]] for j in range(strategy.index_count)]
-    cur = x if current is None else current
     k = np.asarray(k, dtype=float)[:, None]
     m = strategy.mutation
     if m == "rand1":
@@ -208,46 +201,16 @@ def mutation_donors(strategy: StrategyId, pop, bases, best, f: float, k, current
     if m == "best2":
         return best + f * (r[0] - r[1] + r[2] - r[3])
     if m == "currenttorand1":
-        return cur + k * (r[2] - cur) + f * (r[0] - r[1])
+        return x + k * (r[2] - x) + f * (r[0] - r[1])
     if m == "currenttobest1":
-        return cur + k * (best - cur) + f * (r[0] - r[1])
+        return x + k * (best - x) + f * (r[0] - r[1])
     if m == "randtobest1":
         return r[0] + f * (best - r[0]) + f * (r[1] - r[2])
     if m == "adedrand":
-        return cur + f * (r[0] - cur) + f * (r[1] - r[2])
+        return x + f * (r[0] - x) + f * (r[1] - r[2])
     if m == "adedneighbors":
-        return cur + f * (r[0] - cur) + f * (r[1] - cur)
+        return x + f * (r[0] - x) + f * (r[1] - x)
     raise ConfigError(f"unhandled mutation {m!r}")  # pragma: no cover
-
-
-def mutate(
-    strategy: StrategyId,
-    pop,
-    i: int,
-    best,
-    f: float,
-    k: float,
-    rng: RngStream,
-    pool=None,
-) -> np.ndarray:
-    """Build a donor vector for individual ``i``.
-
-    ``pool`` is the index set the random bases are drawn from (defaults to
-    every index except ``i``); all drawn indices are pairwise distinct. The
-    donor is returned without bound repair.
-    """
-    x = np.asarray(pop, dtype=float)
-    pool = np.delete(np.arange(x.shape[0]), i) if pool is None else np.asarray(pool, dtype=int)
-    need = strategy.index_count
-    if pool.size < need:
-        raise ConfigError(
-            f"strategy {strategy.name} needs {need} distinct non-self indices, "
-            f"pool has {pool.size}"
-        )
-    bases = pool[draw_distinct(rng, pool.size, need, 1)]
-    if strategy.uses_best:
-        best = np.asarray(best, dtype=float)
-    return mutation_donors(strategy, x, bases, best, f, [k], current=x[i:i + 1])[0]
 
 
 # ---------------------------------------------------------------------------

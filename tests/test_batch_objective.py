@@ -34,7 +34,7 @@ def per_row(spec):
 def run_fields(result):
     return (repr(result.best_f), result.best_x.tobytes(), result.best_f_history.tobytes(),
             result.diversity_history.tobytes(), result.fdc_history.tobytes(),
-            result.convergence_rate_history.tobytes(), result.n_evaluations,
+            result.n_evaluations,
             result.terminated_by, result.seed)
 
 

@@ -1,10 +1,11 @@
 import json
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aded import ConfigError, EngineConfig
+from aded import ConfigError, EngineConfig, harness
 from aded.benchmarks import BATTERY_IDS, UnknownBenchmarkError
 from aded.cli import main
 from aded.harness import (
@@ -355,6 +356,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "runtime failure" in err and "generation 0" in err
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched catalog only when forked")
+    def test_raising_multi_objective_in_a_worker_exit_three(self, tmp_path, capsys,
+                                                            monkeypatch):
+        from aded import benchmarks
+
+        def boom(x):
+            raise ValueError("boom")
+
+        broken = benchmarks.MultiObjectiveSpec("broken_mo", boom, 2, 2, (0.0, 1.0))
+        monkeypatch.setitem(benchmarks.CATALOG, "broken_mo", broken)
+        code = main(["moo", "--benchmark", "broken_mo", "--pop", "8", "--gens", "2",
+                     "--runs", "2", "--jobs", "2", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "runtime failure" in err and "generation 0" in err
+
     def test_list_benchmarks_prints(self, capsys):
         assert main(["list-benchmarks"]) == 0
         out = capsys.readouterr().out
@@ -373,3 +391,60 @@ class TestCli:
                      "--ls-probability", "0.2", "--out", str(tmp_path)])
         assert code == 0
         assert "gd=" in capsys.readouterr().out
+
+
+# Every command with options that make two seeded runs or more.
+COMMANDS = {
+    "run": ["run", "--benchmark", "sphere,booth", "--pop", "12", "--gens", "4", "--runs", "2"],
+    "compare": ["compare", "--benchmark", "sphere,matyas", "--pop", "12", "--gens", "4",
+                "--runs", "2"],
+    "tournament": ["tournament", "--benchmark", "sphere", "--pop", "12", "--gens", "3",
+                   "--runs", "2"],
+    "moo": ["moo", "--benchmark", "zdt1,mo_demo", "--pop", "12", "--gens", "4", "--runs", "2",
+            "--ls-iterations", "3", "--ls-probability", "0.2"],
+}
+
+
+class TestRunner:
+    @pytest.mark.parametrize("command", ["compare", "tournament", "moo"])
+    def test_parallel_jobs_match_serial_bytes(self, command, tmp_path, capsys):
+        outputs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main([*COMMANDS[command], "--jobs", jobs, "--out", str(out)]) == 0
+            outputs[jobs] = {f.name: f.read_bytes() for f in sorted(out.glob("*"))
+                             if f.suffix in (".csv", ".txt")}
+        assert outputs["1"]
+        assert outputs["1"] == outputs["2"]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_one_pool_per_command(self, command, jobs, tmp_path, monkeypatch, capsys):
+        pools = []
+
+        class CountingPool:
+            """Counts the pools a command opens and runs their work here."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        assert main([*COMMANDS[command], "--jobs", str(jobs), "--out", str(tmp_path)]) == 0
+        assert pools == ([jobs] if jobs > 1 else [])
+
+    def test_no_more_workers_than_runs(self, tmp_path, monkeypatch, capsys):
+        pools = []
+        monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                            lambda max_workers: pools.append(max_workers))
+        assert main(["run", "--benchmark", "sphere", "--pop", "12", "--gens", "2",
+                     "--runs", "1", "--jobs", "4", "--out", str(tmp_path)]) == 0
+        assert pools == []

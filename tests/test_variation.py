@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -22,10 +23,15 @@ from aded import (
     crossover_exponential,
     finite_difference_gradient,
     local_refine,
-    mutate,
 )
 from aded.benchmarks import lookup
-from aded.variation import CANONICAL_VARIANTS, ScheduleParams, draw_crossover, draw_distinct
+from aded.variation import (
+    CANONICAL_VARIANTS,
+    ScheduleParams,
+    draw_crossover,
+    draw_distinct,
+    mutation_donors,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -99,75 +105,75 @@ class TestStrategyId:
         assert not StrategyId.parse("rand1bin").uses_k
 
 
+def member_bases(strategy, n, seed):
+    """Each member's distinct non-self base indices, drawn as the engine does
+    with every other member as neighbor."""
+    return draw_distinct(RngStream(seed), n, strategy.index_count, n, skip=np.arange(n))
+
+
 class TestMutate:
+    """Donor vectors of ``mutation_donors``, the engine's mutation step."""
+
     def test_identical_members_rand1(self):
         x = np.tile([1.5, -2.0], (6, 1))
-        donor = mutate(StrategyId.parse("rand1bin"), x, 0, None, 0.7, 0.0, RngStream(0))
-        assert donor.tolist() == [1.5, -2.0]
+        strategy = StrategyId.parse("rand1bin")
+        donors = mutation_donors(strategy, x, member_bases(strategy, 6, 0), None, 0.7,
+                                 np.zeros(6))
+        assert donors.tolist() == x.tolist()
 
     def test_rand1_arithmetic(self):
-        # r1 + F (r2 - r3) with known bases
+        # r1 + F (r2 - r3), one donor per ordered pick of bases
         x = np.array([[9.0, 9.0], [1.0, 1.0], [2.0, 0.0], [0.0, 2.0]])
-        rng = RngStream(0)
-        strategy = StrategyId.parse("rand1bin")
-        donor = mutate(strategy, x, 0, None, 0.5, 0.0, rng, pool=np.array([1, 2, 3]))
-        # whatever permutation was drawn, the donor is base + 0.5 * difference
-        candidates = []
-        import itertools
-        for r1, r2, r3 in itertools.permutations([1, 2, 3]):
-            candidates.append((x[r1] + 0.5 * (x[r2] - x[r3])).tolist())
-        assert donor.tolist() in candidates
+        bases = np.array(list(itertools.permutations([1, 2, 3])))
+        donors = mutation_donors(StrategyId.parse("rand1bin"), x, bases, None, 0.5, np.zeros(6))
+        for donor, (r1, r2, r3) in zip(donors, bases):
+            assert donor.tolist() == (x[r1] + 0.5 * (x[r2] - x[r3])).tolist()
 
     def test_rand1_example_from_fixed_bases(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [0.0, 2.0]])
-        donor = x[1] + 0.5 * (x[2] - x[3])
-        assert donor.tolist() == [2.0, 0.0]
+        bases = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+        donors = mutation_donors(StrategyId.parse("rand1bin"), x, bases, None, 0.5, np.zeros(4))
+        assert donors[0].tolist() == [2.0, 0.0]
 
     def test_best1_with_zero_f(self):
         x = np.arange(12.0).reshape(6, 2)
         best = np.array([7.0, -7.0])
-        donor = mutate(StrategyId.parse("best1bin"), x, 2, best, 0.0, 0.0, RngStream(1))
-        assert donor.tolist() == [7.0, -7.0]
+        strategy = StrategyId.parse("best1bin")
+        donors = mutation_donors(strategy, x, member_bases(strategy, 6, 1), best, 0.0,
+                                 np.zeros(6))
+        assert donors.tolist() == [[7.0, -7.0]] * 6
 
-    @pytest.mark.parametrize("name", ["rand1bin", "rand2bin"])
+    @pytest.mark.parametrize("name", ["rand1bin", "rand2bin", "currenttobest1bin",
+                                      "adedrandbin"])
     def test_translation_equivariance(self, name):
         strategy = StrategyId.parse(name)
         x = np.random.default_rng(8).normal(size=(8, 3))
         shift = np.array([10.0, -5.0, 2.5])
-        donor_a = mutate(strategy, x, 0, x[0], 0.6, 0.0, RngStream(33))
-        donor_b = mutate(strategy, x + shift, 0, x[0] + shift, 0.6, 0.0, RngStream(33))
+        bases = member_bases(strategy, 8, 33)
+        k = RngStream(34).random(8)
+        donor_a = mutation_donors(strategy, x, bases, x[0], 0.6, k)
+        donor_b = mutation_donors(strategy, x + shift, bases, x[0] + shift, 0.6, k)
         assert np.allclose(donor_a + shift, donor_b, atol=1e-12)
-
-    def test_pool_too_small(self):
-        x = np.zeros((5, 2))
-        with pytest.raises(ConfigError):
-            mutate(StrategyId.parse("rand2bin"), x, 0, None, 0.5, 0.0, RngStream(0))
 
     def test_current_to_rand_formula(self):
         x = np.array([[1.0, 1.0], [2.0, 2.0], [4.0, 0.0], [0.0, 4.0], [3.0, 3.0], [5.0, 5.0]])
         strategy = StrategyId.parse("currenttorand1bin")
-        rng = RngStream(2)
-        pool = np.array([1, 2, 3])
-        donor = mutate(strategy, x, 0, None, 0.5, 0.25, rng, pool=pool)
-        import itertools
-        options = [
-            (x[0] + 0.25 * (x[r3] - x[0]) + 0.5 * (x[r1] - x[r2])).tolist()
-            for r1, r2, r3 in itertools.permutations([1, 2, 3])
-        ]
-        assert donor.tolist() in options
+        bases = member_bases(strategy, 6, 2)
+        k = np.linspace(0.0, 1.0, 6)
+        donors = mutation_donors(strategy, x, bases, None, 0.5, k)
+        for i, (r1, r2, r3) in enumerate(bases):
+            expected = x[i] + k[i] * (x[r3] - x[i]) + 0.5 * (x[r1] - x[r2])
+            assert donors[i].tolist() == expected.tolist()
 
     def test_all_strategies_produce_finite_donors(self):
         x = np.random.default_rng(0).uniform(-1, 1, size=(10, 4))
         best = x[3]
-        for name in CANONICAL_VARIANTS:
+        for name in (*CANONICAL_VARIANTS, "adedrandbin", "adedneighborsexp"):
             strategy = StrategyId.parse(name)
-            donor = mutate(strategy, x, 2, best, 0.8, 0.4, RngStream(5))
-            assert donor.shape == (4,)
-            assert np.isfinite(donor).all()
-        for name in ("adedrandbin", "adedneighborsexp"):
-            strategy = StrategyId.parse(name)
-            donor = mutate(strategy, x, 2, best, 0.8, 0.4, RngStream(5))
-            assert np.isfinite(donor).all()
+            donors = mutation_donors(strategy, x, member_bases(strategy, 10, 5), best, 0.8,
+                                     np.full(10, 0.4))
+            assert donors.shape == (10, 4)
+            assert np.isfinite(donors).all()
 
 
 class TestDrawDistinct:

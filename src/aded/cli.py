@@ -54,14 +54,13 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dim", type=int, help="dimensionality for any-n benchmarks")
     parser.add_argument("--jobs", type=int, help="worker processes for the command's runs")
     parser.add_argument("--out", help="output directory (default: $ADED_OUT or ./aded-out)")
-    parser.add_argument("--format", choices=["csv", "json"], help="listing/report format")
 
 
 _OPTION_KEYS = (
     "benchmark", "pop", "gens", "runs", "seed", "strategy", "neighborhood",
     "neighborhood_size", "local_search", "ls_iterations", "ls_probability",
     "stagnation_limit", "stagnation_tol", "mode", "f0", "cr0", "fixed_f",
-    "fixed_cr", "dim", "jobs", "out", "format",
+    "fixed_cr", "dim", "jobs", "out",
 )
 
 

@@ -28,7 +28,7 @@ from .variation import (
     StrategyId,
     draw_crossover,
     draw_distinct,
-    local_refine,
+    lockstep_refine,
     mutation_donors,
 )
 
@@ -117,27 +117,19 @@ class _CountingObjective:
     """Wraps the raw objective: counts every evaluated point, checks
     finiteness, and attaches generation/individual context to failures.
 
-    It takes one point, or an ``(m, d)`` batch (so it is itself ``batched``).
-    A batch reaches an objective that declares ``batched = True`` in one call,
-    and any other objective one row at a time. Values are floats, or arrays
-    when ``multi`` (several objectives).
+    It takes an ``(m, d)`` batch. The batch reaches an objective that
+    declares ``batched = True`` in one call, and any other objective one row
+    at a time. Values are floats, or arrays when ``multi`` (several
+    objectives).
     """
 
-    batched = True
-    __slots__ = ("fn", "fn_batched", "multi", "count", "context")
+    __slots__ = ("fn", "fn_batched", "multi", "count")
 
     def __init__(self, fn, multi: bool = False):
         self.fn = fn
         self.fn_batched = bool(getattr(fn, "batched", False))
         self.multi = multi
         self.count = 0
-        self.context = "initialization"
-
-    def __call__(self, x):
-        if np.ndim(x) == 2:
-            return self.batch(x)
-        self.count += 1
-        return self._point(x, self.context)
 
     def _point(self, x, where: str):
         try:
@@ -149,10 +141,9 @@ class _CountingObjective:
             raise DomainError(f"objective returned {value} at {where}")
         return value
 
-    def batch(self, points, where=None) -> np.ndarray:
+    def batch(self, points, where) -> np.ndarray:
         """Values at the rows of ``points``; ``where(r)`` names row r in
-        errors (default: the current context)."""
-        where = where or (lambda r: self.context)
+        errors."""
         m = len(points)
         self.count += m
         if not self.fn_batched:
@@ -220,26 +211,32 @@ def _draw_trials(cfg: EngineConfig, n: int, d: int, cr: float, rng: RngStream):
     return bases, k_coeff, masks, cfg.local_search.refines(rng, n)
 
 
-def _evaluate_trials(counting, trials, refine, gen, refine_trial) -> np.ndarray:
-    """Objective values of a generation's trials, evaluated in index order.
+def _evaluate_trials(counting, trials, refine, gen, space, budget, scalar=None) -> np.ndarray:
+    """Objective values of a generation's trials, in two calls: the trials
+    not flagged in ``refine`` reach the objective as one batch, and the
+    flagged ones are refined together by ``lockstep_refine``, each refined
+    trial replacing its row of ``trials``.
 
-    Each run of consecutive trials that are not refined reaches the objective
-    as one batch; ``refine_trial(trial) -> (trial, value)`` refines the others
-    one at a time, and the refined trial replaces its row of ``trials``.
+    With ``scalar`` (multi-objective runs), refinement minimizes
+    ``scalar(objective vectors)``, and the refined trials are evaluated once
+    more for their objective vectors.
     """
-    n = len(trials)
-    parts = []
-    start = 0
-    for i in [*np.flatnonzero(refine).tolist(), n]:
-        if start < i:
-            parts.append(counting.batch(
-                trials[start:i], lambda r: f"generation {gen}, individual {start + r}"))
-        if i < n:
-            counting.context = f"generation {gen}, individual {i}"
-            trials[i], value = refine_trial(trials[i])
-            parts.append([value])
-        start = i + 1
-    return np.concatenate(parts)
+    def named(rows):
+        return lambda r: f"generation {gen}, individual {rows[r]}"
+
+    flagged = np.flatnonzero(refine)
+    plain = np.flatnonzero(~refine)
+    parts = [counting.batch(trials[plain], named(plain))] if plain.size else []
+    if flagged.size:
+        def evaluate(points, rows):
+            values = counting.batch(points, named(flagged[rows]))
+            return values if scalar is None else scalar(values)
+
+        trials[flagged], values, _ = lockstep_refine(evaluate, trials[flagged], space, budget)
+        if scalar is not None:
+            values = counting.batch(trials[flagged], named(flagged))
+        parts.append(values)
+    return np.concatenate(parts)[np.argsort(np.concatenate([plain, flagged]))]
 
 
 def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
@@ -267,10 +264,6 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
     fixed = cfg.schedule.resolve_fixed(rng) if cfg.schedule.mode == "fixed" else None
 
     counting = _CountingObjective(objective)
-
-    def refine_trial(trial):
-        return local_refine(counting, trial, space, cfg.local_search)[:2]
-
     x = init_population(space, n, rng)
     fit = counting.batch(x, lambda r: f"initial member {r}")
 
@@ -285,7 +278,7 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
         bases, k_coeff, masks, refine = _draw_trials(cfg, n, space.dim, cr_rate, rng)
         donors = mutation_donors(cfg.strategy, x, bases, gen_best, f_rate, k_coeff)
         trials = clip_to_bounds(np.where(masks, donors, x), space)
-        trial_f = _evaluate_trials(counting, trials, refine, gen, refine_trial)
+        trial_f = _evaluate_trials(counting, trials, refine, gen, space, cfg.local_search)
         improved = trial_f < fit                   # crowding: incumbent wins ties
         x = np.where(improved[:, None], trials, x)
         fit = np.where(improved, trial_f, fit)

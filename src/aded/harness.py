@@ -185,7 +185,7 @@ class ExperimentPlan:
     dim: int | None = None
     jobs: int = 1
     out_dir: Path | None = None
-    fmt: str = "csv"
+    fmt: str = "csv"       # not read: the commands always write CSV and JSON
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -214,7 +214,7 @@ def build_plan(options: dict) -> ExperimentPlan:
         config=build_engine_config(options),
         out_dir=resolve_out_dir(options),
         **_given(options, {"algorithm": "algorithm", "runs": "n_runs", "seed": "base_seed",
-                           "dim": "dim", "jobs": "jobs", "format": "fmt"}),
+                           "dim": "dim", "jobs": "jobs"}),
     )
 
 

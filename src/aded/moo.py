@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import ConfigError, RngStream, SearchSpace, ShapeError, clip_to_bounds, init_population
 from .engine import EngineConfig, _CountingObjective, _evaluate_trials, has_converged
-from .variation import draw_distinct, local_refine
+from .variation import draw_distinct
 
 
 def _dominates(a, b):
@@ -38,7 +38,13 @@ def scalarize(objs, weights) -> float:
     if objs.shape != weights.shape:
         raise ShapeError(f"objectives {objs.shape} vs weights {weights.shape}")
     _check_weights(weights)
-    return float(objs @ weights)
+    return float(_weighted(objs, weights))
+
+
+def _weighted(objs, weights):
+    """Weighted sum over the last axis, of one objective vector or of each
+    row of a batch; a row's value does not depend on the other rows."""
+    return (objs * weights).sum(axis=-1)
 
 
 def _check_weights(weights) -> None:
@@ -110,17 +116,8 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
     counting = _CountingObjective(objectives, multi=True)
     ls = cfg.local_search
 
-    def scalar_objective(z):
-        objs = counting(z)
-        if objs.ndim == 1:
-            return float(objs @ weights)
-        return np.array([o @ weights for o in objs])   # per row, as scalarize computes it
-
-    scalar_objective.batched = True
-
-    def refine_trial(trial):
-        trial = local_refine(scalar_objective, trial, space, ls)[0]
-        return trial, counting(trial)
+    def scalar(objs):
+        return _weighted(objs, weights)
 
     n = cfg.population_size
     x = init_population(space, n, rng)
@@ -139,7 +136,7 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
         refine = ls.refines(rng, n)
         trials = x + f_rate * (x[pulls[:, 0]] - x) + f_rate * (x[pulls[:, 1]] - x)
         trials = clip_to_bounds(trials, space)
-        trial_objs = _evaluate_trials(counting, trials, refine, gen, refine_trial)
+        trial_objs = _evaluate_trials(counting, trials, refine, gen, space, ls, scalar)
         admitted = _admit(trial_objs)
         if arch_obj is None:                   # the objective count is known now
             arch_x, arch_obj = trials[:0], trial_objs[:0]
@@ -147,7 +144,7 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
         for objs in trial_objs:
             if best_obj is None or _dominates(objs, best_obj):
                 best_obj = objs
-        scal_hist.append(float(best_obj @ weights))
+        scal_hist.append(float(scalar(best_obj)))
         front_size_hist.append(len(arch_obj))
         x = trials[admitted]
         if len(x) < n:
@@ -157,11 +154,11 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
             terminated_by = "stagnation"
             break
 
-    scal_values = [float(o @ weights) for o in arch_obj]
+    scal_values = scalar(arch_obj)
     best_idx = int(np.argmin(scal_values))
     return MoResult(
         front=list(zip(arch_x, arch_obj)),
-        best_scalarized=(arch_x[best_idx], scal_values[best_idx]),
+        best_scalarized=(arch_x[best_idx], float(scal_values[best_idx])),
         front_size_history=front_size_hist,
         n_evaluations=counting.count,
         wall_seconds=time.perf_counter() - t0,

@@ -1,6 +1,8 @@
 """Variation machinery: generation-linked F/CR schedules, differential
 mutation strategies, binomial/exponential crossover, and the bounded
-quasi-Newton local refinement step.
+quasi-Newton local refinement: a projected L-BFGS (memory 10, Armijo
+backtracking) that refines many trials in lockstep, with batched
+central-difference probes.
 """
 
 from __future__ import annotations
@@ -259,9 +261,21 @@ def crossover_exponential(target, donor, cr: float, rng: RngStream) -> np.ndarra
 # Local refinement
 # ---------------------------------------------------------------------------
 
+LBFGS_MEMORY = 10        # correction pairs kept per row
+FTOL = 1e-15             # a row stops once a step lowers f by at most this, relative
+GTOL = 1e-10             # a row stops once no projected-gradient component exceeds this
+ARMIJO = 1e-4            # sufficient-decrease constant of the line search
+MAX_BACKTRACKS = 20      # step reductions before a row's line search fails
+EPS = np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class LocalSearchBudget:
-    """Budget for the per-trial quasi-Newton refinement."""
+    """Budget for the refinement of trials: projected L-BFGS (memory
+    ``LBFGS_MEMORY`` = 10) with central-difference gradients and Armijo
+    backtracking, at most ``max_iterations`` steps per trial, applied to each
+    trial with ``probability``. A generation's refined trials are refined
+    together, their probes sent to the objective in batches."""
 
     enabled: bool = True
     max_iterations: int = 25
@@ -285,82 +299,192 @@ class LocalSearchBudget:
 
 
 def finite_difference_gradient(objective, x, step: float = 1e-6, lows=None, highs=None) -> np.ndarray:
-    """Central-difference gradient with per-coordinate step h_j = step*max(1, |x_j|).
+    """Central-difference gradient with per-coordinate step h_j = step*max(1, |x_j|),
+    of one point ``(d,)`` or of each row of an ``(m, d)`` array.
 
     When bounds are supplied, probe points are clamped inside them, which
     degrades gracefully to a one-sided difference at the box boundary (some
-    objectives are only defined inside the box). The 2d probes, x + h_j e_j
-    then x - h_j e_j for each j, go to the objective as one ``(2d, d)`` batch
-    when it is ``batched``, else one at a time in that order.
+    objectives are only defined inside the box). The 2d probes of a point,
+    x + h_j e_j then x - h_j e_j for each j, follow one another, point after
+    point; they go to the objective as one ``(m * 2d, d)`` batch when it is
+    ``batched``, else one at a time in that order.
     """
     x = np.asarray(x, dtype=float)
-    h = step * np.maximum(1.0, np.abs(x))
-    up, down = x + h, x - h
+    rows = np.atleast_2d(x)
+    m, d = rows.shape
+    h = step * np.maximum(1.0, np.abs(rows))
+    up, down = rows + h, rows - h
     if lows is not None:
         up, down = np.minimum(up, highs), np.maximum(down, lows)
-    j = np.arange(x.size)
-    probes = np.repeat(x[None, :], 2 * x.size, axis=0)
-    probes[2 * j, j] = up
-    probes[2 * j + 1, j] = down
-    values = evaluate_rows(objective, probes)
+    j = np.arange(d)
+    probes = np.repeat(rows, 2 * d, axis=0).reshape(m, d, 2, d)
+    probes[:, j, 0, j] = up
+    probes[:, j, 1, j] = down
+    values = evaluate_rows(objective, probes.reshape(-1, d)).reshape(m, d, 2)
     denom = up - down
-    grad = np.zeros_like(x)
-    np.divide(values[0::2] - values[1::2], denom, out=grad, where=denom > 0.0)
-    return grad
+    grad = np.zeros_like(rows)
+    np.divide(values[..., 0] - values[..., 1], denom, out=grad, where=denom > 0.0)
+    return grad if x.ndim == 2 else grad[0]
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use, so that ``import
-    aded`` does not load ``scipy.optimize`` for runs that never refine."""
-    from scipy.optimize import minimize as scipy_minimize
+def _rowdot(a, b) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b``."""
+    return np.einsum("ij,ij->i", a, b)
 
-    return scipy_minimize(*args, **kwargs)
+
+def _projected_gradient(x, g, space: SearchSpace) -> np.ndarray:
+    """Largest component of each row's projected gradient x - P(x - g)."""
+    return np.abs(x - np.clip(x - g, space.lows, space.highs)).max(axis=1)
+
+
+def _two_loop(g, s, y, rho, gamma, used: int) -> np.ndarray:
+    """The L-BFGS product H g of each row (the two-loop recursion of Nocedal
+    & Wright, Algorithm 7.4) over the newest ``used`` slots of the pair
+    buffers, the newest last. An empty slot has rho 0 and changes nothing."""
+    q = g.copy()
+    alpha = np.zeros((LBFGS_MEMORY, len(g)))
+    slots = range(LBFGS_MEMORY - used, LBFGS_MEMORY)
+    for j in reversed(slots):
+        alpha[j] = rho[:, j] * _rowdot(s[:, j], q)
+        q -= alpha[j][:, None] * y[:, j]
+    r = gamma[:, None] * q
+    for j in slots:
+        beta = rho[:, j] * _rowdot(y[:, j], r)
+        r += (alpha[j] - beta)[:, None] * s[:, j]
+    return r
+
+
+def lockstep_refine(evaluate, x0, space: SearchSpace, budget: LocalSearchBudget):
+    """Projected L-BFGS descent from every row of the ``(m, d)`` array ``x0``
+    at once: the limited-memory BFGS of Liu & Nocedal (1989) with bounds
+    handled by projection, as in L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995).
+
+    ``evaluate(points, rows)`` returns the objective's values at the rows of
+    ``points``, point k belonging to start row ``rows[k]``. The start points
+    go out as one batch, each iteration's central-difference probes of every
+    row still going as one batch, and each backtracking round's trial
+    points as one batch.
+
+    Each iteration a row takes its L-BFGS step (the two-loop recursion on
+    the gradient, with the components held at a bound by the gradient left
+    at zero), or the steepest-descent step -g when it has no pairs or the
+    L-BFGS step does not descend, and projects the stepped point onto the
+    box. It then backtracks along the segment to that point: the first
+    trial is the projected point, and each further one is the minimizer of
+    the quadratic through f, its slope along the segment and the last
+    trial's value, within [0.1, 0.5] of the last step, until the Armijo
+    condition holds. A row stops on its own: after ``budget.max_iterations``
+    iterations; when a step lowers f by at most ``FTOL`` relative; when its
+    projected gradient is at most ``GTOL``; or when a line search fails on a
+    steepest-descent step (a failed L-BFGS step drops the row's pairs and
+    retries). Row arithmetic is elementwise or a reduction along the row,
+    so each row's result is the same whichever rows it is refined with.
+
+    Returns (x, f, evals): the refined rows, inside the box and never worse
+    than their start; their values; and each row's evaluation count.
+    """
+    x = clip_to_bounds(x0, space)
+    m, d = x.shape
+    evals = np.zeros(m, dtype=np.int64)
+
+    def values(points, rows):
+        evals[:] += np.bincount(rows, minlength=m)
+        return evaluate(points, rows)
+
+    def gradient(rows):
+        owners = np.repeat(rows, 2 * d)
+
+        def probes(points):
+            return values(points, owners)
+
+        probes.batched = True
+        return finite_difference_gradient(probes, x[rows], budget.gradient_step,
+                                          space.lows, space.highs)
+
+    f = values(x, np.arange(m))
+    if not np.isfinite(f).all():
+        bad = f[~np.isfinite(f)][0]
+        raise DomainError(f"objective is non-finite at a local-search start point: {bad}")
+    g = gradient(np.arange(m))
+    s_pairs = np.zeros((m, LBFGS_MEMORY, d))
+    y_pairs = np.zeros((m, LBFGS_MEMORY, d))
+    rho = np.zeros((m, LBFGS_MEMORY))
+    gamma = np.ones(m)
+    pairs = np.zeros(m, dtype=np.intp)
+    steps = np.zeros(m, dtype=np.intp)
+    going = _projected_gradient(x, g, space) > GTOL
+
+    while going.any():
+        a = np.flatnonzero(going)
+        xa, fa, ga = x[a], f[a], g[a]
+        held = ((xa <= space.lows) & (ga > 0.0)) | ((xa >= space.highs) & (ga < 0.0))
+        free_g = np.where(held, 0.0, ga)
+        quasi_newton = -_two_loop(free_g, s_pairs[a], y_pairs[a], rho[a], gamma[a],
+                                  pairs[a].max())
+        direction = np.clip(xa + np.where(held, 0.0, quasi_newton), space.lows, space.highs) - xa
+        slope = _rowdot(ga, direction)
+        steepest = (pairs[a] == 0) | (slope >= 0.0)
+        direction[steepest] = (np.clip(xa[steepest] - ga[steepest], space.lows, space.highs)
+                               - xa[steepest])
+        slope[steepest] = _rowdot(ga[steepest], direction[steepest])
+
+        # backtrack along the segment from x to x + direction, inside the box
+        moved = np.zeros(a.size, dtype=bool)
+        t = np.ones(a.size)
+        searching = np.arange(a.size)
+        for _ in range(MAX_BACKTRACKS + 1):
+            ts, slopes, f_base = t[searching], slope[searching], fa[searching]
+            points = clip_to_bounds(xa[searching] + ts[:, None] * direction[searching], space)
+            trial_f = values(points, a[searching])
+            ok = trial_f <= f_base + ARMIJO * ts * slopes
+            done = searching[ok]
+            x[a[done]], f[a[done]] = points[ok], trial_f[ok]
+            moved[done] = True
+            if ok.all():
+                break
+            # minimizer of the quadratic through f(x), the slope and f(trial),
+            # kept within [0.1, 0.5] of the step (0.5 when f(trial) is not finite)
+            ts, slopes, f_base, trial_f = ts[~ok], slopes[~ok], f_base[~ok], trial_f[~ok]
+            searching = searching[~ok]
+            t[searching] = np.fmax(0.1 * ts, np.fmin(0.5 * ts, -slopes * ts * ts / (
+                2.0 * (trial_f - f_base - slopes * ts))))
+
+        steps[a] += 1
+        budget_left = steps[a] < budget.max_iterations
+        scale = np.maximum(np.maximum(np.abs(fa), np.abs(f[a])), 1.0)
+        go_on = moved & budget_left & ((fa - f[a]) / scale > FTOL)
+        retry = a[~moved & budget_left & (pairs[a] > 0)]
+        s_pairs[retry] = y_pairs[retry] = rho[retry] = 0.0
+        pairs[retry] = 0
+        going[a] = False
+        going[retry] = True
+
+        c = a[go_on]
+        if c.size:
+            g_new = gradient(c)
+            s, y = x[c] - xa[go_on], g_new - ga[go_on]
+            sy, yy = _rowdot(s, y), _rowdot(y, y)
+            keep = sy > EPS * yy     # curvature condition
+            k = c[keep]
+            for buf, new in ((s_pairs, s[keep]), (y_pairs, y[keep]), (rho, 1.0 / sy[keep])):
+                buf[k, :-1] = buf[k, 1:]    # drop the oldest pair, newest last
+                buf[k, -1] = new
+            gamma[k] = sy[keep] / yy[keep]
+            pairs[k] = np.minimum(pairs[k] + 1, LBFGS_MEMORY)
+            g[c] = g_new
+            going[c] = _projected_gradient(x[c], g_new, space) > GTOL
+
+    return x, f, evals
 
 
 def local_refine(objective, x0, space: SearchSpace, budget: LocalSearchBudget):
-    """Box-constrained L-BFGS descent from ``x0``.
+    """Refinement of one point: ``lockstep_refine`` with m = 1.
 
     Gradients come from central finite differences, every probe counts as an
     objective evaluation, and the result is never worse than the start point
-    nor outside the box. A ``batched`` objective gets each gradient's probes
+    nor outside the box. A ``batched`` objective gets each batch of points
     in one call. Returns (x, f, evals).
     """
-    x0 = clip_to_bounds(x0, space)
-    f0 = float(objective(x0))
-    if not np.isfinite(f0):
-        raise DomainError(f"objective is non-finite at the local-search start point: {f0}")
-    count = 1
-    at_start = True
-
-    def wrapped(z):
-        nonlocal count, at_start
-        z = np.asarray(z, dtype=float)
-        if at_start:            # L-BFGS-B first asks for f(x0), known already
-            at_start = False
-            if np.array_equal(z, x0):
-                return f0
-        count += 1
-        return float(objective(z))
-
-    def probes(points):
-        nonlocal count
-        count += len(points)
-        return evaluate_rows(objective, points)
-
-    probes.batched = True
-
-    result = minimize(
-        wrapped,
-        x0,
-        jac=lambda z: finite_difference_gradient(
-            probes, z, budget.gradient_step, lows=space.lows, highs=space.highs
-        ),
-        method="L-BFGS-B",
-        bounds=space.as_pairs(),
-        options={"maxiter": budget.max_iterations, "ftol": 1e-15, "gtol": 1e-10},
-    )
-    x_new = clip_to_bounds(result.x, space)
-    f_new = float(result.fun)
-    if not np.isfinite(f_new) or f_new > f0:
-        return x0, f0, count
-    return x_new, f_new, count
+    x, f, evals = lockstep_refine(lambda points, rows: evaluate_rows(objective, points),
+                                  np.asarray(x0, dtype=float)[None], space, budget)
+    return x[0], float(f[0]), int(evals[0])

@@ -2,7 +2,11 @@
 an (m, d) array per call, any other callable one point per call, and both
 paths give the same seeded results bit for bit."""
 
+import os
+import subprocess
+import sys
 import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,9 +125,11 @@ class TestOneCallPerBatch:
         space = SearchSpace.cube(-5.0, 5.0, 4)
         _, _, evals = local_refine(log, [1.0, 2.0, -3.0, 0.5], space,
                                    LocalSearchBudget(max_iterations=5))
-        assert evals == sum(1 if len(s) == 1 else s[0] for s in log.shapes)
-        gradients = [s for s in log.shapes if len(s) == 2]
-        assert gradients and all(s == (8, 4) for s in gradients)
+        # start point and line-search trial points come as one-row batches,
+        # each gradient's 2d probes as one batch
+        assert evals == sum(s[0] for s in log.shapes)
+        assert log.shapes[:2] == [(1, 4), (8, 4)]
+        assert set(log.shapes) == {(1, 4), (8, 4)}
 
     def test_gradient_paths_agree(self):
         spec = lookup("rosenbrock")
@@ -194,15 +200,88 @@ class TestFaultInjection:
         assert ("injected fault" if mode == "raise" else "returned nan") in message
 
     def test_inside_refinement(self, mode):
-        # after the start point (and SciPy's first evaluation of it), the
-        # next evaluation is the first gradient's probe batch
-        errors = [failure(Faulty(mode, POP + 2, batched=b), LocalSearchBudget(max_iterations=5))
+        # every trial is refined: after the initial population and the POP
+        # start points, the next evaluations are the first gradients' probes,
+        # individual 0's first; the fault starts at its second probe
+        errors = [failure(Faulty(mode, 2 * POP + 1, batched=b),
+                          LocalSearchBudget(max_iterations=5))
                   for b in (True, False)]
         assert str(errors[0]) == str(errors[1])
         assert "generation 0, individual 0" in str(errors[0])
         for error in errors:
             frames = {f.name for f in traceback.extract_tb(error.__traceback__)}
             assert "finite_difference_gradient" in frames
+
+
+class FailsAt:
+    """Sphere, or the two objectives (|x|^2, |x - 1|^2), that raises at one
+    given point and records every point it is asked for."""
+
+    def __init__(self, point, multi, batched=True):
+        self.point = point
+        self.multi = multi
+        self.batched = batched
+        self.seen = []
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        points = np.atleast_2d(x)
+        self.seen.extend(points.copy())
+        if self.point is not None and (points == self.point).all(axis=1).any():
+            raise ValueError("injected fault")
+        values = np.sum(points * points, axis=-1)
+        if self.multi:
+            values = np.stack([values, np.sum((points - 1.0) ** 2, axis=-1)], axis=-1)
+        return values if x.ndim == 2 else values[0]
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_fault_on_one_refinement_probe_names_its_individual(multi):
+    cfg = EngineConfig(population_size=POP, max_generations=3, seed=5, stagnation_limit=3,
+                       local_search=LocalSearchBudget(max_iterations=5))
+
+    def run(objective):
+        if multi:
+            return run_aded_mo(objective, SPACE, cfg, [0.5, 0.5])
+        return run_aded(objective, SPACE, cfg)
+
+    log = FailsAt(None, multi)
+    run(log)
+    # generation 0 refines every trial: run_aded first evaluates the initial
+    # population, then both engines evaluate the POP start points and then
+    # the 2d = 4 gradient probes of each trial, individual after individual
+    individual = 3
+    target = log.seen[POP * (1 if multi else 2) + 4 * individual + 1]
+    assert sum(np.array_equal(p, target) for p in log.seen) == 1
+    messages = set()
+    for batched in (True, False):
+        with pytest.raises(DomainError) as info:
+            run(FailsAt(target, multi, batched))
+        messages.add(str(info.value))
+    assert messages == {f"objective failed at generation 0, individual {individual}: "
+                        "injected fault"}
+
+
+REFINING_RUNS = """
+import sys
+from aded import EngineConfig, LocalSearchBudget, run_aded, run_aded_mo
+from aded.benchmarks import lookup
+
+cfg = EngineConfig(population_size=10, max_generations=2, stagnation_limit=2,
+                   local_search=LocalSearchBudget(max_iterations=3))
+spec = lookup("rastrigin")
+single = run_aded(spec.evaluate, spec.space(), cfg).n_evaluations
+spec = lookup("zdt1")
+multi = run_aded_mo(spec.evaluate, spec.space(3), cfg, [0.5, 0.5]).n_evaluations
+print(single > 30, multi > 20, "scipy.optimize" in sys.modules)
+"""
+
+
+def test_refining_runs_leave_scipy_optimize_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", REFINING_RUNS], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.split() == ["True", "True", "False"]
 
 
 @pytest.mark.parametrize("mode", ["raise", "nan"])

@@ -289,6 +289,19 @@ class TestCli:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "compare", "tournament", "moo"])
+    def test_format_refused_outside_list_benchmarks(self, command, tmp_path, capsys):
+        # these commands always write CSV and JSON; --format would do nothing
+        with pytest.raises(SystemExit) as info:
+            main([command, "--benchmark", "sphere", "--format", "json", "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_list_benchmarks_format_json(self, capsys):
+        assert main(["list-benchmarks", "--format", "json"]) == 0
+        assert {e["id"] for e in json.loads(capsys.readouterr().out)} >= set(BATTERY_IDS)
+
     def test_unknown_preset_exit_two(self, tmp_path, capsys):
         code = main(["run", "--preset", "missing", "--out", str(tmp_path)])
         assert code == 2

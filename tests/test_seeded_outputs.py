@@ -68,9 +68,9 @@ def test_aded_dynamic_neighborhood_with_local_search():
         local_search=LocalSearchBudget(enabled=True, max_iterations=5, probability=0.3),
     )
     assert fingerprint(run_aded(spec.evaluate, spec.space(), cfg)) == (
-        "0.0003105666436664656", 2811,
-        "2dd021f76a2deef4ee6a16493eb073315e094ca325dfc2e991037d38dc7e251c",
-        "c20de2b32280b72d11e8a9e28192e1ca188c2157781ae2d785bd92f892593533",
+        "2.372302221331779e-08", 1617,
+        "7a14a38a85a7c2041b2644740cebfeb69285334415663cf3b38cb1bc7537bc4c",
+        "ff5d57bc13d8c5a2506e91bf5a8895dd1fd8694250c43f052f5ce89986059239",
         "max-generations",
     )
 
@@ -83,12 +83,12 @@ def test_aded_mo_front():
         local_search=LocalSearchBudget(enabled=True, max_iterations=5, probability=0.2),
     )
     result = run_aded_mo(spec.evaluate, spec.space(), cfg, [0.5, 0.5])
-    assert result.n_evaluations == 24151
-    assert len(result.front) == 64
+    assert result.n_evaluations == 19101
+    assert len(result.front) == 70
     assert sha(*[x for x, _ in result.front]) == (
-        "b3a629a18d718d8905e888214ed3416bfdd69ee89c39be9ffaff63c3aabb1053")
+        "473c546f0bf860ddc122715f8c503f3592904cb2d7609c48efc6ce348478cd5a")
     assert sha(*[objs for _, objs in result.front]) == (
-        "2b0e3b4a1100590fb5f9b09c7e065a26228f7fb9280e6befe4be9cf0f24b453e")
+        "b2627d746db42c62ab68b29f6a860399fd6ab2c9d5a744950be81ba9e13535f4")
     assert repr(float(result.best_scalarized[1])) == "0.375"
 
 
@@ -107,10 +107,10 @@ def test_aded_mo_three_objectives_refining_every_trial():
     )
     result = run_aded_mo(spec.evaluate, spec.space(), cfg, [0.2, 0.3, 0.5])
     assert mo_fingerprint(result) == (
-        11155, 3,
-        "665e4361d594ca3b73dbc0626fe1bc577d23775b9a59212f562fe14b8fe23474",
-        "a0d6aca941b0a8e3bb568d0fca7a24b54db660c4e1dc3e7b591790322e0c2c5f",
-        "0.1006697657954291", [5, 2, 3, 3, 3, 3, 3, 3, 3, 3], "max-generations",
+        5522, 5,
+        "bebf0ff6aa4dcbbd0904715e06f6ae240953fb0087a78e7e10eae19334f69f8d",
+        "4952747cbe666c2999684cf18fec38275ab44c43d9e7adde2e460e95b42fa441",
+        "0.1", [5, 3, 4, 5, 5, 5, 5, 5, 5, 5], "max-generations",
     )
 
 

@@ -25,11 +25,13 @@ from aded import (
     local_refine,
 )
 from aded.benchmarks import lookup
+from aded.core import evaluate_rows
 from aded.variation import (
     CANONICAL_VARIANTS,
     ScheduleParams,
     draw_crossover,
     draw_distinct,
+    lockstep_refine,
     mutation_donors,
 )
 
@@ -399,3 +401,76 @@ class TestLocalRefine:
         space = SearchSpace.cube(-1.0, 1.0, 1)
         with pytest.raises(DomainError):
             local_refine(lambda z: float("nan"), [0.5], space, LocalSearchBudget())
+
+
+class TestLockstepRefine:
+    """Rows refined together: each row's result is its result alone."""
+
+    CASES = [("ackley", 2), ("eggholder", 2), ("schaffer_n2", 2), ("schwefel", 4)]
+
+    @staticmethod
+    def starts(spec, dim):
+        space = spec.space(dim)
+        return space, np.random.default_rng(dim).uniform(space.lows, space.highs, size=(20, dim))
+
+    @staticmethod
+    def refine(objective, x0, space):
+        calls = []
+
+        def evaluate(points, rows):
+            calls.append(len(points))
+            return evaluate_rows(objective, points)
+
+        x, f, evals = lockstep_refine(evaluate, x0, space, LocalSearchBudget())
+        return x, f, evals, sum(calls)      # points evaluated
+
+    @pytest.mark.parametrize("benchmark_id, dim", CASES)
+    def test_rows_together_equal_each_row_alone(self, benchmark_id, dim):
+        spec = lookup(benchmark_id)
+        space, x0 = self.starts(spec, dim)
+        x, f, evals, _ = self.refine(spec.evaluate, x0, space)
+        for r in range(len(x0)):
+            x_alone, f_alone, evals_alone = local_refine(spec.evaluate, x0[r], space,
+                                                         LocalSearchBudget())
+            assert x[r].tobytes() == x_alone.tobytes()
+            assert repr(float(f[r])) == repr(f_alone)
+            assert evals[r] == evals_alone
+
+    @pytest.mark.parametrize("benchmark_id, dim", CASES)
+    def test_counts_sum_to_calls_never_worse_in_box(self, benchmark_id, dim):
+        spec = lookup(benchmark_id)
+        space, x0 = self.starts(spec, dim)
+        points = 0
+
+        def counted(z):
+            nonlocal points
+            points += 1
+            return spec.evaluate(z)
+
+        x, f, evals, _ = self.refine(counted, x0, space)
+        assert evals.sum() == points
+        assert (evals > 1).all()
+        assert (f <= spec.evaluate(x0)).all()
+        assert all(space.contains(row) for row in x)
+        assert (f < spec.evaluate(x0)).any()
+
+    @pytest.mark.parametrize("benchmark_id, dim", CASES)
+    def test_per_row_objective_path_agrees(self, benchmark_id, dim):
+        spec = lookup(benchmark_id)
+        space, x0 = self.starts(spec, dim)
+        batched = self.refine(spec.evaluate, x0, space)
+        rows = self.refine(lambda z: spec.evaluate(z), x0, space)
+        assert batched[0].tobytes() == rows[0].tobytes()
+        assert batched[1].tobytes() == rows[1].tobytes()
+        assert batched[2].tolist() == rows[2].tolist()
+        assert batched[3] == rows[3] == batched[2].sum()
+
+    def test_gradient_of_rows_equals_gradient_of_each(self):
+        spec = lookup("rosenbrock")
+        space = spec.space(3)
+        x = np.random.default_rng(4).uniform(space.lows, space.highs, size=(5, 3))
+        grads = finite_difference_gradient(spec.evaluate, x, lows=space.lows, highs=space.highs)
+        for row, grad in zip(x, grads):
+            alone = finite_difference_gradient(spec.evaluate, row, lows=space.lows,
+                                               highs=space.highs)
+            assert grad.tobytes() == alone.tobytes()

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import metrics
 from .core import (
     ConfigError,
     DomainError,
@@ -96,13 +95,14 @@ def has_converged(history, stagnation_limit: int, tol: float = 0.0) -> bool:
 
 @dataclass
 class RunResult:
-    """Outcome of one seeded run, with per-generation diagnostics."""
+    """Outcome of one seeded run. ``best_f_history`` holds the population's
+    best fitness after each generation, which the stagnation stop reads; the
+    engine computes no other per-generation diagnostic (see ``run_aded``'s
+    ``on_generation``)."""
 
     best_x: np.ndarray
     best_f: float
     best_f_history: np.ndarray
-    diversity_history: np.ndarray
-    fdc_history: np.ndarray
     n_evaluations: int
     wall_seconds: float
     terminated_by: str                    # "max-generations" | "stagnation"
@@ -163,32 +163,6 @@ class _CountingObjective:
         return values
 
 
-def _finish(x, fit, best_hist, div_hist, fdc_hist, counting, t0, terminated_by, seed) -> RunResult:
-    best_hist = np.asarray(best_hist, dtype=float)
-    best_idx = int(np.argmin(fit))
-    return RunResult(
-        best_x=x[best_idx].copy(),
-        best_f=float(fit[best_idx]),
-        best_f_history=best_hist,
-        diversity_history=np.asarray(div_hist, dtype=float),
-        fdc_history=np.asarray(fdc_hist, dtype=float),
-        n_evaluations=counting.count,
-        wall_seconds=time.perf_counter() - t0,
-        terminated_by=terminated_by,
-        seed=seed,
-    )
-
-
-def _record(x, fit, space, best_hist, div_hist, fdc_hist):
-    best_idx = int(np.argmin(fit))
-    best_hist.append(float(fit[best_idx]))
-    div_hist.append(metrics.diversity(x, space))
-    try:
-        fdc_hist.append(metrics.fdc(x, fit, x[best_idx]))
-    except metrics.UndefinedMetricError:
-        fdc_hist.append(float("nan"))
-
-
 def _draw_trials(cfg: EngineConfig, n: int, d: int, cr: float, rng: RngStream):
     """Draw one generation's randomness, one array per kind, in a fixed order:
     k coefficients, neighbors, bases, crossover, refinement coins.
@@ -239,7 +213,7 @@ def _evaluate_trials(counting, trials, refine, gen, space, budget, scalar=None) 
     return np.concatenate(parts)[np.argsort(np.concatenate([plain, flagged]))]
 
 
-def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
+def run_aded(objective, space: SearchSpace, cfg: EngineConfig, on_generation=None) -> RunResult:
     """Adaptive run: scheduled F/CR, strategy-built trials with crossover and
     bound repair, optional local refinement, crowding selection, and
     stagnation-based early stopping.
@@ -251,6 +225,12 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
 
     Each generation is built from the previous one as a whole, and its trials
     are evaluated by ``_evaluate_trials``.
+
+    The engine records only the best fitness of each generation. A caller
+    that wants more (diversity, FDC) passes ``on_generation``, which is
+    called as ``on_generation(gen, x, fit)`` after each generation's
+    selection, with the ``(n, d)`` population and its ``(n,)`` fitness; it
+    must not modify them.
     """
     t0 = time.perf_counter()
     rng = RngStream(cfg.seed)
@@ -268,8 +248,6 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
     fit = counting.batch(x, lambda r: f"initial member {r}")
 
     best_hist: list = []
-    div_hist: list = []
-    fdc_hist: list = []
     terminated_by = "max-generations"
 
     for gen in range(cfg.max_generations):
@@ -282,18 +260,31 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
         improved = trial_f < fit                   # crowding: incumbent wins ties
         x = np.where(improved[:, None], trials, x)
         fit = np.where(improved, trial_f, fit)
-        _record(x, fit, space, best_hist, div_hist, fdc_hist)
+        best_hist.append(float(fit.min()))
+        if on_generation is not None:
+            on_generation(gen, x, fit)
         if has_converged(best_hist, cfg.stagnation_limit, cfg.stagnation_tol):
             terminated_by = "stagnation"
             break
 
-    return _finish(x, fit, best_hist, div_hist, fdc_hist, counting, t0, terminated_by, cfg.seed)
+    best_idx = int(np.argmin(fit))
+    return RunResult(
+        best_x=x[best_idx].copy(),
+        best_f=float(fit[best_idx]),
+        best_f_history=np.asarray(best_hist, dtype=float),
+        n_evaluations=counting.count,
+        wall_seconds=time.perf_counter() - t0,
+        terminated_by=terminated_by,
+        seed=cfg.seed,
+    )
 
 
-def run_classic_de(objective, space: SearchSpace, cfg: EngineConfig) -> RunResult:
+def run_classic_de(objective, space: SearchSpace, cfg: EngineConfig,
+                   on_generation=None) -> RunResult:
     """Canonical DE baseline (Storn & Price): ``run_aded`` with rand/1 mutation,
     binomial crossover, every other member as neighbor, and no local search.
-    F and CR stay constant at cfg.schedule.fixed_f / fixed_cr (default 0.8 / 0.9)."""
+    F and CR stay constant at cfg.schedule.fixed_f / fixed_cr (default 0.8 / 0.9).
+    ``on_generation`` is passed on to ``run_aded``."""
     f = cfg.schedule.fixed_f if cfg.schedule.fixed_f is not None else CLASSIC_F
     cr = cfg.schedule.fixed_cr if cfg.schedule.fixed_cr is not None else CLASSIC_CR
     classic = replace(
@@ -303,4 +294,4 @@ def run_classic_de(objective, space: SearchSpace, cfg: EngineConfig) -> RunResul
         neighborhood="all",
         local_search=LocalSearchBudget(enabled=False),
     )
-    return run_aded(objective, space, classic)
+    return run_aded(objective, space, classic, on_generation)

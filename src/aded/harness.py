@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, metrics
 from .benchmarks import BenchmarkSpec, CATALOG, analytic_front, lookup
 from .core import ConfigError, ShapeError
 from .engine import EngineConfig, run_aded, run_classic_de
@@ -222,14 +222,33 @@ def build_plan(options: dict) -> ExperimentPlan:
 # Batch execution
 # ---------------------------------------------------------------------------
 
-def _execute_run(benchmark_id: str, algorithm: str, cfg: EngineConfig, dim, weights):
+def _execute_run(benchmark_id: str, algorithm: str, cfg: EngineConfig, dim, weights,
+                 on_generation=None):
     spec = lookup(benchmark_id)
     space = spec.space(dim)
     if algorithm == "aded_mo":
         return run_aded_mo(spec.evaluate, space, cfg, weights)
     if algorithm == "classic_de":
-        return run_classic_de(spec.evaluate, space, cfg)
-    return run_aded(spec.evaluate, space, cfg)
+        return run_classic_de(spec.evaluate, space, cfg, on_generation)
+    return run_aded(spec.evaluate, space, cfg, on_generation)
+
+
+def _execute_recorded_run(benchmark_id: str, algorithm: str, cfg: EngineConfig, dim, weights):
+    """``_execute_run`` of a single-objective run that also records, after
+    each generation, the population's diversity and its FDC to the
+    generation's best member (NaN where FDC is undefined). Returns the result
+    and the list of ``(diversity, fdc)`` pairs, one per generation."""
+    space = lookup(benchmark_id).space(dim)
+    history = []
+
+    def record(gen, x, fit):
+        try:
+            correlation = metrics.fdc(x, fit, x[int(np.argmin(fit))])
+        except metrics.UndefinedMetricError:
+            correlation = float("nan")
+        history.append((metrics.diversity(x, space), correlation))
+
+    return _execute_run(benchmark_id, algorithm, cfg, dim, weights, record), history
 
 
 def _seeded_runs(plan: ExperimentPlan, benchmark_id: str, weights=None) -> list:
@@ -239,9 +258,10 @@ def _seeded_runs(plan: ExperimentPlan, benchmark_id: str, weights=None) -> list:
              plan.dim, weights) for i in range(plan.n_runs)]
 
 
-def _execute_batches(batches: list, jobs: int) -> list:
-    """Results of a command's runs, given as a list of batches (each a list
-    of ``_seeded_runs`` items) and returned in the same shape and order.
+def _execute_batches(batches: list, jobs: int, execute=_execute_run) -> list:
+    """Results of ``execute`` over a command's runs, given as a list of
+    batches (each a list of ``_seeded_runs`` items) and returned in the same
+    shape and order.
 
     When there is more than one worker to use (``min(jobs, runs) > 1``) every
     run goes to one process pool; otherwise the runs execute here, one after
@@ -251,9 +271,9 @@ def _execute_batches(batches: list, jobs: int) -> list:
     workers = min(jobs, len(runs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_execute_run, *zip(*runs)))
+            results = list(pool.map(execute, *zip(*runs)))
     else:
-        results = [_execute_run(*run) for run in runs]
+        results = [execute(*run) for run in runs]
     flat = iter(results)
     return [[next(flat) for _ in batch] for batch in batches]
 
@@ -296,17 +316,16 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
 
 
 def write_history_csv(path: Path, batches: dict) -> None:
-    """One row per (benchmark, run, generation) with the tracked diagnostics."""
+    """One row per (benchmark, run, generation) with the tracked diagnostics.
+    ``batches`` maps a benchmark to ``_execute_recorded_run`` outputs."""
     rows = []
-    for benchmark_id, results in batches.items():
-        for run_idx, r in enumerate(results):
+    for benchmark_id, runs in batches.items():
+        for run_idx, (r, history) in enumerate(runs):
             rate = np.diff(r.best_f_history)
-            for g in range(r.generations_executed):
+            for g, (diversity_g, fdc_g) in enumerate(history):
                 rows.append([
                     benchmark_id, run_idx, r.seed, g,
-                    float(r.best_f_history[g]),
-                    float(r.diversity_history[g]),
-                    float(r.fdc_history[g]),
+                    float(r.best_f_history[g]), diversity_g, fdc_g,
                     float(rate[g - 1]) if g >= 1 else None,
                 ])
     _write_csv(path, ["benchmark", "run", "seed", "generation", "best_f",
@@ -384,8 +403,9 @@ def cmd_run(plan: ExperimentPlan) -> dict:
     """Execute the plan and emit raw history, per-run summary, and a report."""
     if plan.algorithm == "aded_mo":
         raise ConfigError("multi-objective plans go through the `moo` command")
-    batches = dict(zip(plan.benchmarks, _execute_batches(
-        [_seeded_runs(plan, b) for b in plan.benchmarks], plan.jobs)))
+    recorded = dict(zip(plan.benchmarks, _execute_batches(
+        [_seeded_runs(plan, b) for b in plan.benchmarks], plan.jobs, _execute_recorded_run)))
+    batches = {b: [result for result, _ in runs] for b, runs in recorded.items()}
     report = {
         "version": __version__,
         "algorithm": plan.algorithm,
@@ -403,7 +423,7 @@ def cmd_run(plan: ExperimentPlan) -> dict:
         report["benchmarks"][benchmark_id] = stats
     if plan.out_dir is not None:
         out = Path(plan.out_dir)
-        write_history_csv(out / "raw_history.csv", batches)
+        write_history_csv(out / "raw_history.csv", recorded)
         write_summary_csv(out / "run_summary.csv", batches)
         _write_json(out / "report.json", report)
     report["results"] = batches
@@ -411,15 +431,16 @@ def cmd_run(plan: ExperimentPlan) -> dict:
 
 
 def _comparison_text(rows: list) -> str:
-    header = (f"{'benchmark':<22}{'algorithm':<14}{'mean':>14}{'sd':>12}"
+    header = (f"{'benchmark':<22}{'algorithm':<14}{'mean':>14}{'sd':>12}{'evals':>12}"
               f"{'t':>10}{'p':>10}  sig")
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
             f"{row.benchmark:<22}{row.label_a:<14}{row.mean_a:>14.6g}{row.sd_a:>12.4g}"
-            f"{row.t:>10.3f}{row.p:>10.4f}  {row.stars}"
+            f"{row.evals_a:>12.1f}{row.t:>10.3f}{row.p:>10.4f}  {row.stars}"
         )
-        lines.append(f"{'':<22}{row.label_b:<14}{row.mean_b:>14.6g}{row.sd_b:>12.4g}")
+        lines.append(f"{'':<22}{row.label_b:<14}{row.mean_b:>14.6g}{row.sd_b:>12.4g}"
+                     f"{row.evals_b:>12.1f}")
     return "\n".join(lines)
 
 

@@ -65,7 +65,9 @@ def significance_stars(p: float) -> str:
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One benchmark's A-vs-B summary: means, spreads, and the Welch test."""
+    """One benchmark's A-vs-B summary: means and spreads of the final best
+    fitness, the mean objective evaluations each arm spent, and the Welch
+    test."""
 
     benchmark: str
     label_a: str
@@ -74,6 +76,8 @@ class ComparisonRow:
     sd_a: float
     mean_b: float
     sd_b: float
+    evals_a: float
+    evals_b: float
     t: float
     p: float
     df: float
@@ -103,6 +107,8 @@ def compare_batches(batch_a: RunBatch, batch_b: RunBatch,
         sd_a=float(fa.std(ddof=1)),
         mean_b=float(fb.mean()),
         sd_b=float(fb.std(ddof=1)),
+        evals_a=float(batch_a.evaluations().mean()),
+        evals_b=float(batch_b.evaluations().mean()),
         t=result.t,
         p=result.p,
         df=result.df,

@@ -26,6 +26,7 @@ from aded import (
     run_aded_mo,
     run_classic_de,
 )
+from aded import metrics
 from aded.benchmarks import lookup
 from aded.cli import main
 
@@ -35,10 +36,21 @@ def per_row(spec):
     return lambda x: spec.evaluate(x)
 
 
-def run_fields(result):
+def run_fields(runner, objective, space, cfg):
+    """A run's outputs, with each generation's diversity and FDC recorded
+    through ``on_generation``."""
+    diversity, fdc = [], []
+
+    def record(gen, x, fit):
+        diversity.append(metrics.diversity(x, space))
+        try:
+            fdc.append(metrics.fdc(x, fit, x[np.argmin(fit)]))
+        except metrics.UndefinedMetricError:
+            fdc.append(float("nan"))
+
+    result = runner(objective, space, cfg, record)
     return (repr(result.best_f), result.best_x.tobytes(), result.best_f_history.tobytes(),
-            result.diversity_history.tobytes(), result.fdc_history.tobytes(),
-            result.n_evaluations,
+            np.array(diversity).tobytes(), np.array(fdc).tobytes(), result.n_evaluations,
             result.terminated_by, result.seed)
 
 
@@ -61,23 +73,22 @@ class TestPathsAgree:
         cfg = EngineConfig(population_size=14, max_generations=8, seed=7,
                            neighborhood=neighborhood, neighborhood_size=6,
                            strategy=StrategyId.parse(strategy), local_search=REFINE)
-        batched = run_aded(spec.evaluate, spec.space(), cfg)
-        rows = run_aded(per_row(spec), spec.space(), cfg)
-        assert run_fields(batched) == run_fields(rows)
+        assert run_fields(run_aded, spec.evaluate, spec.space(), cfg) == \
+            run_fields(run_aded, per_row(spec), spec.space(), cfg)
 
     def test_run_aded_refining_every_trial(self):
         spec = lookup("ackley")
         cfg = EngineConfig(population_size=10, max_generations=3, seed=2,
                            local_search=LocalSearchBudget(max_iterations=5))
-        assert run_fields(run_aded(spec.evaluate, spec.space(5), cfg)) == \
-            run_fields(run_aded(per_row(spec), spec.space(5), cfg))
+        assert run_fields(run_aded, spec.evaluate, spec.space(5), cfg) == \
+            run_fields(run_aded, per_row(spec), spec.space(5), cfg)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_run_classic_de(self, seed):
         spec = lookup("rastrigin")
         cfg = EngineConfig(population_size=20, max_generations=15, seed=seed)
-        assert run_fields(run_classic_de(spec.evaluate, spec.space(), cfg)) == \
-            run_fields(run_classic_de(per_row(spec), spec.space(), cfg))
+        assert run_fields(run_classic_de, spec.evaluate, spec.space(), cfg) == \
+            run_fields(run_classic_de, per_row(spec), spec.space(), cfg)
 
     @pytest.mark.parametrize("benchmark_id", ["zdt1", "dltz1", "mo_demo"])
     def test_run_aded_mo(self, benchmark_id):

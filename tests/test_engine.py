@@ -17,7 +17,7 @@ from aded import (
     run_aded,
     run_classic_de,
 )
-from aded import engine
+from aded import engine, metrics
 from aded.benchmarks import lookup
 
 
@@ -254,10 +254,12 @@ class TestRunAded:
 
     def test_histories_aligned_with_generations(self):
         spec = lookup("matyas")
-        result = run_aded(spec.evaluate, spec.space(), small_cfg(seed=1))
-        g = result.generations_executed
-        assert result.diversity_history.size == g
-        assert result.fdc_history.size == g
+        diagnostics = []
+        result = run_aded(spec.evaluate, spec.space(), small_cfg(seed=1),
+                          lambda gen, x, fit: diagnostics.append(
+                              (metrics.diversity(x, spec.space()),
+                               metrics.fdc(x, fit, x[np.argmin(fit)]))))
+        assert len(diagnostics) == result.generations_executed
         assert (convergence_rate(result.best_f_history) <= 0).all()
 
     def test_all_neighbors_mode(self):
@@ -398,3 +400,49 @@ class TestRunClassicDe:
             result = run_classic_de(spec.evaluate, spec.space(), cfg)
             above_gap += result.best_f > -2.0 + 1e-6
         assert above_gap >= 2
+
+
+class TestOnGeneration:
+    CASES = {
+        # refinement of 30% of trials, stopped by stagnation
+        "aded": (run_aded, "rastrigin", dict(
+            population_size=14, max_generations=60, stagnation_limit=4, stagnation_tol=1e-8,
+            seed=3, local_search=LocalSearchBudget(max_iterations=4, probability=0.3))),
+        "classic_de": (run_classic_de, "himmelblau", dict(
+            population_size=12, max_generations=9, seed=1)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_called_once_per_generation_after_selection(self, case):
+        runner, benchmark_id, fields = self.CASES[case]
+        spec = lookup(benchmark_id)
+        calls = []
+        result = runner(spec.evaluate, spec.space(), EngineConfig(**fields),
+                        lambda gen, x, fit: calls.append((gen, x.copy(), fit.copy())))
+        g = result.generations_executed
+        assert [gen for gen, _, _ in calls] == list(range(g))
+        assert [fit.min() for _, _, fit in calls] == result.best_f_history.tolist()
+        _, x, fit = calls[-1]
+        assert fit.min() == result.best_f
+        assert (x[np.argmin(fit)] == result.best_x).all()
+        if case == "aded":
+            assert result.terminated_by == "stagnation" and g < fields["max_generations"]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_hook_leaves_the_run_unchanged(self, case):
+        runner, benchmark_id, fields = self.CASES[case]
+        spec = lookup(benchmark_id)
+        cfg = EngineConfig(**fields)
+        plain = runner(spec.evaluate, spec.space(), cfg)
+        hooked = runner(spec.evaluate, spec.space(), cfg, lambda gen, x, fit: None)
+        assert (repr(plain.best_f), plain.best_x.tobytes(), plain.best_f_history.tobytes(),
+                plain.n_evaluations, plain.terminated_by) == \
+            (repr(hooked.best_f), hooked.best_x.tobytes(), hooked.best_f_history.tobytes(),
+             hooked.n_evaluations, hooked.terminated_by)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_no_diagnostics_without_a_hook(self, case, diagnostic_calls):
+        runner, benchmark_id, fields = self.CASES[case]
+        spec = lookup(benchmark_id)
+        runner(spec.evaluate, spec.space(), EngineConfig(**fields))
+        assert diagnostic_calls == {"diversity": 0, "fdc": 0}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 from pathlib import Path
@@ -171,6 +172,32 @@ class TestCmdRun:
         assert (serial / "raw_history.csv").read_bytes() == \
             (parallel / "raw_history.csv").read_bytes()
 
+    # sha256 of (raw_history.csv, run_summary.csv), recorded when the engine
+    # still computed diversity and FDC in every generation of every run
+    PINNED_ARTIFACTS = {
+        "refine-0.3": (
+            {"ls_probability": 0.3, "ls_iterations": 4},
+            "03be2f5bd57b4fa4a00b214693a45c20632c26d7253eba2cf5de5d750ae338f7",
+            "d8d94a404ca2984070e04d6fe176602b36f80e47bbf56cecfdd5ca522218ed5c",
+        ),
+        "all-neighbors": (
+            {"neighborhood": "all", "local_search": "off"},
+            "e2d068caf6fe3faf57ffcc8a7454718504da3b5b14e114de827a654926be3091",
+            "481f49e1dfb1b6de37cf437e249a9b05062ac3320a23d60a1f2ab93a2154faea",
+        ),
+    }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
+    def test_artifact_bytes_pinned(self, name, jobs, tmp_path):
+        extra, raw_sha, summary_sha = self.PINNED_ARTIFACTS[name]
+        cmd_run(build_plan({"benchmark": "rastrigin,himmelblau", "pop": 12, "gens": 8,
+                            "runs": 3, "seed": 0, "jobs": jobs, "out": str(tmp_path),
+                            **extra}))
+        digest = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                  for f in ("raw_history.csv", "run_summary.csv")}
+        assert digest == {"raw_history.csv": raw_sha, "run_summary.csv": summary_sha}
+
     def test_multiple_benchmarks(self, tmp_path):
         plan = build_plan(tiny_options(benchmark="sphere,booth", out=str(tmp_path)))
         report = cmd_run(plan)
@@ -204,6 +231,22 @@ class TestCmdCompare:
         plan_b = build_plan(tiny_options(benchmark="booth"))
         with pytest.raises(ConfigError):
             cmd_compare(plan_a, plan_b)
+
+    def test_reports_mean_evaluations_per_arm(self, tmp_path):
+        options = tiny_options(benchmark="sphere,matyas", out=str(tmp_path), runs=3)
+        report = cmd_compare(build_plan({**options, "algorithm": "aded"}),
+                             build_plan({**options, "algorithm": "classic_de"}))
+        payload = json.loads((tmp_path / "comparison.json").read_text())
+        text = (tmp_path / "comparison.txt").read_text().splitlines()
+        for i, row in enumerate(payload["rows"]):
+            results_a, results_b = report["pairs"][row["benchmark"]]
+            assert row["evals_a"] == np.mean([r.n_evaluations for r in results_a])
+            assert row["evals_b"] == np.mean([r.n_evaluations for r in results_b])
+            assert f"{row['evals_a']:.1f}" in text[2 + 2 * i].split()
+            assert f"{row['evals_b']:.1f}" in text[3 + 2 * i].split()
+        # recorded before the evaluations were reported; the CSV keeps its columns
+        assert hashlib.sha256((tmp_path / "comparison.csv").read_bytes()).hexdigest() == \
+            "79b88ebcbde8f20760355295f7d74da2c95b3d5163a492879b79b8751d35ad42"
 
 
 class TestCmdTournament:
@@ -404,6 +447,45 @@ class TestCli:
                      "--ls-probability", "0.2", "--out", str(tmp_path)])
         assert code == 0
         assert "gd=" in capsys.readouterr().out
+
+
+class TestDiagnosticsOnDemand:
+    """Diversity and FDC are computed for `run`'s raw history and nowhere
+    else."""
+
+    @pytest.mark.parametrize("algorithm", ["aded", "classic_de"])
+    def test_run_once_per_generation(self, algorithm, diagnostic_calls, tmp_path):
+        report = cmd_run(build_plan(tiny_options(benchmark="sphere,booth", runs=3,
+                                                 algorithm=algorithm, out=str(tmp_path))))
+        generations = sum(r.generations_executed
+                          for results in report["results"].values() for r in results)
+        assert diagnostic_calls == {"diversity": generations, "fdc": generations}
+        raw = (tmp_path / "raw_history.csv").read_text().splitlines()
+        assert len(raw) - 1 == generations
+
+    def test_compare_none(self, diagnostic_calls, tmp_path):
+        options = tiny_options(benchmark="sphere,matyas", out=str(tmp_path))
+        cmd_compare(build_plan({**options, "algorithm": "aded"}),
+                    build_plan({**options, "algorithm": "classic_de"}))
+        assert diagnostic_calls == {"diversity": 0, "fdc": 0}
+
+    def test_tournament_none(self, diagnostic_calls, tmp_path):
+        cmd_tournament(benchmarks=("sphere",), n_runs=2, pop=12, gens=3, out_dir=tmp_path)
+        assert diagnostic_calls == {"diversity": 0, "fdc": 0}
+
+    def test_moo_none(self, diagnostic_calls, tmp_path):
+        cmd_moo(build_plan(moo_options(out=str(tmp_path))))
+        assert diagnostic_calls == {"diversity": 0, "fdc": 0}
+
+    def test_undefined_fdc_written_as_nan(self, monkeypatch, tmp_path):
+        def undefined(*args):
+            raise harness.metrics.UndefinedMetricError("zero variance")
+
+        monkeypatch.setattr(harness.metrics, "fdc", undefined)
+        cmd_run(build_plan(tiny_options(out=str(tmp_path))))
+        rows = [line.split(",") for line in
+                (tmp_path / "raw_history.csv").read_text().splitlines()[1:]]
+        assert rows and all(row[6] == "nan" for row in rows)
 
 
 # Every command with options that make two seeded runs or more.

@@ -135,7 +135,7 @@ def test_aded_mo_without_refinement():
 REPEATED_RUNS = """
 import hashlib
 import numpy as np
-from aded import EngineConfig, LocalSearchBudget, StrategyId, run_aded, run_aded_mo, run_classic_de
+from aded import EngineConfig, LocalSearchBudget, StrategyId, metrics, run_aded, run_aded_mo, run_classic_de
 from aded.benchmarks import lookup
 
 digest = hashlib.sha256()
@@ -144,8 +144,10 @@ cfg = EngineConfig(population_size=16, max_generations=8, seed=5,
                    strategy=StrategyId.parse("currenttobest1exp"),
                    local_search=LocalSearchBudget(max_iterations=3, probability=0.3))
 for runner in (run_aded, run_classic_de):
-    r = runner(spec.evaluate, spec.space(), cfg)
-    for a in (r.best_x, r.best_f_history, r.diversity_history, r.fdc_history, [r.n_evaluations]):
+    diagnostics = []
+    r = runner(spec.evaluate, spec.space(), cfg, lambda gen, x, fit: diagnostics.append(
+        (metrics.diversity(x, spec.space()), metrics.fdc(x, fit, x[np.argmin(fit)]))))
+    for a in (r.best_x, r.best_f_history, diagnostics, [r.n_evaluations]):
         digest.update(np.asarray(a, dtype=float).tobytes())
 spec = lookup("zdt1")
 r = run_aded_mo(spec.evaluate, spec.space(), cfg, [0.5, 0.5])

@@ -543,3 +543,75 @@ class TestRunner:
         assert main(["run", "--benchmark", "sphere", "--pop", "12", "--gens", "2",
                      "--runs", "1", "--jobs", "4", "--out", str(tmp_path)]) == 0
         assert pools == []
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _report_digest(path, drop=("wall_seconds",)) -> str:
+    """sha256 of a JSON report with the keys in ``drop`` removed at every level."""
+    def strip(value):
+        if isinstance(value, dict):
+            return {k: strip(v) for k, v in value.items() if k not in drop}
+        if isinstance(value, list):
+            return [strip(v) for v in value]
+        return value
+
+    return _digest(json.dumps(strip(json.loads(path.read_text())), sort_keys=True).encode())
+
+
+def _drop_column(path, name) -> bytes:
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    col = lines[0].index(name)
+    return "\n".join(",".join(row[:col] + row[col + 1:]) for row in lines).encode()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestPinnedOutputs:
+    """Artifacts of each command, pinned byte for byte; JSON reports without
+    their wall-clock fields. Recorded while the batch measures took a
+    ``RunBatch`` and the harness computed AOV and CS a second time for
+    ``report.json``."""
+
+    def test_tournament(self, jobs, tmp_path):
+        # sphere and rastrigin at this size give 1, 2 and 3 successes of 3
+        cmd_tournament(benchmarks=("sphere", "rastrigin"), n_runs=3, pop=14, gens=8,
+                       base_seed=2, out_dir=tmp_path, jobs=jobs)
+        assert _digest((tmp_path / "tournament.csv").read_bytes()) == \
+            "0822d68726d3dc75cf3bd63cf1ac34d602fd452ae1957311e1e0059bc5cc96b3"
+        assert _digest((tmp_path / "tournament_detail.csv").read_bytes()) == \
+            "c06034166f7a1d5d8ecef2bfe96cc61b68661dcb277bb3aae6e2846628f63c62"
+        assert _report_digest(tmp_path / "tournament.json") == \
+            "b2ae5af0fe2cac1387badf588b11e606a1a3750a3066b23fb09f94bb0e81f115"
+
+    def test_run_report(self, jobs, tmp_path):
+        cmd_run(build_plan({"benchmark": "rastrigin,himmelblau", "pop": 12, "gens": 8,
+                            "runs": 3, "seed": 0, "jobs": jobs, "out": str(tmp_path),
+                            "ls_probability": 0.3, "ls_iterations": 4}))
+        assert _report_digest(tmp_path / "report.json") == \
+            "3c046a9832cd5088cfea9c12a9d94c8d3d5e47d29ee4c8516adb5f3cf85a8af4"
+
+    def test_compare(self, jobs, tmp_path):
+        options = {"benchmark": "sphere,rastrigin", "pop": 12, "gens": 8, "runs": 3,
+                   "seed": 1, "jobs": jobs, "out": str(tmp_path), "ls_probability": 0.3,
+                   "ls_iterations": 4}
+        cmd_compare(build_plan({**options, "algorithm": "aded"}),
+                    build_plan({**options, "algorithm": "classic_de"}))
+        assert _digest((tmp_path / "comparison.csv").read_bytes()) == \
+            "8f25dc6f793e0a4f030edc163d133746a73891b19dfe6868050890c427107c7d"
+        assert _digest((tmp_path / "comparison.txt").read_bytes()) == \
+            "1545831de11692be12b2de0eb0f5c3c52b88ac18645703c968756744ab9b6ab6"
+        assert _report_digest(tmp_path / "comparison.json") == \
+            "be588e782b0941844bd90e074bbae89bd0ebde296b92c5ca3359e2f8ea60141f"
+
+    def test_moo(self, jobs, tmp_path):
+        cmd_moo(build_plan(moo_options(benchmark="zdt1,dltz1", runs=2, jobs=jobs,
+                                       out=str(tmp_path))))
+        assert _digest((tmp_path / "front.csv").read_bytes()) == \
+            "a6e3efda0821b724c653982e9916d032ccf7b67b4766a262b661521ae288d477"
+        assert _digest(_drop_column(tmp_path / "moo_metrics.csv", "n_evaluations")) == \
+            "73e26a3234217236e17957510a3a90dbf87734856d0dc39d7a6356c6a1f5e088"
+        assert _report_digest(tmp_path / "moo_report.json",
+                              drop=("wall_seconds", "n_evaluations")) == \
+            "91f4972e25a5cb8a778d5bc47b1061745ccac852c5169222587bdb88b38e1449"

@@ -51,7 +51,6 @@ from .engine import (
 from .moo import MoResult, nondominated_filter, pareto_dominates, run_aded_mo, scalarize
 from .metrics import (
     FrontPair,
-    RunBatch,
     UndefinedMetricError,
     aov,
     convergence_rate,
@@ -82,7 +81,7 @@ __all__ = [
     "finite_difference_gradient", "local_refine", "EngineConfig", "RunResult",
     "dynamic_neighborhood", "has_converged", "run_aded", "run_classic_de", "MoResult",
     "nondominated_filter", "pareto_dominates", "run_aded_mo", "scalarize", "FrontPair",
-    "RunBatch", "UndefinedMetricError", "aov", "convergence_rate", "convergence_speed",
+    "UndefinedMetricError", "aov", "convergence_rate", "convergence_speed",
     "diversity", "fdc", "generational_distance", "q_measure", "spread", "success_rate",
     "ComparisonRow", "DegenerateSampleError", "TTestResult", "VariantScore", "compare_batches",
     "rank_variants", "welch_t",

@@ -16,6 +16,7 @@ from .harness import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
+    OPTION_KEYS,
     _given,
     build_plan,
     cmd_compare,
@@ -56,21 +57,12 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory (default: $ADED_OUT or ./aded-out)")
 
 
-_OPTION_KEYS = (
-    "benchmark", "pop", "gens", "runs", "seed", "strategy", "neighborhood",
-    "neighborhood_size", "local_search", "ls_iterations", "ls_probability",
-    "stagnation_limit", "stagnation_tol", "mode", "f0", "cr0", "fixed_f",
-    "fixed_cr", "dim", "jobs", "out",
-)
-
-
 # The only options `tournament` uses; any other is refused, not ignored.
 _TOURNAMENT_KEYS = ("benchmark", "runs", "pop", "gens", "seed", "jobs", "out")
 
 
-def _options_from_args(args, **extra) -> dict:
-    overrides = {k: getattr(args, k, None) for k in _OPTION_KEYS}
-    overrides.update(extra)
+def _options_from_args(args) -> dict:
+    overrides = {k: getattr(args, k, None) for k in OPTION_KEYS}
     return resolve_options(
         preset=getattr(args, "preset", None),
         config_file=getattr(args, "config", None),
@@ -111,7 +103,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "run":
-        options = _options_from_args(args, algorithm=args.algorithm)
+        options = _options_from_args(args)
         plan = build_plan(options)
         report = cmd_run(plan)
         for benchmark_id, stats in report["benchmarks"].items():

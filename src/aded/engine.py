@@ -192,8 +192,8 @@ def _evaluate_trials(counting, trials, refine, gen, space, budget, scalar=None) 
     trial replacing its row of ``trials``.
 
     With ``scalar`` (multi-objective runs), refinement minimizes
-    ``scalar(objective vectors)``, and the refined trials are evaluated once
-    more for their objective vectors.
+    ``scalar(objective vectors)`` and returns each refined trial's objective
+    vector.
     """
     def named(rows):
         return lambda r: f"generation {gen}, individual {rows[r]}"
@@ -203,12 +203,10 @@ def _evaluate_trials(counting, trials, refine, gen, space, budget, scalar=None) 
     parts = [counting.batch(trials[plain], named(plain))] if plain.size else []
     if flagged.size:
         def evaluate(points, rows):
-            values = counting.batch(points, named(flagged[rows]))
-            return values if scalar is None else scalar(values)
+            return counting.batch(points, named(flagged[rows]))
 
-        trials[flagged], values, _ = lockstep_refine(evaluate, trials[flagged], space, budget)
-        if scalar is not None:
-            values = counting.batch(trials[flagged], named(flagged))
+        trials[flagged], values, _ = lockstep_refine(evaluate, trials[flagged], space, budget,
+                                                     scalar)
         parts.append(values)
     return np.concatenate(parts)[np.argsort(np.concatenate([plain, flagged]))]
 

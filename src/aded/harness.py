@@ -25,7 +25,6 @@ from .core import ConfigError, ShapeError
 from .engine import EngineConfig, run_aded, run_classic_de
 from .metrics import (
     FrontPair,
-    RunBatch,
     aov,
     convergence_speed,
     generational_distance,
@@ -102,6 +101,15 @@ EXIT_RUNTIME = 3
 # Option resolution
 # ---------------------------------------------------------------------------
 
+# Every option a preset, a config file or the command line can set; a config
+# file may also name a ``preset``.
+OPTION_KEYS = (
+    "benchmark", "algorithm", "pop", "gens", "runs", "seed", "strategy", "neighborhood",
+    "neighborhood_size", "local_search", "ls_iterations", "ls_probability", "ls_step",
+    "stagnation_limit", "stagnation_tol", "mode", "f0", "cr0", "fixed_f", "fixed_cr", "dim",
+    "jobs", "out",
+)
+
 _INT_KEYS = {"pop", "gens", "runs", "seed", "neighborhood_size", "ls_iterations",
              "stagnation_limit", "dim", "jobs"}
 _FLOAT_KEYS = {"f0", "cr0", "fixed_f", "fixed_cr", "ls_probability", "stagnation_tol",
@@ -119,7 +127,8 @@ def _coerce(key: str, value):
 
 
 def load_config_file(path) -> dict:
-    """Flat ``key = value`` config file; a ``preset`` key inherits that preset."""
+    """Flat ``key = value`` config file; a ``preset`` key inherits that preset.
+    A key outside OPTION_KEYS and ``preset`` is an error."""
     options: dict = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -129,7 +138,10 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        options[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if key not in OPTION_KEYS and key != "preset":
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        options[key] = value
     return options
 
 
@@ -278,17 +290,6 @@ def _execute_batches(batches: list, jobs: int, execute=_execute_run) -> list:
     return [[next(flat) for _ in batch] for batch in batches]
 
 
-def batch_for(plan: ExperimentPlan, benchmark_id: str, results: list) -> RunBatch:
-    spec = lookup(benchmark_id)
-    optimum = spec.known_optimum if isinstance(spec, BenchmarkSpec) else None
-    return RunBatch(
-        results=results,
-        known_optimum=optimum,
-        benchmark_id=benchmark_id,
-        config_key=config_hash(plan.config),
-    )
-
-
 def config_hash(cfg: EngineConfig) -> str:
     payload = json.dumps(asdict(cfg), sort_keys=True, default=str)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -348,9 +349,9 @@ def write_summary_csv(path: Path, batches: dict) -> None:
 def _summary_stats(results: list) -> dict:
     finals = np.array([r.best_f for r in results], dtype=float)
     return {
-        "mean_best_f": float(finals.mean()),
+        "mean_best_f": aov(results),
         "sd_best_f": float(finals.std(ddof=1)) if finals.size > 1 else 0.0,
-        "min_best_f": float(finals.min()),
+        "min_best_f": convergence_speed(results),
         "max_best_f": float(finals.max()),
         "mean_evaluations": float(np.mean([r.n_evaluations for r in results])),
         "wall_seconds": [r.wall_seconds for r in results],
@@ -417,9 +418,9 @@ def cmd_run(plan: ExperimentPlan) -> dict:
     }
     for benchmark_id, results in batches.items():
         stats = _summary_stats(results)
-        batch = batch_for(plan, benchmark_id, results)
-        if batch.known_optimum is not None:
-            stats["success_rate"] = success_rate(batch)
+        optimum = lookup(benchmark_id).known_optimum
+        if optimum is not None:
+            stats["success_rate"] = success_rate(results, optimum)
         report["benchmarks"][benchmark_id] = stats
     if plan.out_dir is not None:
         out = Path(plan.out_dir)
@@ -456,12 +457,8 @@ def cmd_compare(plan_a: ExperimentPlan, plan_b: ExperimentPlan) -> dict:
     per_benchmark = {}
     for benchmark_id in plan_a.benchmarks:
         results_a, results_b = next(results), next(results)
-        row = compare_batches(
-            batch_for(plan_a, benchmark_id, results_a),
-            batch_for(plan_b, benchmark_id, results_b),
-            label_a=plan_a.algorithm,
-            label_b=plan_b.algorithm,
-        )
+        row = compare_batches(benchmark_id, results_a, results_b,
+                              label_a=plan_a.algorithm, label_b=plan_b.algorithm)
         rows.append(row)
         per_benchmark[benchmark_id] = (results_a, results_b)
     report = {
@@ -493,7 +490,6 @@ def cmd_tournament(
     base_seed: int = 0,
     out_dir=None,
     jobs: int = 1,
-    success_tol: float = 1e-4,
 ) -> dict:
     """Run every strategy variant with its fixed (F, CR) pair over the given
     benchmarks, score AOV / convergence speed / Q, and rank by average rank."""
@@ -508,17 +504,16 @@ def cmd_tournament(
         [_seeded_runs(plan, b) for plan in plans for b in benchmarks], jobs))
     detail_rows = []
     scores = []
-    for (variant, _, _), plan in zip(TOURNAMENT_PAIRS, plans):
+    for variant, _, _ in TOURNAMENT_PAIRS:
         per_function = []
         for benchmark_id in benchmarks:
-            batch = batch_for(plan, benchmark_id, next(results))
-            batch.success_tol = success_tol
-            qm = q_measure(batch)
+            runs = next(results)
+            qm = q_measure(runs, lookup(benchmark_id).known_optimum)
             entry = {
                 "variant": variant,
                 "benchmark": benchmark_id,
-                "aov": aov(batch),
-                "cs": convergence_speed(batch),
+                "aov": aov(runs),
+                "cs": convergence_speed(runs),
                 "q": qm.q,
                 "n_success": qm.n_success,
             }

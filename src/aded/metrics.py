@@ -1,11 +1,11 @@
 """Diagnostic metrics: fitness-distance correlation, population diversity,
-convergence rate, success/quality measures over run batches, and the
+convergence rate, success/quality measures over lists of run results, and the
 generational-distance and spread indicators for multi-objective fronts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,35 +100,27 @@ def convergence_rate(history) -> np.ndarray:
 # Batch measures
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunBatch:
-    """Runs of one benchmark under one configuration, distinct seeds."""
-
-    results: list
-    known_optimum: float | None = None
-    success_tol: float = 1e-4
-    benchmark_id: str | None = None
-    config_key: str | None = None
-
-    def __post_init__(self):
-        if not self.results:
-            raise ConfigError("a run batch needs at least one result")
-
-    def finals(self) -> np.ndarray:
-        return np.array([r.best_f for r in self.results], dtype=float)
-
-    def evaluations(self) -> np.ndarray:
-        return np.array([r.n_evaluations for r in self.results], dtype=float)
-
-    def success_mask(self) -> np.ndarray:
-        if self.known_optimum is None:
-            raise ConfigError("success measures need a known optimum")
-        return np.abs(self.finals() - self.known_optimum) <= self.success_tol
+# A run succeeds when its final best fitness lies within this distance of the
+# benchmark's known optimum.
+SUCCESS_TOL = 1e-4
 
 
-def success_rate(batch: RunBatch) -> float:
-    """Fraction of runs that landed within success_tol of the known optimum."""
-    mask = batch.success_mask()
+def _finals(results) -> np.ndarray:
+    """Final best fitness of each run result."""
+    if not results:
+        raise ConfigError("batch measures need at least one run result")
+    return np.array([r.best_f for r in results], dtype=float)
+
+
+def _successes(results, optimum) -> np.ndarray:
+    if optimum is None:
+        raise ConfigError("success measures need a known optimum")
+    return np.abs(_finals(results) - optimum) <= SUCCESS_TOL
+
+
+def success_rate(results, optimum) -> float:
+    """Fraction of runs that landed within SUCCESS_TOL of the known optimum."""
+    mask = _successes(results, optimum)
     return float(mask.sum() / mask.size)
 
 
@@ -142,30 +134,28 @@ class QMeasure:
     n_success: int
     n_runs: int
 
-    @property
-    def is_finite(self) -> bool:
-        return self.n_success > 0
 
-
-def q_measure(batch: RunBatch) -> QMeasure:
-    mask = batch.success_mask()
+def q_measure(results, optimum) -> QMeasure:
+    """Feoktistov's Q-measure C/P over a list of run results."""
+    mask = _successes(results, optimum)
     n_runs = mask.size
     n_success = int(mask.sum())
     if n_success == 0:
         return QMeasure(float("inf"), 0.0, float("inf"), 0, n_runs)
-    c = float(batch.evaluations()[mask].sum() / n_success)
+    evaluations = np.array([r.n_evaluations for r in results], dtype=float)
+    c = float(evaluations[mask].sum() / n_success)
     p = n_success / n_runs
     return QMeasure(c, p, c / p, n_success, n_runs)
 
 
-def convergence_speed(batch: RunBatch) -> float:
-    """Minimum final best fitness across the batch (fastest full descent)."""
-    return float(batch.finals().min())
+def convergence_speed(results) -> float:
+    """Minimum final best fitness across the runs (fastest full descent)."""
+    return float(_finals(results).min())
 
 
-def aov(batch: RunBatch) -> float:
+def aov(results) -> float:
     """Average objective value: mean of per-run best fitness."""
-    return float(batch.finals().mean())
+    return float(_finals(results).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -76,11 +76,11 @@ class MoResult:
 def _admit(trial_objs) -> np.ndarray:
     """Mask of the trials admitted in index order: trial i is admitted when
     no earlier admitted trial dominates it. A later trial that dominates an
-    admitted one does not evict it."""
-    admitted = np.zeros(len(trial_objs), dtype=bool)
-    for i, objs in enumerate(trial_objs):
-        admitted[i] = not _dominates(trial_objs[:i][admitted[:i]], objs).any()
-    return admitted
+    admitted one does not evict it. By transitivity, an earlier trial that
+    dominates trial i and was not admitted was itself dominated by an earlier
+    admitted one, so trial i is admitted when no earlier trial dominates it."""
+    # row j, column i: trial j dominates trial i; j < i above the diagonal
+    return ~np.triu(_dominates(trial_objs[:, None], trial_objs), 1).any(axis=0)
 
 
 def _archive_add(arch_x, arch_obj, new_x, new_obj):

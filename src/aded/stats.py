@@ -1,5 +1,6 @@
 """Statistical comparison machinery: Welch's unequal-variance t-test,
-batch-vs-batch comparison rows, and the midrank-based variant ranking.
+comparison rows of two lists of run results, and the midrank-based variant
+ranking.
 """
 
 from __future__ import annotations
@@ -7,10 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .core import ConfigError
-from .metrics import RunBatch
+from .metrics import _finals
 
 
 class DegenerateSampleError(ValueError):
@@ -51,6 +51,8 @@ def welch_t(sample_a, sample_b) -> TTestResult:
         (qa ** 2 / (a.size - 1) if qa > 0 else 0.0)
         + (qb ** 2 / (b.size - 1) if qb > 0 else 0.0)
     )
+    from scipy.special import stdtr        # loaded on first use: import aded stays light
+
     p = 2.0 * float(stdtr(df, -abs(t)))        # the t survival function at |t|
     return TTestResult(float(t), min(p, 1.0), float(df))
 
@@ -87,28 +89,23 @@ class ComparisonRow:
         return significance_stars(self.p)
 
 
-def compare_batches(batch_a: RunBatch, batch_b: RunBatch,
+def compare_batches(benchmark: str, results_a, results_b,
                     label_a: str = "aded", label_b: str = "classic_de") -> ComparisonRow:
-    """Welch comparison of final best fitness between two batches of runs."""
-    if (batch_a.benchmark_id and batch_b.benchmark_id
-            and batch_a.benchmark_id != batch_b.benchmark_id):
-        raise ConfigError(
-            f"batches target different benchmarks: "
-            f"{batch_a.benchmark_id} vs {batch_b.benchmark_id}"
-        )
-    fa = batch_a.finals()
-    fb = batch_b.finals()
+    """Welch comparison of final best fitness between two lists of run
+    results on ``benchmark``."""
+    fa = _finals(results_a)
+    fb = _finals(results_b)
     result = welch_t(fa, fb)
     return ComparisonRow(
-        benchmark=batch_a.benchmark_id or batch_b.benchmark_id or "",
+        benchmark=benchmark,
         label_a=label_a,
         label_b=label_b,
         mean_a=float(fa.mean()),
         sd_a=float(fa.std(ddof=1)),
         mean_b=float(fb.mean()),
         sd_b=float(fb.std(ddof=1)),
-        evals_a=float(batch_a.evaluations().mean()),
-        evals_b=float(batch_b.evaluations().mean()),
+        evals_a=float(np.mean([r.n_evaluations for r in results_a])),
+        evals_b=float(np.mean([r.n_evaluations for r in results_b])),
         t=result.t,
         p=result.p,
         df=result.df,

@@ -354,7 +354,8 @@ def _two_loop(g, s, y, rho, gamma, used: int) -> np.ndarray:
     return r
 
 
-def lockstep_refine(evaluate, x0, space: SearchSpace, budget: LocalSearchBudget):
+def lockstep_refine(evaluate, x0, space: SearchSpace, budget: LocalSearchBudget,
+                    scalar=None):
     """Projected L-BFGS descent from every row of the ``(m, d)`` array ``x0``
     at once: the limited-memory BFGS of Liu & Nocedal (1989) with bounds
     handled by projection, as in L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995).
@@ -380,28 +381,34 @@ def lockstep_refine(evaluate, x0, space: SearchSpace, budget: LocalSearchBudget)
     retries). Row arithmetic is elementwise or a reduction along the row,
     so each row's result is the same whichever rows it is refined with.
 
+    With ``scalar``, the objective's values are vectors (one row per point)
+    and the descent minimizes ``scalar(values)``.
+
     Returns (x, f, evals): the refined rows, inside the box and never worse
-    than their start; their values; and each row's evaluation count.
+    than their start; the objective's own values there; and each row's
+    evaluation count.
     """
     x = clip_to_bounds(x0, space)
     m, d = x.shape
     evals = np.zeros(m, dtype=np.int64)
 
     def values(points, rows):
+        """The objective's values at ``points`` and the values descended on."""
         evals[:] += np.bincount(rows, minlength=m)
-        return evaluate(points, rows)
+        raw = evaluate(points, rows)
+        return raw, (raw if scalar is None else scalar(raw))
 
     def gradient(rows):
         owners = np.repeat(rows, 2 * d)
 
         def probes(points):
-            return values(points, owners)
+            return values(points, owners)[1]
 
         probes.batched = True
         return finite_difference_gradient(probes, x[rows], budget.gradient_step,
                                           space.lows, space.highs)
 
-    f = values(x, np.arange(m))
+    raw, f = values(x, np.arange(m))
     if not np.isfinite(f).all():
         bad = f[~np.isfinite(f)][0]
         raise DomainError(f"objective is non-finite at a local-search start point: {bad}")
@@ -435,10 +442,12 @@ def lockstep_refine(evaluate, x0, space: SearchSpace, budget: LocalSearchBudget)
         for _ in range(MAX_BACKTRACKS + 1):
             ts, slopes, f_base = t[searching], slope[searching], fa[searching]
             points = clip_to_bounds(xa[searching] + ts[:, None] * direction[searching], space)
-            trial_f = values(points, a[searching])
+            trial_raw, trial_f = values(points, a[searching])
             ok = trial_f <= f_base + ARMIJO * ts * slopes
             done = searching[ok]
             x[a[done]], f[a[done]] = points[ok], trial_f[ok]
+            if scalar is not None:
+                raw[a[done]] = trial_raw[ok]
             moved[done] = True
             if ok.all():
                 break
@@ -474,7 +483,7 @@ def lockstep_refine(evaluate, x0, space: SearchSpace, budget: LocalSearchBudget)
             g[c] = g_new
             going[c] = _projected_gradient(x[c], g_new, space) > GTOL
 
-    return x, f, evals
+    return x, raw, evals
 
 
 def local_refine(objective, x0, space: SearchSpace, budget: LocalSearchBudget):

@@ -69,6 +69,19 @@ class TestOptionResolution:
         with pytest.raises(ConfigError):
             load_config_file(cfg)
 
+    def test_every_preset_key_and_ls_step_load_from_a_file(self, tmp_path):
+        for name, preset in PRESETS.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in preset.items())
+                           + "ls-step = 1e-7\n")
+            assert resolve_options(config_file=cfg) == {**preset, "ls_step": 1e-7}
+
+    def test_unknown_file_key_rejected_with_its_line(self, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("benchmark = sphere\n# pop size\npopsize = 7\n")
+        with pytest.raises(ConfigError, match=r"typo\.cfg:3: unknown key 'popsize'"):
+            load_config_file(cfg)
+
     def test_build_engine_config_fields(self):
         cfg = build_engine_config({"pop": 24, "gens": 7, "strategy": "best1exp",
                                    "local_search": "off", "stagnation_tol": 0.0})
@@ -344,6 +357,15 @@ class TestCli:
     def test_list_benchmarks_format_json(self, capsys):
         assert main(["list-benchmarks", "--format", "json"]) == 0
         assert {e["id"] for e in json.loads(capsys.readouterr().out)} >= set(BATTERY_IDS)
+
+    def test_config_file_typo_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("benchmark = sphere\npopsize = 7\n")
+        code = main(["run", "--config", str(cfg), "--gens", "2", "--runs", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "c.cfg:2: unknown key 'popsize'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_preset_exit_two(self, tmp_path, capsys):
         code = main(["run", "--preset", "missing", "--out", str(tmp_path)])

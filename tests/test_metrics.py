@@ -6,7 +6,6 @@ from aded import metrics
 from aded import (
     ConfigError,
     FrontPair,
-    RunBatch,
     SearchSpace,
     ShapeError,
     UndefinedMetricError,
@@ -28,12 +27,8 @@ class FakeRun:
         self.n_evaluations = n_evaluations
 
 
-def batch(finals, evals=1000, optimum=None, tol=1e-4):
-    return RunBatch(
-        results=[FakeRun(f, evals) for f in finals],
-        known_optimum=optimum,
-        success_tol=tol,
-    )
+def batch(finals, evals=1000):
+    return [FakeRun(f, evals) for f in finals]
 
 
 def pearson_oracle(u, v):
@@ -149,34 +144,37 @@ class TestConvergenceRate:
 
 class TestSuccessRate:
     def test_all_hit(self):
-        assert success_rate(batch([0.0, 0.0, 0.0], optimum=0.0)) == 1.0
+        assert success_rate(batch([0.0, 0.0, 0.0]), 0.0) == 1.0
 
     def test_none_hit(self):
-        assert success_rate(batch([1.0, 2.0], optimum=0.0)) == 0.0
+        assert success_rate(batch([1.0, 2.0]), 0.0) == 0.0
 
     def test_half(self):
         finals = [0.0] * 15 + [1.0] * 15
-        assert success_rate(batch(finals, optimum=0.0)) == 0.5
+        assert success_rate(batch(finals), 0.0) == 0.5
+
+    def test_tolerance_is_inclusive(self):
+        assert metrics.SUCCESS_TOL == 1e-4
+        finals = [metrics.SUCCESS_TOL, -metrics.SUCCESS_TOL, 2 * metrics.SUCCESS_TOL, 1.0]
+        assert success_rate(batch(finals), 0.0) == 0.5
 
     def test_missing_optimum_rejected(self):
         with pytest.raises(ConfigError):
-            success_rate(batch([0.0]))
+            success_rate(batch([0.0]), None)
 
 
 class TestQMeasure:
     def test_all_successful(self):
-        qm = q_measure(batch([0.0] * 30, evals=1000, optimum=0.0))
+        qm = q_measure(batch([0.0] * 30, evals=1000), 0.0)
         assert (qm.c, qm.p, qm.q) == (1000.0, 1.0, 1000.0)
-        assert qm.is_finite
 
     def test_half_successful(self):
         finals = [0.0] * 15 + [9.0] * 15
-        qm = q_measure(batch(finals, evals=1000, optimum=0.0))
+        qm = q_measure(batch(finals, evals=1000), 0.0)
         assert (qm.c, qm.p, qm.q) == (1000.0, 0.5, 2000.0)
 
     def test_none_successful(self):
-        qm = q_measure(batch([5.0] * 30, optimum=0.0))
-        assert not qm.is_finite
+        qm = q_measure(batch([5.0] * 30), 0.0)
         assert qm.q == np.inf
         assert qm.p == 0.0
 
@@ -186,7 +184,7 @@ class TestQMeasure:
             finals = rng.choice([0.0, 3.0], size=12)
             if (finals == 0.0).sum() == 0:
                 continue
-            qm = q_measure(batch(finals.tolist(), evals=500, optimum=0.0))
+            qm = q_measure(batch(finals.tolist(), evals=500), 0.0)
             assert qm.q >= qm.c
             if qm.p == 1.0:
                 assert qm.q == qm.c
@@ -283,7 +281,11 @@ class TestSpread:
             spread(FrontPair([[0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]))
 
 
-class TestRunBatchValidation:
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ConfigError):
-            RunBatch(results=[])
+class TestEmptyResults:
+    def test_every_batch_measure_rejects_an_empty_list(self):
+        for measure in (aov, convergence_speed):
+            with pytest.raises(ConfigError):
+                measure([])
+        for measure in (success_rate, q_measure):
+            with pytest.raises(ConfigError):
+                measure([], 0.0)

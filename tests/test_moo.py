@@ -136,6 +136,24 @@ class TestAdmission:
     def test_trial_dominated_by_earlier_admitted_is_refused(self):
         assert _admit(np.array([[1.0, 1.0], [2.0, 2.0]])).tolist() == [True, False]
 
+    def test_trial_dominated_only_by_a_refused_trial_is_refused(self):
+        # trial 1 is refused (trial 0 dominates it); trial 2 is refused
+        # because trial 0 dominates it too
+        objs = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        assert _admit(objs).tolist() == [True, False, False]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, 3), min_size=k, max_size=k), min_size=1, max_size=12)))
+    def test_matches_sequential_admission(self, rows):
+        # small integer objectives make ties, duplicates and chains common
+        objs = np.array(rows, dtype=float)
+        admitted = []
+        for i, o in enumerate(objs):
+            admitted.append(not any(admitted[j] and pareto_dominates(objs[j], o)
+                                    for j in range(i)))
+        assert _admit(objs).tolist() == admitted
+
 
 def sequential_archive(points, objs):
     """One point at a time: refuse a point that an archived point dominates or

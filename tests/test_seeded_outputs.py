@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from aded import (
     EngineConfig,
@@ -21,7 +22,9 @@ from aded import (
     run_aded_mo,
     run_classic_de,
 )
+from aded import engine
 from aded.benchmarks import lookup
+from aded.variation import lockstep_refine
 
 
 def sha(*arrays):
@@ -75,15 +78,32 @@ def test_aded_dynamic_neighborhood_with_local_search():
     )
 
 
-def test_aded_mo_front():
-    spec = lookup("zdt1")
-    cfg = EngineConfig(
+# Refining multi-objective runs: (benchmark, config, weights, the evaluation
+# count recorded when each refined trial was evaluated once more after its
+# refinement).
+REFINED_MO_RUNS = {
+    "zdt1": ("zdt1", EngineConfig(
         population_size=20, max_generations=15, seed=2, stagnation_limit=15,
         schedule=ScheduleParams(initial_f=1.0, initial_cr=0.9),
         local_search=LocalSearchBudget(enabled=True, max_iterations=5, probability=0.2),
-    )
-    result = run_aded_mo(spec.evaluate, spec.space(), cfg, [0.5, 0.5])
-    assert result.n_evaluations == 19101
+    ), [0.5, 0.5], 19101),
+    "dltz1": ("dltz1", EngineConfig(
+        population_size=16, max_generations=10, seed=4, stagnation_limit=10,
+        schedule=ScheduleParams(initial_f=2.0, initial_cr=0.9),
+        local_search=LocalSearchBudget(enabled=True, max_iterations=2, probability=1.0),
+    ), [0.2, 0.3, 0.5], 5522),
+}
+
+
+def run_refined_mo(name):
+    benchmark, cfg, weights, _ = REFINED_MO_RUNS[name]
+    spec = lookup(benchmark)
+    return run_aded_mo(spec.evaluate, spec.space(), cfg, weights)
+
+
+def test_aded_mo_front():
+    result = run_refined_mo("zdt1")
+    assert result.n_evaluations == 19040
     assert len(result.front) == 70
     assert sha(*[x for x, _ in result.front]) == (
         "473c546f0bf860ddc122715f8c503f3592904cb2d7609c48efc6ce348478cd5a")
@@ -99,19 +119,34 @@ def mo_fingerprint(result):
 
 
 def test_aded_mo_three_objectives_refining_every_trial():
-    spec = lookup("dltz1")
-    cfg = EngineConfig(
-        population_size=16, max_generations=10, seed=4, stagnation_limit=10,
-        schedule=ScheduleParams(initial_f=2.0, initial_cr=0.9),
-        local_search=LocalSearchBudget(enabled=True, max_iterations=2, probability=1.0),
-    )
-    result = run_aded_mo(spec.evaluate, spec.space(), cfg, [0.2, 0.3, 0.5])
-    assert mo_fingerprint(result) == (
-        5522, 5,
+    assert mo_fingerprint(run_refined_mo("dltz1")) == (
+        5362, 5,
         "bebf0ff6aa4dcbbd0904715e06f6ae240953fb0087a78e7e10eae19334f69f8d",
         "4952747cbe666c2999684cf18fec38275ab44c43d9e7adde2e460e95b42fa441",
         "0.1", [5, 3, 4, 5, 5, 5, 5, 5, 5, 5], "max-generations",
     )
+
+
+@pytest.mark.parametrize("name", sorted(REFINED_MO_RUNS))
+def test_refined_trials_evaluated_only_by_the_refiner(name, monkeypatch):
+    """A refined trial's objective vector comes from the refiner, so the run
+    spends exactly its refined-trial count fewer evaluations than when each
+    was evaluated once more, and every evaluation is a plain trial or a
+    refiner call."""
+    refined, refiner_evals = [], []
+
+    def recording(evaluate, x0, *args):
+        x, values, evals = lockstep_refine(evaluate, x0, *args)
+        refined.append(len(x0))
+        refiner_evals.append(int(evals.sum()))
+        return x, values, evals
+
+    monkeypatch.setattr(engine, "lockstep_refine", recording)
+    result = run_refined_mo(name)
+    n = REFINED_MO_RUNS[name][1].population_size
+    plain = n * len(result.front_size_history) - sum(refined)
+    assert result.n_evaluations == plain + sum(refiner_evals)
+    assert REFINED_MO_RUNS[name][3] - result.n_evaluations == sum(refined) > 0
 
 
 def test_aded_mo_without_refinement():

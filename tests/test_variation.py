@@ -474,3 +474,20 @@ class TestLockstepRefine:
             alone = finite_difference_gradient(spec.evaluate, row, lows=space.lows,
                                                highs=space.highs)
             assert grad.tobytes() == alone.tobytes()
+
+    def test_scalar_descends_on_the_scalarization_and_returns_vectors(self):
+        spec = lookup("zdt1")
+        space, x0 = self.starts(spec, 6)
+        weights = np.array([0.3, 0.7])
+
+        def scalar(values):
+            return (values * weights).sum(axis=-1)
+
+        x, objs, evals = lockstep_refine(lambda points, rows: spec.evaluate(points), x0,
+                                         space, LocalSearchBudget(), scalar)
+        x_s, f_s, evals_s = lockstep_refine(
+            lambda points, rows: scalar(spec.evaluate(points)), x0, space, LocalSearchBudget())
+        assert x.tobytes() == x_s.tobytes()
+        assert evals.tolist() == evals_s.tolist()
+        assert objs.tobytes() == spec.evaluate(x).tobytes()
+        assert scalar(objs).tobytes() == f_s.tobytes()

@@ -25,8 +25,6 @@ from .benchmarks import (
     MultiObjectiveSpec,
     UnknownBenchmarkError,
     analytic_front,
-    evaluate_multi,
-    evaluate_single,
     lookup,
 )
 from .variation import (
@@ -75,7 +73,7 @@ from .stats import (
 __all__ = [
     "ConfigError", "DomainError", "RngStream", "SearchSpace", "ShapeError", "SpaceError",
     "clip_to_bounds", "init_population", "BenchmarkSpec", "CATALOG", "MultiObjectiveSpec",
-    "UnknownBenchmarkError", "analytic_front", "evaluate_multi", "evaluate_single", "lookup",
+    "UnknownBenchmarkError", "analytic_front", "lookup",
     "LocalSearchBudget", "ScheduleParams", "StrategyId", "adaptive_crossover_rate",
     "adaptive_mutation_rate", "crossover_binomial", "crossover_exponential",
     "finite_difference_gradient", "local_refine", "EngineConfig", "RunResult",

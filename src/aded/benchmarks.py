@@ -27,22 +27,10 @@ class UnknownBenchmarkError(KeyError):
 # ---------------------------------------------------------------------------
 # Single-objective evaluators
 #
-# Every evaluator takes an array whose last axis holds the coordinates: one
-# point ``(d,)`` or a batch ``(m, d)``, and returns a value per point.
+# Every evaluator takes a batch ``(m, d)``, one point per row, and returns an
+# ``(m,)`` array of values. A spec evaluates a single point as a one-row batch,
+# so a point's value is the same alone and inside any batch.
 # ---------------------------------------------------------------------------
-
-def _pow(base, exponent):
-    """``base ** exponent`` element by element in NumPy's scalar arithmetic.
-
-    NumPy raises a float64 scalar to a power with the C library's pow(), but
-    a float64 array with its own kernels (x * x for a square, SIMD code
-    otherwise), and the two disagree in the last bit for some inputs. The
-    catalog's values are those of scalar powers; taking every power this way
-    keeps them, for a single point and for each row of a batch alike.
-    """
-    base = np.asarray(base)
-    return np.array([b ** exponent for b in base.ravel()]).reshape(base.shape)
-
 
 def sphere(x):
     return np.sum(x * x, axis=-1)
@@ -66,7 +54,7 @@ def ackley(x):
 def bukin_n6(x):
     # absolute values inside both terms keep the surface real-valued
     x0, x1 = x[..., 0], x[..., 1]
-    return 100.0 * np.sqrt(np.abs(x1 - 0.01 * _pow(x0, 2))) + 0.01 * np.abs(x0 + 10.0)
+    return 100.0 * np.sqrt(np.abs(x1 - 0.01 * x0 ** 2)) + 0.01 * np.abs(x0 + 10.0)
 
 
 def rastrigin(x):
@@ -76,15 +64,15 @@ def rastrigin(x):
 def cross_in_tray(x):
     x0, x1 = x[..., 0], x[..., 1]
     inner = np.abs(np.sin(x0) * np.sin(x1) * np.exp(np.abs(100.0 - np.hypot(x0, x1) / PI)))
-    return -0.0001 * _pow(inner + 1.0, 0.1)
+    return -0.0001 * (inner + 1.0) ** 0.1
 
 
 def levy_n13(x):
     x0, x1 = x[..., 0], x[..., 1]
     return (
-        _pow(np.sin(3 * PI * x0), 2)
-        + _pow(x0 - 1.0, 2) * (1.0 + _pow(np.sin(3 * PI * x1), 2))
-        + _pow(x1 - 1.0, 2) * (1.0 + _pow(np.sin(2 * PI * x1), 2))
+        np.sin(3 * PI * x0) ** 2
+        + (x0 - 1.0) ** 2 * (1.0 + np.sin(3 * PI * x1) ** 2)
+        + (x1 - 1.0) ** 2 * (1.0 + np.sin(2 * PI * x1) ** 2)
     )
 
 
@@ -97,8 +85,8 @@ def eggholder(x):
 
 def schaffer_n2(x):
     x0, x1 = x[..., 0], x[..., 1]
-    num = _pow(np.sin(_pow(x0, 2) - _pow(x1, 2)), 2) - 0.5
-    den = _pow(1.0 + 0.001 * (_pow(x0, 2) + _pow(x1, 2)), 2)
+    num = np.sin(x0 ** 2 - x1 ** 2) ** 2 - 0.5
+    den = (1.0 + 0.001 * (x0 ** 2 + x1 ** 2)) ** 2
     return 0.5 + num / den
 
 
@@ -115,41 +103,41 @@ def shubert(x):
 
 def drop_wave(x):
     # leading minus: the surface dips to -1 at the origin
-    r2 = _pow(x[..., 0], 2) + _pow(x[..., 1], 2)
+    r2 = x[..., 0] ** 2 + x[..., 1] ** 2
     return -(1.0 + np.cos(12.0 * np.sqrt(r2))) / (0.5 * r2 + 2.0)
 
 
 def himmelblau(x):
     x0, x1 = x[..., 0], x[..., 1]
-    return _pow(_pow(x0, 2) + x1 - 11.0, 2) + _pow(x0 + _pow(x1, 2) - 7.0, 2)
+    return (x0 ** 2 + x1 - 11.0) ** 2 + (x0 + x1 ** 2 - 7.0) ** 2
 
 
 def booth(x):
     x0, x1 = x[..., 0], x[..., 1]
-    return _pow(x0 + 2 * x1 - 7.0, 2) + _pow(2 * x0 + x1 - 5.0, 2)
+    return (x0 + 2 * x1 - 7.0) ** 2 + (2 * x0 + x1 - 5.0) ** 2
 
 
 def matyas(x):
     x0, x1 = x[..., 0], x[..., 1]
-    return 0.26 * (_pow(x0, 2) + _pow(x1, 2)) - 0.48 * x0 * x1
+    return 0.26 * (x0 ** 2 + x1 ** 2) - 0.48 * x0 * x1
 
 
 def mccormick(x):
     x0, x1 = x[..., 0], x[..., 1]
-    return np.sin(x0 + x1) + _pow(x0 - x1, 2) - 1.5 * x0 + 2.5 * x1 + 1.0
+    return np.sin(x0 + x1) + (x0 - x1) ** 2 - 1.5 * x0 + 2.5 * x1 + 1.0
 
 
 def three_hump_camel(x):
     x0, x1 = x[..., 0], x[..., 1]
-    return 2 * _pow(x0, 2) - 1.05 * _pow(x0, 4) + _pow(x0, 6) / 6.0 + x0 * x1 + _pow(x1, 2)
+    return 2 * x0 ** 2 - 1.05 * x0 ** 4 + x0 ** 6 / 6.0 + x0 * x1 + x1 ** 2
 
 
 def six_hump_camel(x):
     x0, x1 = x[..., 0], x[..., 1]
     return (
-        (4.0 - 2.1 * _pow(x0, 2) + _pow(x0, 4) / 3.0) * _pow(x0, 2)
+        (4.0 - 2.1 * x0 ** 2 + x0 ** 4 / 3.0) * x0 ** 2
         + x0 * x1
-        + (-4.0 + 4.0 * _pow(x1, 2)) * _pow(x1, 2)
+        + (-4.0 + 4.0 * x1 ** 2) * x1 ** 2
     )
 
 
@@ -160,25 +148,25 @@ def rosenbrock(x):
 
 def dixon_price(x):
     i = np.arange(2, x.shape[-1] + 1)
-    return _pow(x[..., 0] - 1.0, 2) + np.sum(i * (2 * x[..., 1:] ** 2 - x[..., :-1]) ** 2, axis=-1)
+    return (x[..., 0] - 1.0) ** 2 + np.sum(i * (2 * x[..., 1:] ** 2 - x[..., :-1]) ** 2, axis=-1)
 
 
 def beale(x):
     x0, x1 = x[..., 0], x[..., 1]
     return (
-        _pow(1.5 - x0 + x0 * x1, 2)
-        + _pow(2.25 - x0 + x0 * _pow(x1, 2), 2)
-        + _pow(2.625 - x0 + x0 * _pow(x1, 3), 2)
+        (1.5 - x0 + x0 * x1) ** 2
+        + (2.25 - x0 + x0 * x1 ** 2) ** 2
+        + (2.625 - x0 + x0 * x1 ** 3) ** 2
     )
 
 
 def goldstein_price(x):
     x0, x1 = x[..., 0], x[..., 1]
-    a = 1.0 + _pow(x0 + x1 + 1.0, 2) * (
-        19.0 - 14.0 * x0 + 3.0 * _pow(x0, 2) - 14.0 * x1 + 6.0 * x0 * x1 + 3.0 * _pow(x1, 2)
+    a = 1.0 + (x0 + x1 + 1.0) ** 2 * (
+        19.0 - 14.0 * x0 + 3.0 * x0 ** 2 - 14.0 * x1 + 6.0 * x0 * x1 + 3.0 * x1 ** 2
     )
-    b = 30.0 + _pow(2.0 * x0 - 3.0 * x1, 2) * (
-        18.0 - 32.0 * x0 + 12.0 * _pow(x0, 2) + 48.0 * x1 - 36.0 * x0 * x1 + 27.0 * _pow(x1, 2)
+    b = 30.0 + (2.0 * x0 - 3.0 * x1) ** 2 * (
+        18.0 - 32.0 * x0 + 12.0 * x0 ** 2 + 48.0 * x1 - 36.0 * x0 * x1 + 27.0 * x1 ** 2
     )
     return a * b
 
@@ -186,7 +174,7 @@ def goldstein_price(x):
 def forrester(x):
     """One-dimensional test curve (6x-2)^2 sin(12x-4) on [0, 1]."""
     x0 = x[..., 0]
-    return _pow(6.0 * x0 - 2.0, 2) * np.sin(12.0 * x0 - 4.0)
+    return (6.0 * x0 - 2.0) ** 2 * np.sin(12.0 * x0 - 4.0)
 
 
 def devilliersglasser02(x):
@@ -197,17 +185,17 @@ def devilliersglasser02(x):
     """
     x0, x1 = x[..., 0], x[..., 1]
     return (
-        _pow(2.0 * x0 - 3.0 * x1, 2)
+        (2.0 * x0 - 3.0 * x1) ** 2
         + 18.0 * x0
         - 32.0 * x1
-        + 12.0 * _pow(x0, 2)
+        + 12.0 * x0 ** 2
         + 48.0 * x1
-        + 27.0 * _pow(x1, 2)
+        + 27.0 * x1 ** 2
     )
 
 
 # ---------------------------------------------------------------------------
-# Multi-objective evaluators: one objective vector per point, on the last axis
+# Multi-objective evaluators: an ``(m, k)`` array, one objective vector per row
 # ---------------------------------------------------------------------------
 
 def zdt1(x):
@@ -220,7 +208,7 @@ def zdt1(x):
 def zdt2(x):
     f1 = x[..., 0]
     g = 1.0 + 9.0 * np.sum(x[..., 1:], axis=-1) / (x.shape[-1] - 1)
-    f2 = g * (1.0 - _pow(f1 / g, 2))
+    f2 = g * (1.0 - (f1 / g) ** 2)
     return np.stack([f1, f2], axis=-1)
 
 
@@ -237,7 +225,7 @@ def mo_demo(x):
     """Bi-objective demo: a sinusoid against a Gaussian bump centred at (5, 5)."""
     x0, x1 = x[..., 0], x[..., 1]
     return np.stack(
-        [np.sin(x0) + np.cos(x1), np.exp(-_pow(x0 - 5.0, 2) - _pow(x1 - 5.0, 2))], axis=-1
+        [np.sin(x0) + np.cos(x1), np.exp(-(x0 - 5.0) ** 2 - (x1 - 5.0) ** 2)], axis=-1
     )
 
 
@@ -259,18 +247,22 @@ class BenchmarkSpec:
     default_dim: int = 2
 
     def space(self, dim: int | None = None) -> SearchSpace:
+        d = self.dim if dim is None else int(dim)
+        self._check_width(d)
         if self.dim_rule == "any-n":
-            d = self.default_dim if dim is None else int(dim)
-            if d < self.min_dim:
-                raise ShapeError(f"{self.id} needs at least {self.min_dim} dimensions")
             lo, hi = self.bounds[0]
             return SearchSpace.cube(lo, hi, d)
-        d = len(self.bounds)
-        if dim is not None and int(dim) != d:
-            raise ShapeError(f"{self.id} is fixed at {d} dimensions")
         return SearchSpace(
             np.array([b[0] for b in self.bounds]), np.array([b[1] for b in self.bounds])
         )
+
+    def _check_width(self, d: int) -> None:
+        """Raise ShapeError unless the function takes ``d`` coordinates."""
+        if self.dim_rule == "any-n":
+            if d < self.min_dim:
+                raise ShapeError(f"{self.id} needs at least {self.min_dim} dimensions, got {d}")
+        elif d != len(self.bounds):
+            raise ShapeError(f"{self.id} is fixed at {len(self.bounds)} dimensions, got {d}")
 
     @property
     def dim(self) -> int:
@@ -287,23 +279,16 @@ class BenchmarkSpec:
     def evaluate(self, x):
         """Value at one point ``(d,)`` as a float, or at each row of an
         ``(m, d)`` batch as an ``(m,)`` array."""
-        x = _checked_input(self.id, x)
-        d = x.shape[-1]
-        if self.dim_rule == "any-n":
-            if d < self.min_dim:
-                raise ShapeError(f"{self.id} needs at least {self.min_dim} dimensions")
-        elif d != len(self.bounds):
-            raise ShapeError(f"{self.id} expects {len(self.bounds)} dimensions, got {d}")
-        if x.ndim == 1:
-            return float(self.fn(x))
-        return _checked_output(self.id, self.fn(x), x.shape[:1])
+        return _evaluate(self, x, ())
 
     evaluate.batched = True
 
 
 @dataclass(frozen=True)
 class MultiObjectiveSpec:
-    """Multi-objective benchmark with an optional analytic front sampler."""
+    """Multi-objective benchmark with an optional analytic front sampler.
+    ``fixed_width`` pins the number of variables to ``n_vars``; otherwise any
+    number from 2 up is accepted."""
 
     id: str
     fn: Callable
@@ -311,13 +296,20 @@ class MultiObjectiveSpec:
     n_objectives: int
     bounds: tuple                 # single (low, high) applied to every variable
     front_sampler: Callable | None = None
+    fixed_width: bool = False
 
     def space(self, dim: int | None = None) -> SearchSpace:
         d = self.n_vars if dim is None else int(dim)
-        if d < 2:
-            raise ShapeError(f"{self.id} needs at least 2 variables")
+        self._check_width(d)
         lo, hi = self.bounds
         return SearchSpace.cube(lo, hi, d)
+
+    def _check_width(self, d: int) -> None:
+        """Raise ShapeError unless the function takes ``d`` variables."""
+        if self.fixed_width and d != self.n_vars:
+            raise ShapeError(f"{self.id} is fixed at {self.n_vars} variables, got {d}")
+        if d < 2:
+            raise ShapeError(f"{self.id} needs at least 2 variables, got {d}")
 
     @property
     def dim(self) -> int:
@@ -326,32 +318,31 @@ class MultiObjectiveSpec:
     def evaluate(self, x) -> np.ndarray:
         """Objective vector ``(k,)`` at one point ``(d,)``, or ``(m, k)`` for
         an ``(m, d)`` batch."""
-        x = _checked_input(self.id, x)
-        d = x.shape[-1]
-        if d < 2:
-            raise ShapeError(f"{self.id} needs at least 2 variables, got {d}")
-        if self.id == "dltz1" and d != self.n_vars:
-            raise ShapeError(f"{self.id} expects {self.n_vars} variables, got {d}")
-        return _checked_output(self.id, self.fn(x), x.shape[:-1] + (self.n_objectives,))
+        return _evaluate(self, x, (self.n_objectives,))
 
     evaluate.batched = True
 
 
-def _checked_input(benchmark_id: str, x) -> np.ndarray:
+def _evaluate(spec, x, value_shape: tuple):
+    """``spec.fn`` at one point ``(d,)`` or at each row of a batch ``(m, d)``,
+    after checking the input, and checking that ``fn`` returned one value of
+    shape ``value_shape`` per row. A point is evaluated as the one-row batch
+    ``x[None]``; its value is row 0, a float when ``value_shape`` is ``()``."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ShapeError(f"expected a point (d,) or a batch (m, d), got shape {x.shape}")
-    if not np.isfinite(x).all():
-        where = "" if x.ndim == 1 else f" in row {int(np.argmin(np.isfinite(x).all(axis=1)))}"
-        raise DomainError(f"non-finite input to {benchmark_id}{where}")
-    return x
-
-
-def _checked_output(benchmark_id: str, values, shape: tuple) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
+    batch = x if x.ndim == 2 else x[None]
+    if not np.isfinite(batch).all():
+        where = "" if x.ndim == 1 else f" in row {int(np.argmin(np.isfinite(batch).all(axis=1)))}"
+        raise DomainError(f"non-finite input to {spec.id}{where}")
+    spec._check_width(x.shape[-1])
+    values = np.asarray(spec.fn(batch), dtype=float)
+    shape = batch.shape[:1] + value_shape
     if values.shape != shape:
-        raise ShapeError(f"{benchmark_id} returned shape {values.shape}, expected {shape}")
-    return values
+        raise ShapeError(f"{spec.id} returned shape {values.shape}, expected {shape}")
+    if x.ndim == 2:
+        return values
+    return values[0] if value_shape else float(values[0])
 
 
 def _zdt1_front(k: int) -> np.ndarray:
@@ -434,7 +425,7 @@ _add(BenchmarkSpec("devilliersglasser02", devilliersglasser02, "fixed-2d",
 
 _add(MultiObjectiveSpec("zdt1", zdt1, 30, 2, (0.0, 1.0), _zdt1_front))
 _add(MultiObjectiveSpec("zdt2", zdt2, 30, 2, (0.0, 1.0), _zdt2_front))
-_add(MultiObjectiveSpec("dltz1", dltz1, 7, 3, (0.0, 1.0), _dltz1_front))
+_add(MultiObjectiveSpec("dltz1", dltz1, 7, 3, (0.0, 1.0), _dltz1_front, fixed_width=True))
 _add(MultiObjectiveSpec("mo_demo", mo_demo, 2, 2, (-10.0, 10.0), None))
 
 CATALOG: dict = {**SINGLE_OBJECTIVE, **MULTI_OBJECTIVE}
@@ -451,20 +442,6 @@ def lookup(benchmark_id: str):
         raise UnknownBenchmarkError(
             f"unknown benchmark {benchmark_id!r}; valid ids: {', '.join(CATALOG)}"
         ) from None
-
-
-def evaluate_single(benchmark_id: str, x) -> float:
-    spec = lookup(benchmark_id)
-    if not isinstance(spec, BenchmarkSpec):
-        raise UnknownBenchmarkError(f"{benchmark_id!r} is multi-objective")
-    return spec.evaluate(x)
-
-
-def evaluate_multi(benchmark_id: str, x) -> np.ndarray:
-    spec = lookup(benchmark_id)
-    if not isinstance(spec, MultiObjectiveSpec):
-        raise UnknownBenchmarkError(f"{benchmark_id!r} is single-objective")
-    return spec.evaluate(x)
 
 
 def analytic_front(benchmark_id: str, k: int) -> np.ndarray:

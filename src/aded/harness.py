@@ -173,7 +173,10 @@ def build_engine_config(options: dict) -> EngineConfig:
     budget = _given(options, {"ls_iterations": "max_iterations", "ls_step": "gradient_step",
                               "ls_probability": "probability"})
     if "local_search" in options:
-        budget["enabled"] = str(options["local_search"]).lower() not in ("off", "false", "0", "no")
+        if options["local_search"] not in ("on", "off"):
+            raise ConfigError(
+                f"local_search must be 'on' or 'off', got {options['local_search']!r}")
+        budget["enabled"] = options["local_search"] == "on"
     engine = _given(options, {"pop": "population_size", "gens": "max_generations",
                               "neighborhood": "neighborhood",
                               "neighborhood_size": "neighborhood_size",
@@ -207,7 +210,7 @@ class ExperimentPlan:
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         for benchmark_id in self.benchmarks:
-            lookup(benchmark_id)
+            lookup(benchmark_id).space(self.dim)
         self.out_dir = Path(self.out_dir) if self.out_dir is not None else None
 
 
@@ -385,7 +388,7 @@ def cmd_list_benchmarks(fmt: str = "csv") -> str:
             entries.append({
                 "id": benchmark_id,
                 "kind": f"multi({spec.n_objectives})",
-                "dim_rule": "fixed-n",
+                "dim_rule": "fixed-n" if spec.fixed_width else "any-n",
                 "dim": spec.n_vars,
                 "bounds": [spec.bounds],
                 "optimum": None,

@@ -64,7 +64,8 @@ REFINE = LocalSearchBudget(enabled=True, max_iterations=4, probability=0.3)
 
 
 class TestPathsAgree:
-    @pytest.mark.parametrize("benchmark_id", ["rastrigin", "himmelblau", "schwefel"])
+    @pytest.mark.parametrize("benchmark_id", ["rastrigin", "himmelblau", "schwefel",
+                                              "cross_in_tray", "goldstein_price"])
     @pytest.mark.parametrize("neighborhood", ["dynamic", "all"])
     @pytest.mark.parametrize("strategy", ["adedrandbin", "currenttobest1exp", "rand2bin",
                                           "adedneighborsexp"])

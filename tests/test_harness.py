@@ -91,6 +91,13 @@ class TestOptionResolution:
         assert not cfg.local_search.enabled
         assert cfg.stagnation_tol == 0.0
 
+    def test_local_search_takes_on_or_off(self):
+        assert build_engine_config({"local_search": "on"}).local_search.enabled
+        assert not build_engine_config({"local_search": "off"}).local_search.enabled
+        for typo in ("offf", "false", "0", "On"):
+            with pytest.raises(ConfigError, match=f"local_search.*{typo!r}"):
+                build_engine_config({"local_search": typo})
+
     def test_tournament_variant_config(self):
         # the tournament's per-variant config spelled out field by field; an
         # unset neighborhood_size resolves to min(10, pop - 1)
@@ -155,6 +162,8 @@ class TestListBenchmarks:
         ids = [e["id"] for e in entries]
         assert len(ids) == len(set(ids))
         assert set(BATTERY_IDS) <= set(ids)
+        rules = {e["id"]: e["dim_rule"] for e in entries if e["kind"].startswith("multi")}
+        assert rules == {"zdt1": "any-n", "zdt2": "any-n", "dltz1": "fixed-n", "mo_demo": "any-n"}
 
 
 class TestCmdRun:
@@ -186,7 +195,9 @@ class TestCmdRun:
             (parallel / "raw_history.csv").read_bytes()
 
     # sha256 of (raw_history.csv, run_summary.csv), recorded when the engine
-    # still computed diversity and FDC in every generation of every run
+    # still computed diversity and FDC in every generation of every run;
+    # "all-neighbors" re-recorded when himmelblau's powers became NumPy array
+    # powers, which moved its values (and its rows only) in the last bit
     PINNED_ARTIFACTS = {
         "refine-0.3": (
             {"ls_probability": 0.3, "ls_iterations": 4},
@@ -195,8 +206,8 @@ class TestCmdRun:
         ),
         "all-neighbors": (
             {"neighborhood": "all", "local_search": "off"},
-            "e2d068caf6fe3faf57ffcc8a7454718504da3b5b14e114de827a654926be3091",
-            "481f49e1dfb1b6de37cf437e249a9b05062ac3320a23d60a1f2ab93a2154faea",
+            "a98182e5d84dee44c2f8a9888a0ae7e0a740f6d96b1060521b3fc8ed2c9db497",
+            "54f7154d11d7dacb7488d7ae25d4632882216b8de80dd6b6533984c907cb25f4",
         ),
     }
 
@@ -233,7 +244,7 @@ class TestCmdCompare:
         assert (tmp_path / "comparison.txt").exists()
 
     def test_self_comparison_gives_zero_t(self, tmp_path):
-        options = tiny_options(runs=3)
+        options = tiny_options(runs=3, out=str(tmp_path))
         plan_a = build_plan({**options, "algorithm": "classic_de"})
         plan_b = build_plan({**options, "algorithm": "classic_de"})
         report = cmd_compare(plan_a, plan_b)
@@ -366,6 +377,32 @@ class TestCli:
         assert code == 2
         assert "c.cfg:2: unknown key 'popsize'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_config_file_local_search_typo_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("benchmark = sphere\nlocal_search = offf\n")
+        code = main(["run", "--config", str(cfg), "--gens", "2", "--runs", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "local_search must be 'on' or 'off', got 'offf'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,benchmarks,error", [
+        ("moo", "zdt1,dltz1", "dltz1 is fixed at 7 variables, got 5"),
+        ("run", "sphere,booth", "booth is fixed at 2 dimensions, got 5"),
+    ])
+    def test_dim_a_benchmark_does_not_take_exit_two_before_any_run(
+            self, command, benchmarks, error, tmp_path, capsys, monkeypatch):
+        import aded.harness
+
+        runs = []
+        monkeypatch.setattr(aded.harness, "_execute_batches",
+                            lambda *args: runs.append(args))
+        code = main([command, "--benchmark", benchmarks, "--dim", "5", "--pop", "8",
+                     "--gens", "2", "--runs", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert error in capsys.readouterr().err
+        assert runs == [] and not (tmp_path / "out").exists()
 
     def test_unknown_preset_exit_two(self, tmp_path, capsys):
         code = main(["run", "--preset", "missing", "--out", str(tmp_path)])

@@ -406,7 +406,10 @@ class TestLocalRefine:
 class TestLockstepRefine:
     """Rows refined together: each row's result is its result alone."""
 
-    CASES = [("ackley", 2), ("eggholder", 2), ("schaffer_n2", 2), ("schwefel", 4)]
+    # cross_in_tray (a 0.1 power) and goldstein_price (squares of sums) check
+    # that NumPy's power kernels give a row the same bits in any batch
+    CASES = [("ackley", 2), ("eggholder", 2), ("schaffer_n2", 2), ("schwefel", 4),
+             ("cross_in_tray", 2), ("goldstein_price", 2)]
 
     @staticmethod
     def starts(spec, dim):

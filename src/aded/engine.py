@@ -1,12 +1,11 @@
-"""Single-objective evolution loop: the adaptive engine with random
-neighborhoods, crowding selection, scheduled F/CR, optional local refinement,
-and stagnation stopping. The classic fixed-parameter DE baseline is a preset
-of the same loop.
+"""The single-objective engine and the parts every engine shares: the
+generation loop (scheduled F/CR and the stagnation stop) and the counting
+objective adapter. The adaptive engine has random neighborhoods, crowding
+selection and optional local refinement; classic DE is a preset of it.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -19,6 +18,7 @@ from .core import (
     ShapeError,
     SearchSpace,
     clip_to_bounds,
+    evaluate_rows,
     init_population,
 )
 from .variation import (
@@ -57,7 +57,7 @@ class EngineConfig:
             raise ConfigError(f"max_generations must be >= 1, got {self.max_generations}")
         if self.stagnation_limit < 2:
             raise ConfigError(f"stagnation_limit must be >= 2, got {self.stagnation_limit}")
-        if self.stagnation_tol < 0.0:
+        if not self.stagnation_tol >= 0.0:
             raise ConfigError(f"stagnation_tol must be >= 0, got {self.stagnation_tol}")
         if self.neighborhood_size is None:
             object.__setattr__(self, "neighborhood_size", min(10, self.population_size - 1))
@@ -117,44 +117,37 @@ class _CountingObjective:
     """Wraps the raw objective: counts every evaluated point, checks
     finiteness, and attaches generation/individual context to failures.
 
-    It takes an ``(m, d)`` batch. The batch reaches an objective that
-    declares ``batched = True`` in one call, and any other objective one row
-    at a time. Values are floats, or arrays when ``multi`` (several
+    It takes an ``(m, d)`` batch and passes it on through
+    ``core.evaluate_rows``, the one adapter for batched and per-row
+    objectives. Values are floats, or arrays when ``multi`` (several
     objectives).
     """
 
-    __slots__ = ("fn", "fn_batched", "multi", "count")
+    __slots__ = ("fn", "multi", "count")
 
     def __init__(self, fn, multi: bool = False):
         self.fn = fn
-        self.fn_batched = bool(getattr(fn, "batched", False))
         self.multi = multi
         self.count = 0
 
-    def _point(self, x, where: str):
-        try:
-            value = np.asarray(self.fn(x), dtype=float) if self.multi else float(self.fn(x))
-        except Exception as exc:
-            raise DomainError(f"objective failed at {where}: {exc}") from exc
-        # math.isfinite on a float is a fraction of np.isfinite(...).all()'s cost
-        if not (np.isfinite(value).all() if self.multi else math.isfinite(value)):
-            raise DomainError(f"objective returned {value} at {where}")
-        return value
-
     def batch(self, points, where) -> np.ndarray:
         """Values at the rows of ``points``; ``where(r)`` names row r in
-        errors."""
+        errors. When the batch fails, its rows are evaluated again one at a
+        time, so that the error names the first row that fails alone."""
         m = len(points)
         self.count += m
-        if not self.fn_batched:
-            return np.array([self._point(p, where(r)) for r, p in enumerate(points)])
         try:
-            values = np.asarray(self.fn(points), dtype=float)
+            values = evaluate_rows(self.fn, points)
             if values.ndim != 1 + self.multi or values.shape[0] != m:
                 raise ShapeError(f"a batch of {m} points gave values of shape {values.shape}")
         except Exception as exc:
-            for r, p in enumerate(points):     # name the first point that fails alone
-                self._point(p, where(r))
+            for r in range(m):
+                try:
+                    value = evaluate_rows(self.fn, points[r:r + 1])[0]
+                except Exception as row_exc:
+                    raise DomainError(f"objective failed at {where(r)}: {row_exc}") from row_exc
+                if not np.isfinite(value).all():
+                    raise DomainError(f"objective returned {value} at {where(r)}")
             raise DomainError(f"objective failed on the batch at {where(0)}: {exc}") from exc
         finite = np.isfinite(values)
         if not finite.all():
@@ -211,6 +204,19 @@ def _evaluate_trials(counting, trials, refine, gen, space, budget, scalar=None) 
     return np.concatenate(parts)[np.argsort(np.concatenate([plain, flagged]))]
 
 
+def _generations(cfg: EngineConfig, fixed, step):
+    """The generation loop of both engines (Storn & Price, 1997):
+    ``step(gen, f, cr)`` runs a generation at its (F, CR), scheduled or
+    ``fixed``, and returns the value the stagnation stop watches. Returns
+    those values, one per generation, and "stagnation" or "max-generations"."""
+    history: list = []
+    for gen in range(cfg.max_generations):
+        history.append(step(gen, *cfg.schedule.rates_at(gen, cfg.max_generations, fixed)))
+        if has_converged(history, cfg.stagnation_limit, cfg.stagnation_tol):
+            return np.asarray(history, dtype=float), "stagnation"
+    return np.asarray(history, dtype=float), "max-generations"
+
+
 def run_aded(objective, space: SearchSpace, cfg: EngineConfig, on_generation=None) -> RunResult:
     """Adaptive run: scheduled F/CR, strategy-built trials with crossover and
     bound repair, optional local refinement, crowding selection, and
@@ -245,31 +251,25 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig, on_generation=Non
     x = init_population(space, n, rng)
     fit = counting.batch(x, lambda r: f"initial member {r}")
 
-    best_hist: list = []
-    terminated_by = "max-generations"
-
-    for gen in range(cfg.max_generations):
-        f_rate, cr_rate = cfg.schedule.rates_at(gen, cfg.max_generations, fixed)
-        gen_best = x[int(np.argmin(fit))]
+    def step(gen, f_rate, cr_rate):
+        nonlocal x, fit
         bases, k_coeff, masks, refine = _draw_trials(cfg, n, space.dim, cr_rate, rng)
-        donors = mutation_donors(cfg.strategy, x, bases, gen_best, f_rate, k_coeff)
+        donors = mutation_donors(cfg.strategy, x, bases, x[int(np.argmin(fit))], f_rate, k_coeff)
         trials = clip_to_bounds(np.where(masks, donors, x), space)
         trial_f = _evaluate_trials(counting, trials, refine, gen, space, cfg.local_search)
         improved = trial_f < fit                   # crowding: incumbent wins ties
         x = np.where(improved[:, None], trials, x)
         fit = np.where(improved, trial_f, fit)
-        best_hist.append(float(fit.min()))
         if on_generation is not None:
             on_generation(gen, x, fit)
-        if has_converged(best_hist, cfg.stagnation_limit, cfg.stagnation_tol):
-            terminated_by = "stagnation"
-            break
+        return float(fit.min())
 
+    history, terminated_by = _generations(cfg, fixed, step)
     best_idx = int(np.argmin(fit))
     return RunResult(
         best_x=x[best_idx].copy(),
         best_f=float(fit[best_idx]),
-        best_f_history=np.asarray(best_hist, dtype=float),
+        best_f_history=history,
         n_evaluations=counting.count,
         wall_seconds=time.perf_counter() - t0,
         terminated_by=terminated_by,

@@ -32,7 +32,7 @@ from .metrics import (
     spread,
     success_rate,
 )
-from .moo import run_aded_mo
+from .moo import _check_weights, run_aded_mo
 from .stats import compare_batches, rank_variants
 from .variation import LocalSearchBudget, ScheduleParams, StrategyId
 
@@ -269,6 +269,8 @@ def _execute_recorded_run(benchmark_id: str, algorithm: str, cfg: EngineConfig, 
 def _seeded_runs(plan: ExperimentPlan, benchmark_id: str, weights=None) -> list:
     """``_execute_run`` arguments of the plan's runs on one benchmark, run i
     on seed base_seed + i."""
+    if plan.algorithm != "aded_mo" and not isinstance(lookup(benchmark_id), BenchmarkSpec):
+        raise ConfigError(f"{benchmark_id!r} is multi-objective; use `moo` instead")
     return [(benchmark_id, plan.algorithm, replace(plan.config, seed=plan.base_seed + i),
              plan.dim, weights) for i in range(plan.n_runs)]
 
@@ -584,6 +586,7 @@ def cmd_moo(plan: ExperimentPlan, weights=None, reference_size: int = 1000) -> d
             np.full(spec.n_objectives, 1.0 / spec.n_objectives))
         if w.shape != (spec.n_objectives,):
             raise ShapeError(f"{benchmark_id} has {spec.n_objectives} objectives, weights {w.shape}")
+        _check_weights(w)
         batches.append(_seeded_runs(replace(plan, algorithm="aded_mo"), benchmark_id, w))
     all_results = {}
     for benchmark_id, results in zip(plan.benchmarks, _execute_batches(batches, plan.jobs)):

@@ -1,6 +1,6 @@
 """Multi-objective optimization: Pareto-dominance primitives, weighted
-scalarization, non-dominated filtering, and the multi-objective variant of
-the adaptive engine (dominance-gated admission with an archive front).
+scalarization, non-dominated filtering, and the multi-objective engine: the
+adaptive engine's generation loop with dominance-gated admission.
 """
 
 from __future__ import annotations
@@ -11,8 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, RngStream, SearchSpace, ShapeError, clip_to_bounds, init_population
-from .engine import EngineConfig, _CountingObjective, _evaluate_trials, has_converged
-from .variation import draw_distinct
+from .engine import EngineConfig, _CountingObjective, _evaluate_trials, _generations
+from .variation import StrategyId, draw_distinct, mutation_donors
+
+# each trial is its donor, with no crossover: x + F (x_a - x) + F (x_b - x), x_a, x_b members
+_PULL = StrategyId("adedneighbors", "bin")
 
 
 def _dominates(a, b):
@@ -48,8 +51,8 @@ def _weighted(objs, weights):
 
 
 def _check_weights(weights) -> None:
-    if np.any(weights < 0.0) or weights.sum() <= 0.0:
-        raise ConfigError("weights must be non-negative with a positive sum")
+    if not (np.isfinite(weights).all() and (weights >= 0.0).all() and weights.sum() > 0.0):
+        raise ConfigError(f"weights must be finite, non-negative and not all 0, got {weights}")
 
 
 def nondominated_filter(points) -> np.ndarray:
@@ -106,37 +109,31 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
     only if no earlier admitted trial of the generation dominates it, so a
     trial admitted early stays even when a later trial dominates it. The
     archive does prune such a trial: it holds the points admitted so far
-    that no admitted point dominates, and it is the reported front. The run
-    stops on generation budget or when the scalarized best stagnates.
+    that no admitted point dominates, and it is the reported front. Random
+    points fill the population back up. The loop is ``run_aded``'s: it stops
+    on generation budget or when the scalarized best stagnates.
     """
     t0 = time.perf_counter()
     weights = np.asarray(weights, dtype=float)
     _check_weights(weights)
     rng = RngStream(cfg.seed)
     counting = _CountingObjective(objectives, multi=True)
-    ls = cfg.local_search
 
     def scalar(objs):
         return _weighted(objs, weights)
 
     n = cfg.population_size
     x = init_population(space, n, rng)
-
-    arch_x = arch_obj = None
-    best_obj = None
-    scal_hist: list = []
-    front_size_hist: list = []
-    terminated_by = "max-generations"
-
     fixed = cfg.schedule.resolve_fixed(rng) if cfg.schedule.mode == "fixed" else None
+    arch_x = arch_obj = best_obj = None
+    front_size_hist: list = []
 
-    for gen in range(cfg.max_generations):
-        f_rate, _ = cfg.schedule.rates_at(gen, cfg.max_generations, fixed)
+    def step(gen, f_rate, _cr):
+        nonlocal x, arch_x, arch_obj, best_obj
         pulls = draw_distinct(rng, n, 2, n)
-        refine = ls.refines(rng, n)
-        trials = x + f_rate * (x[pulls[:, 0]] - x) + f_rate * (x[pulls[:, 1]] - x)
-        trials = clip_to_bounds(trials, space)
-        trial_objs = _evaluate_trials(counting, trials, refine, gen, space, ls, scalar)
+        refine = cfg.local_search.refines(rng, n)
+        trials = clip_to_bounds(mutation_donors(_PULL, x, pulls, None, f_rate, np.zeros(n)), space)
+        trial_objs = _evaluate_trials(counting, trials, refine, gen, space, cfg.local_search, scalar)
         admitted = _admit(trial_objs)
         if arch_obj is None:                   # the objective count is known now
             arch_x, arch_obj = trials[:0], trial_objs[:0]
@@ -144,16 +141,14 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
         for objs in trial_objs:
             if best_obj is None or _dominates(objs, best_obj):
                 best_obj = objs
-        scal_hist.append(float(scalar(best_obj)))
         front_size_hist.append(len(arch_obj))
         x = trials[admitted]
         if len(x) < n:
             fill = rng.uniform(space.lows, space.highs, size=(n - len(x), space.dim))
             x = np.vstack([x, fill])
-        if has_converged(scal_hist, cfg.stagnation_limit, cfg.stagnation_tol):
-            terminated_by = "stagnation"
-            break
+        return float(scalar(best_obj))
 
+    _, terminated_by = _generations(cfg, fixed, step)
     scal_values = scalar(arch_obj)
     best_idx = int(np.argmin(scal_values))
     return MoResult(

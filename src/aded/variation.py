@@ -67,10 +67,12 @@ class ScheduleParams:
     def __post_init__(self):
         if self.mode not in ("scheduled", "fixed"):
             raise ConfigError(f"unknown schedule mode {self.mode!r}")
-        if not 0.0 < self.initial_f <= 2.0:
-            raise ConfigError(f"initial_f must lie in (0, 2], got {self.initial_f}")
-        if not 0.0 <= self.initial_cr <= 1.0:
-            raise ConfigError(f"initial_cr must lie in [0, 1], got {self.initial_cr}")
+        for name, f in (("initial_f", self.initial_f), ("fixed_f", self.fixed_f)):
+            if f is not None and not 0.0 < f <= 2.0:
+                raise ConfigError(f"{name} must lie in (0, 2], got {f}")
+        for name, cr in (("initial_cr", self.initial_cr), ("fixed_cr", self.fixed_cr)):
+            if cr is not None and not 0.0 <= cr <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {cr}")
 
     def resolve_fixed(self, rng: RngStream) -> tuple:
         """Constant (F, CR) pair for a fixed-mode run, drawing if unspecified."""

@@ -42,6 +42,7 @@ class TestEngineConfig:
             dict(stagnation_tol=-1.0),
             dict(neighborhood="ring"),
             dict(population_size=10, neighborhood_size=10),
+            dict(stagnation_tol=float("nan")),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -274,13 +275,22 @@ class TestRunAded:
         result = run_aded(spec.evaluate, spec.space(), cfg)
         assert np.isfinite(result.best_f)
 
-    @pytest.mark.parametrize("strategy", ["rand1bin", "rand1exp"])
-    def test_out_of_range_fixed_cr_rejected(self, strategy):
-        spec = lookup("sphere")
-        cfg = small_cfg(strategy=StrategyId.parse(strategy),
-                        schedule=ScheduleParams(mode="fixed", fixed_f=0.5, fixed_cr=1.5))
-        with pytest.raises(ConfigError, match="CR must lie in"):
-            run_aded(spec.evaluate, spec.space(), cfg)
+    @pytest.mark.parametrize("strategy,fixed_f,fixed_cr", [
+        pytest.param("rand1bin", 0.5, 1.5, id="rand1bin"),
+        pytest.param("rand1exp", 0.5, 1.5, id="rand1exp"),
+        pytest.param("rand1bin", 0.5, -0.1, id="cr-negative"),
+        pytest.param("rand1bin", 0.5, float("nan"), id="cr-nan"),
+        pytest.param("rand1bin", -3.0, 0.5, id="f-negative"),
+        pytest.param("rand1bin", 0.0, 0.5, id="f-zero"),
+        pytest.param("rand1bin", 2.5, 0.5, id="f-above-two"),
+        pytest.param("rand1bin", float("nan"), 0.5, id="f-nan"),
+        pytest.param("rand1bin", float("inf"), 0.5, id="f-inf"),
+    ])
+    def test_out_of_range_fixed_cr_rejected(self, strategy, fixed_f, fixed_cr):
+        # the pair is checked when the schedule is built, before any run
+        with pytest.raises(ConfigError, match=r"fixed_(f|cr) must lie in"):
+            small_cfg(strategy=StrategyId.parse(strategy),
+                      schedule=ScheduleParams(mode="fixed", fixed_f=fixed_f, fixed_cr=fixed_cr))
 
     def test_strategy_needs_enough_neighbors(self):
         cfg = small_cfg(

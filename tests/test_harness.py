@@ -393,13 +393,39 @@ class TestCli:
     ])
     def test_dim_a_benchmark_does_not_take_exit_two_before_any_run(
             self, command, benchmarks, error, tmp_path, capsys, monkeypatch):
+        self.check_exit_two_before_any_run([command, "--benchmark", benchmarks, "--dim", "5"],
+                                           error, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("argv,error", [
+        (["moo", "--benchmark", "zdt1", "--dim", "3", "--weights", "nan,1"],
+         "weights must be finite"),
+        (["run", "--benchmark", "sphere", "--mode", "fixed", "--fixed-f", "-3",
+          "--fixed-cr", "0.5"], "fixed_f must lie in (0, 2], got -3.0"),
+        (["run", "--benchmark", "sphere", "--mode", "fixed", "--fixed-f", "nan",
+          "--fixed-cr", "0.5"], "fixed_f must lie in (0, 2], got nan"),
+        (["run", "--benchmark", "sphere", "--mode", "fixed", "--fixed-f", "0.5",
+          "--fixed-cr", "1.5"], "fixed_cr must lie in [0, 1], got 1.5"),
+        (["run", "--benchmark", "sphere", "--stagnation-tol", "nan"],
+         "stagnation_tol must be >= 0, got nan"),
+        (["run", "--benchmark", "zdt1"], "'zdt1' is multi-objective; use `moo` instead"),
+        (["compare", "--benchmark", "zdt1"], "'zdt1' is multi-objective; use `moo` instead"),
+        (["tournament", "--benchmark", "zdt1"], "'zdt1' is multi-objective; use `moo` instead"),
+    ], ids=["moo-nan-weight", "fixed-f-negative", "fixed-f-nan", "fixed-cr-above-one",
+            "stagnation-tol-nan", "run-zdt1", "compare-zdt1", "tournament-zdt1"])
+    def test_config_error_exit_two_before_any_run(self, argv, error, tmp_path, capsys,
+                                                  monkeypatch):
+        self.check_exit_two_before_any_run(argv, error, tmp_path, capsys, monkeypatch)
+
+    @staticmethod
+    def check_exit_two_before_any_run(argv, error, tmp_path, capsys, monkeypatch):
+        """``argv`` exits 2 with ``error``, starts no run and writes nothing."""
         import aded.harness
 
         runs = []
         monkeypatch.setattr(aded.harness, "_execute_batches",
                             lambda *args: runs.append(args))
-        code = main([command, "--benchmark", benchmarks, "--dim", "5", "--pop", "8",
-                     "--gens", "2", "--runs", "1", "--out", str(tmp_path / "out")])
+        code = main(argv + ["--pop", "8", "--gens", "2", "--runs", "1",
+                            "--out", str(tmp_path / "out")])
         assert code == 2
         assert error in capsys.readouterr().err
         assert runs == [] and not (tmp_path / "out").exists()

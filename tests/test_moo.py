@@ -285,8 +285,9 @@ class TestRunAdedMo:
 
     def test_invalid_weights_rejected(self):
         spec = lookup("zdt1")
-        with pytest.raises(ConfigError):
-            run_aded_mo(spec.evaluate, spec.space(), mo_cfg(), [0.0, 0.0])
+        for weights in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+            with pytest.raises(ConfigError):
+                run_aded_mo(spec.evaluate, spec.space(), mo_cfg(), weights)
 
     def test_mo_demo_runs(self):
         spec = lookup("mo_demo")

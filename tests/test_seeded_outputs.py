@@ -202,3 +202,49 @@ def test_repeated_invocations_byte_identical():
     ]
     assert len(outputs[0].strip()) == 64
     assert outputs[0] == outputs[1]
+
+
+def _per_row(evaluate):
+    """The objective without its ``batched`` marker: the engines call it one
+    point at a time."""
+    return lambda x: evaluate(x)
+
+
+GRID_SCHEDULES = {
+    "scheduled": ScheduleParams(),
+    "fixed-explicit": ScheduleParams(mode="fixed", fixed_f=0.7, fixed_cr=0.4),
+    # the one schedule whose draw comes before the initial population in
+    # run_aded and after it in run_aded_mo
+    "fixed-drawn": ScheduleParams(mode="fixed"),
+}
+GRID_REFINEMENTS = {
+    "off": LocalSearchBudget(enabled=False),
+    "p0.3": LocalSearchBudget(max_iterations=3, probability=0.3),
+    "p1": LocalSearchBudget(max_iterations=2, probability=1.0),
+}
+GRID_DIGEST = "65c0eabd3699c1d68ee7815326f20d563c2f54ef593e3cd7566c5c1b6a0a35aa"
+
+
+def test_engine_grid_digest():
+    """One digest over small seeded runs of every engine, with batched and
+    per-row objectives, refinement off, at p = 0.3 and at p = 1, under each
+    schedule."""
+    digest = hashlib.sha256()
+    ackley, zdt1 = lookup("ackley"), lookup("zdt1")
+    for schedule in GRID_SCHEDULES.values():
+        for refinement in GRID_REFINEMENTS.values():
+            cfg = EngineConfig(population_size=8, max_generations=12, seed=11, stagnation_limit=7,
+                               schedule=schedule, local_search=refinement)
+            for batched in (True, False):
+                so = ackley.evaluate if batched else _per_row(ackley.evaluate)
+                for runner in (run_aded, run_classic_de):
+                    r = runner(so, ackley.space(2), cfg)
+                    digest.update(repr((r.best_f, r.n_evaluations, r.terminated_by)).encode())
+                    digest.update(r.best_x.tobytes() + r.best_f_history.tobytes())
+                mo = zdt1.evaluate if batched else _per_row(zdt1.evaluate)
+                r = run_aded_mo(mo, zdt1.space(3), cfg, [0.3, 0.7])
+                digest.update(repr((float(r.best_scalarized[1]), r.n_evaluations,
+                                    r.terminated_by, r.front_size_history)).encode())
+                for x, objs in r.front:
+                    digest.update(x.tobytes() + objs.tobytes())
+    assert digest.hexdigest() == GRID_DIGEST

@@ -22,7 +22,6 @@ from .core import (
 from .benchmarks import (
     BenchmarkSpec,
     CATALOG,
-    MultiObjectiveSpec,
     UnknownBenchmarkError,
     analytic_front,
     lookup,
@@ -72,8 +71,8 @@ from .stats import (
 
 __all__ = [
     "ConfigError", "DomainError", "RngStream", "SearchSpace", "ShapeError", "SpaceError",
-    "clip_to_bounds", "init_population", "BenchmarkSpec", "CATALOG", "MultiObjectiveSpec",
-    "UnknownBenchmarkError", "analytic_front", "lookup",
+    "clip_to_bounds", "init_population", "BenchmarkSpec", "CATALOG", "UnknownBenchmarkError",
+    "analytic_front", "lookup",
     "LocalSearchBudget", "ScheduleParams", "StrategyId", "adaptive_crossover_rate",
     "adaptive_mutation_rate", "crossover_binomial", "crossover_exponential",
     "finite_difference_gradient", "local_refine", "EngineConfig", "RunResult",

@@ -2,6 +2,10 @@
 demo objectives, and the ZDT/DTLZ-style multi-objective suite with analytic
 Pareto fronts.
 
+Every function is one ``BenchmarkSpec`` in one catalog; a multi-objective
+function is a spec with ``n_objectives > 1``. ``SINGLE_OBJECTIVE`` and
+``MULTI_OBJECTIVE`` are the catalog split by that count.
+
 All evaluators are pure and total on finite inputs. Where a function has
 several circulating transcriptions, the canonical form whose minimum matches
 the tabulated optimum is used (see the per-function notes).
@@ -235,16 +239,22 @@ def mo_demo(x):
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """Single-objective benchmark: evaluator, bounds, and known optimum."""
+    """Benchmark function: evaluator, bounds and width rule; the known optimum
+    and argmins of a single-objective function; the objective count and the
+    optional analytic front sampler of a multi-objective one. A ``fixed-*``
+    rule takes one coordinate per ``bounds`` pair; ``any-n`` takes
+    ``min_dim`` or more, all in the one pair, and ``default_dim`` by default."""
 
     id: str
     fn: Callable
-    dim_rule: str                 # "fixed-1d" | "fixed-2d" | "any-n"
+    dim_rule: str                 # "fixed-1d" | "fixed-2d" | "fixed-n" | "any-n"
     bounds: tuple                 # ((low, high), ...) fixed dims, or ((low, high),) template
     known_optimum: float | None = None
     argmins: tuple = ()
     min_dim: int = 1
     default_dim: int = 2
+    n_objectives: int = 1
+    front_sampler: Callable | None = None
 
     def space(self, dim: int | None = None) -> SearchSpace:
         d = self.dim if dim is None else int(dim)
@@ -272,77 +282,29 @@ class BenchmarkSpec:
     def argmin_examples(self) -> list:
         return [np.array(a, dtype=float) for a in self.argmins]
 
-    @property
-    def n_objectives(self) -> int:
-        return 1
-
     def evaluate(self, x):
-        """Value at one point ``(d,)`` as a float, or at each row of an
-        ``(m, d)`` batch as an ``(m,)`` array."""
-        return _evaluate(self, x, ())
+        """Value at one point ``(d,)`` or at each row of an ``(m, d)`` batch,
+        after checking the input, and checking that ``fn`` returned one value
+        per row. A value is a float for a single-objective function and a
+        ``(k,)`` objective vector otherwise, so a batch gives ``(m,)`` or
+        ``(m, k)``. A point is evaluated as the one-row batch ``x[None]``."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2):
+            raise ShapeError(f"expected a point (d,) or a batch (m, d), got shape {x.shape}")
+        batch = x if x.ndim == 2 else x[None]
+        if not np.isfinite(batch).all():
+            where = "" if x.ndim == 1 else f" in row {int(np.argmin(np.isfinite(batch).all(axis=1)))}"
+            raise DomainError(f"non-finite input to {self.id}{where}")
+        self._check_width(x.shape[-1])
+        values = np.asarray(self.fn(batch), dtype=float)
+        shape = batch.shape[:1] + (() if self.n_objectives == 1 else (self.n_objectives,))
+        if values.shape != shape:
+            raise ShapeError(f"{self.id} returned shape {values.shape}, expected {shape}")
+        if x.ndim == 2:
+            return values
+        return float(values[0]) if self.n_objectives == 1 else values[0]
 
     evaluate.batched = True
-
-
-@dataclass(frozen=True)
-class MultiObjectiveSpec:
-    """Multi-objective benchmark with an optional analytic front sampler.
-    ``fixed_width`` pins the number of variables to ``n_vars``; otherwise any
-    number from 2 up is accepted."""
-
-    id: str
-    fn: Callable
-    n_vars: int
-    n_objectives: int
-    bounds: tuple                 # single (low, high) applied to every variable
-    front_sampler: Callable | None = None
-    fixed_width: bool = False
-
-    def space(self, dim: int | None = None) -> SearchSpace:
-        d = self.n_vars if dim is None else int(dim)
-        self._check_width(d)
-        lo, hi = self.bounds
-        return SearchSpace.cube(lo, hi, d)
-
-    def _check_width(self, d: int) -> None:
-        """Raise ShapeError unless the function takes ``d`` variables."""
-        if self.fixed_width and d != self.n_vars:
-            raise ShapeError(f"{self.id} is fixed at {self.n_vars} variables, got {d}")
-        if d < 2:
-            raise ShapeError(f"{self.id} needs at least 2 variables, got {d}")
-
-    @property
-    def dim(self) -> int:
-        return self.n_vars
-
-    def evaluate(self, x) -> np.ndarray:
-        """Objective vector ``(k,)`` at one point ``(d,)``, or ``(m, k)`` for
-        an ``(m, d)`` batch."""
-        return _evaluate(self, x, (self.n_objectives,))
-
-    evaluate.batched = True
-
-
-def _evaluate(spec, x, value_shape: tuple):
-    """``spec.fn`` at one point ``(d,)`` or at each row of a batch ``(m, d)``,
-    after checking the input, and checking that ``fn`` returned one value of
-    shape ``value_shape`` per row. A point is evaluated as the one-row batch
-    ``x[None]``; its value is row 0, a float when ``value_shape`` is ``()``."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"expected a point (d,) or a batch (m, d), got shape {x.shape}")
-    batch = x if x.ndim == 2 else x[None]
-    if not np.isfinite(batch).all():
-        where = "" if x.ndim == 1 else f" in row {int(np.argmin(np.isfinite(batch).all(axis=1)))}"
-        raise DomainError(f"non-finite input to {spec.id}{where}")
-    spec._check_width(x.shape[-1])
-    values = np.asarray(spec.fn(batch), dtype=float)
-    shape = batch.shape[:1] + value_shape
-    if values.shape != shape:
-        raise ShapeError(f"{spec.id} returned shape {values.shape}, expected {shape}")
-    if x.ndim == 2:
-        return values
-    return values[0] if value_shape else float(values[0])
 
 
 def _zdt1_front(k: int) -> np.ndarray:
@@ -365,70 +327,67 @@ def _dltz1_front(k: int) -> np.ndarray:
 
 _HALF_PI = float(PI / 2.0)
 
-SINGLE_OBJECTIVE: dict = {}
-MULTI_OBJECTIVE: dict = {}
+_SPECS = (
+    BenchmarkSpec("sphere", sphere, "any-n", ((-10.0, 10.0),), 0.0, ((0.0, 0.0),)),
+    BenchmarkSpec("sinusoidal", sinusoidal, "fixed-2d", ((-10.0, 10.0), (-10.0, 10.0)),
+                  -2.0, ((-_HALF_PI, -_HALF_PI),)),
+    BenchmarkSpec("ackley", ackley, "any-n", ((-32.768, 32.768),), 0.0, ((0.0, 0.0),)),
+    BenchmarkSpec("bukin_n6", bukin_n6, "fixed-2d", ((-15.0, -5.0), (-3.0, 3.0)),
+                  0.0, ((-10.0, 1.0),)),
+    BenchmarkSpec("rastrigin", rastrigin, "any-n", ((-5.12, 5.12),), 0.0, ((0.0, 0.0),)),
+    BenchmarkSpec("cross_in_tray", cross_in_tray, "fixed-2d", ((-10.0, 10.0), (-10.0, 10.0)),
+                  -2.06261187082, ((1.3494066, 1.3494066), (1.3494066, -1.3494066),
+                                   (-1.3494066, 1.3494066), (-1.3494066, -1.3494066))),
+    BenchmarkSpec("levy_n13", levy_n13, "fixed-2d", ((-10.0, 10.0), (-10.0, 10.0)),
+                  0.0, ((1.0, 1.0),)),
+    BenchmarkSpec("eggholder", eggholder, "fixed-2d", ((-512.0, 512.0), (-512.0, 512.0)),
+                  -959.6407, ((512.0, 404.2319),)),
+    BenchmarkSpec("schaffer_n2", schaffer_n2, "fixed-2d", ((-100.0, 100.0), (-100.0, 100.0)),
+                  0.0, ((0.0, 0.0),)),
+    BenchmarkSpec("schwefel", schwefel, "any-n", ((-500.0, 500.0),),
+                  0.0, ((420.9687, 420.9687),)),
+    BenchmarkSpec("shubert", shubert, "fixed-2d", ((-10.0, 10.0), (-10.0, 10.0)),
+                  -186.7309, ((-1.42512843, -0.80032110),)),
+    BenchmarkSpec("drop_wave", drop_wave, "fixed-2d", ((-5.12, 5.12), (-5.12, 5.12)),
+                  -1.0, ((0.0, 0.0),)),
+    BenchmarkSpec("himmelblau", himmelblau, "fixed-2d", ((-5.0, 5.0), (-5.0, 5.0)),
+                  0.0, ((3.0, 2.0), (-2.805118086952745, 3.131312518250573),
+                        (-3.779310253377747, -3.283185991286170),
+                        (3.584428340330492, -1.848126526964404))),
+    BenchmarkSpec("booth", booth, "fixed-2d", ((-10.0, 10.0), (-10.0, 10.0)),
+                  0.0, ((1.0, 3.0),)),
+    BenchmarkSpec("matyas", matyas, "fixed-2d", ((-10.0, 10.0), (-10.0, 10.0)),
+                  0.0, ((0.0, 0.0),)),
+    BenchmarkSpec("mccormick", mccormick, "fixed-2d", ((-1.5, 4.0), (-3.0, 4.0)),
+                  -1.9133, ((-0.54719755, -1.54719755),)),
+    BenchmarkSpec("three_hump_camel", three_hump_camel, "fixed-2d", ((-5.0, 5.0), (-5.0, 5.0)),
+                  0.0, ((0.0, 0.0),)),
+    BenchmarkSpec("six_hump_camel", six_hump_camel, "fixed-2d", ((-3.0, 3.0), (-2.0, 2.0)),
+                  -1.0316, ((0.08984201, -0.71265640), (-0.08984201, 0.71265640))),
+    BenchmarkSpec("rosenbrock", rosenbrock, "any-n", ((-5.0, 10.0),),
+                  0.0, ((1.0, 1.0),), min_dim=2),
+    BenchmarkSpec("dixon_price", dixon_price, "any-n", ((-10.0, 10.0),),
+                  0.0, ((1.0, 0.7071067811865476),), min_dim=2),
+    BenchmarkSpec("beale", beale, "fixed-2d", ((-4.5, 4.5), (-4.5, 4.5)),
+                  0.0, ((3.0, 0.5),)),
+    BenchmarkSpec("goldstein_price", goldstein_price, "fixed-2d", ((-2.0, 2.0), (-2.0, 2.0)),
+                  3.0, ((0.0, -1.0),)),
+    BenchmarkSpec("forrester", forrester, "fixed-1d", ((0.0, 1.0),),
+                  -6.020740055767083, ((0.7572487578741974,),)),
+    BenchmarkSpec("devilliersglasser02", devilliersglasser02, "fixed-2d",
+                  ((1.0, 60.0), (1.0, 60.0)), 74.0, ((1.0, 1.0),)),
+    BenchmarkSpec("zdt1", zdt1, "any-n", ((0.0, 1.0),), min_dim=2, default_dim=30,
+                  n_objectives=2, front_sampler=_zdt1_front),
+    BenchmarkSpec("zdt2", zdt2, "any-n", ((0.0, 1.0),), min_dim=2, default_dim=30,
+                  n_objectives=2, front_sampler=_zdt2_front),
+    BenchmarkSpec("dltz1", dltz1, "fixed-n", ((0.0, 1.0),) * 7, n_objectives=3,
+                  front_sampler=_dltz1_front),
+    BenchmarkSpec("mo_demo", mo_demo, "any-n", ((-10.0, 10.0),), min_dim=2, n_objectives=2),
+)
 
-
-def _add(spec):
-    target = SINGLE_OBJECTIVE if isinstance(spec, BenchmarkSpec) else MULTI_OBJECTIVE
-    target[spec.id] = spec
-
-
-_add(BenchmarkSpec("sphere", sphere, "any-n", ((-10.0, 10.0),), 0.0, ((0.0, 0.0),)))
-_add(BenchmarkSpec("sinusoidal", sinusoidal, "fixed-2d", ((-10.0, 10.0), (-10.0, 10.0)),
-                   -2.0, ((-_HALF_PI, -_HALF_PI),)))
-_add(BenchmarkSpec("ackley", ackley, "any-n", ((-32.768, 32.768),), 0.0, ((0.0, 0.0),)))
-_add(BenchmarkSpec("bukin_n6", bukin_n6, "fixed-2d", ((-15.0, -5.0), (-3.0, 3.0)),
-                   0.0, ((-10.0, 1.0),)))
-_add(BenchmarkSpec("rastrigin", rastrigin, "any-n", ((-5.12, 5.12),), 0.0, ((0.0, 0.0),)))
-_add(BenchmarkSpec("cross_in_tray", cross_in_tray, "fixed-2d", ((-10.0, 10.0), (-10.0, 10.0)),
-                   -2.06261187082, ((1.3494066, 1.3494066), (1.3494066, -1.3494066),
-                                    (-1.3494066, 1.3494066), (-1.3494066, -1.3494066))))
-_add(BenchmarkSpec("levy_n13", levy_n13, "fixed-2d", ((-10.0, 10.0), (-10.0, 10.0)),
-                   0.0, ((1.0, 1.0),)))
-_add(BenchmarkSpec("eggholder", eggholder, "fixed-2d", ((-512.0, 512.0), (-512.0, 512.0)),
-                   -959.6407, ((512.0, 404.2319),)))
-_add(BenchmarkSpec("schaffer_n2", schaffer_n2, "fixed-2d", ((-100.0, 100.0), (-100.0, 100.0)),
-                   0.0, ((0.0, 0.0),)))
-_add(BenchmarkSpec("schwefel", schwefel, "any-n", ((-500.0, 500.0),),
-                   0.0, ((420.9687, 420.9687),)))
-_add(BenchmarkSpec("shubert", shubert, "fixed-2d", ((-10.0, 10.0), (-10.0, 10.0)),
-                   -186.7309, ((-1.42512843, -0.80032110),)))
-_add(BenchmarkSpec("drop_wave", drop_wave, "fixed-2d", ((-5.12, 5.12), (-5.12, 5.12)),
-                   -1.0, ((0.0, 0.0),)))
-_add(BenchmarkSpec("himmelblau", himmelblau, "fixed-2d", ((-5.0, 5.0), (-5.0, 5.0)),
-                   0.0, ((3.0, 2.0), (-2.805118086952745, 3.131312518250573),
-                         (-3.779310253377747, -3.283185991286170),
-                         (3.584428340330492, -1.848126526964404))))
-_add(BenchmarkSpec("booth", booth, "fixed-2d", ((-10.0, 10.0), (-10.0, 10.0)),
-                   0.0, ((1.0, 3.0),)))
-_add(BenchmarkSpec("matyas", matyas, "fixed-2d", ((-10.0, 10.0), (-10.0, 10.0)),
-                   0.0, ((0.0, 0.0),)))
-_add(BenchmarkSpec("mccormick", mccormick, "fixed-2d", ((-1.5, 4.0), (-3.0, 4.0)),
-                   -1.9133, ((-0.54719755, -1.54719755),)))
-_add(BenchmarkSpec("three_hump_camel", three_hump_camel, "fixed-2d", ((-5.0, 5.0), (-5.0, 5.0)),
-                   0.0, ((0.0, 0.0),)))
-_add(BenchmarkSpec("six_hump_camel", six_hump_camel, "fixed-2d", ((-3.0, 3.0), (-2.0, 2.0)),
-                   -1.0316, ((0.08984201, -0.71265640), (-0.08984201, 0.71265640))))
-_add(BenchmarkSpec("rosenbrock", rosenbrock, "any-n", ((-5.0, 10.0),),
-                   0.0, ((1.0, 1.0),), min_dim=2))
-_add(BenchmarkSpec("dixon_price", dixon_price, "any-n", ((-10.0, 10.0),),
-                   0.0, ((1.0, 0.7071067811865476),), min_dim=2))
-_add(BenchmarkSpec("beale", beale, "fixed-2d", ((-4.5, 4.5), (-4.5, 4.5)),
-                   0.0, ((3.0, 0.5),)))
-_add(BenchmarkSpec("goldstein_price", goldstein_price, "fixed-2d", ((-2.0, 2.0), (-2.0, 2.0)),
-                   3.0, ((0.0, -1.0),)))
-_add(BenchmarkSpec("forrester", forrester, "fixed-1d", ((0.0, 1.0),),
-                   -6.020740055767083, ((0.7572487578741974,),)))
-_add(BenchmarkSpec("devilliersglasser02", devilliersglasser02, "fixed-2d",
-                   ((1.0, 60.0), (1.0, 60.0)), 74.0, ((1.0, 1.0),)))
-
-_add(MultiObjectiveSpec("zdt1", zdt1, 30, 2, (0.0, 1.0), _zdt1_front))
-_add(MultiObjectiveSpec("zdt2", zdt2, 30, 2, (0.0, 1.0), _zdt2_front))
-_add(MultiObjectiveSpec("dltz1", dltz1, 7, 3, (0.0, 1.0), _dltz1_front, fixed_width=True))
-_add(MultiObjectiveSpec("mo_demo", mo_demo, 2, 2, (-10.0, 10.0), None))
-
-CATALOG: dict = {**SINGLE_OBJECTIVE, **MULTI_OBJECTIVE}
+CATALOG: dict = {spec.id: spec for spec in _SPECS}
+SINGLE_OBJECTIVE: dict = {i: spec for i, spec in CATALOG.items() if spec.n_objectives == 1}
+MULTI_OBJECTIVE: dict = {i: spec for i, spec in CATALOG.items() if spec.n_objectives > 1}
 
 # The 22-function battery: everything single-objective except the two demo objectives.
 BATTERY_IDS = tuple(i for i in SINGLE_OBJECTIVE if i not in ("sphere", "sinusoidal"))
@@ -447,7 +406,7 @@ def lookup(benchmark_id: str):
 def analytic_front(benchmark_id: str, k: int) -> np.ndarray:
     """k points on the true Pareto front, as a (k, n_objectives) array."""
     spec = lookup(benchmark_id)
-    if not isinstance(spec, MultiObjectiveSpec) or spec.front_sampler is None:
+    if spec.front_sampler is None:
         raise UnknownBenchmarkError(f"no analytic front available for {benchmark_id!r}")
     if k < 2:
         raise ShapeError("front sample needs k >= 2")

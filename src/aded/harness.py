@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics
-from .benchmarks import BenchmarkSpec, CATALOG, analytic_front, lookup
+from .benchmarks import CATALOG, analytic_front, lookup
 from .core import ConfigError, ShapeError
 from .engine import EngineConfig, run_aded, run_classic_de
 from .metrics import (
@@ -209,7 +209,9 @@ class ExperimentPlan:
             raise ConfigError("n_runs must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        for benchmark_id in self.benchmarks:
+        for i, benchmark_id in enumerate(self.benchmarks):
+            if benchmark_id in self.benchmarks[:i]:
+                raise ConfigError(f"benchmark {benchmark_id!r} is listed more than once")
             lookup(benchmark_id).space(self.dim)
         self.out_dir = Path(self.out_dir) if self.out_dir is not None else None
 
@@ -269,7 +271,7 @@ def _execute_recorded_run(benchmark_id: str, algorithm: str, cfg: EngineConfig, 
 def _seeded_runs(plan: ExperimentPlan, benchmark_id: str, weights=None) -> list:
     """``_execute_run`` arguments of the plan's runs on one benchmark, run i
     on seed base_seed + i."""
-    if plan.algorithm != "aded_mo" and not isinstance(lookup(benchmark_id), BenchmarkSpec):
+    if plan.algorithm != "aded_mo" and lookup(benchmark_id).n_objectives > 1:
         raise ConfigError(f"{benchmark_id!r} is multi-objective; use `moo` instead")
     return [(benchmark_id, plan.algorithm, replace(plan.config, seed=plan.base_seed + i),
              plan.dim, weights) for i in range(plan.n_runs)]
@@ -375,26 +377,18 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_list_benchmarks(fmt: str = "csv") -> str:
     """Catalog listing: id, kind, dimension rule, bounds, known optimum."""
     entries = []
-    for benchmark_id, spec in CATALOG.items():
-        if isinstance(spec, BenchmarkSpec):
-            space = spec.space()
-            entries.append({
-                "id": benchmark_id,
-                "kind": "single",
-                "dim_rule": spec.dim_rule,
-                "dim": spec.dim,
-                "bounds": space.as_pairs(),
-                "optimum": spec.known_optimum,
-            })
-        else:
-            entries.append({
-                "id": benchmark_id,
-                "kind": f"multi({spec.n_objectives})",
-                "dim_rule": "fixed-n" if spec.fixed_width else "any-n",
-                "dim": spec.n_vars,
-                "bounds": [spec.bounds],
-                "optimum": None,
-            })
+    for spec in CATALOG.values():
+        single = spec.n_objectives == 1
+        pairs = spec.space().as_pairs()
+        entries.append({
+            "id": spec.id,
+            "kind": "single" if single else f"multi({spec.n_objectives})",
+            "dim_rule": spec.dim_rule,
+            "dim": spec.dim,
+            # a multi-objective box is one (low, high) for every variable, listed once
+            "bounds": pairs if single else pairs[:1],
+            "optimum": spec.known_optimum,
+        })
     if fmt == "json":
         return json.dumps(entries, indent=2)
     lines = ["id,kind,dim_rule,dim,bounds,optimum"]
@@ -455,9 +449,11 @@ def cmd_compare(plan_a: ExperimentPlan, plan_b: ExperimentPlan) -> dict:
     Both arms' runs share one runner, with ``plan_a.jobs`` workers."""
     if list(plan_a.benchmarks) != list(plan_b.benchmarks):
         raise ConfigError("compared plans must share the same benchmark list")
-    results = iter(_execute_batches(
-        [_seeded_runs(plan, b) for b in plan_a.benchmarks for plan in (plan_a, plan_b)],
-        plan_a.jobs))
+    batches = [_seeded_runs(plan, b) for b in plan_a.benchmarks for plan in (plan_a, plan_b)]
+    n_runs = min(plan_a.n_runs, plan_b.n_runs)
+    if n_runs < 2:
+        raise ConfigError(f"compare needs --runs >= 2 (Welch's test), got {n_runs}")
+    results = iter(_execute_batches(batches, plan_a.jobs))
     rows = []
     per_benchmark = {}
     for benchmark_id in plan_a.benchmarks:
@@ -580,7 +576,7 @@ def cmd_moo(plan: ExperimentPlan, weights=None, reference_size: int = 1000) -> d
     batches = []
     for benchmark_id in plan.benchmarks:
         spec = lookup(benchmark_id)
-        if isinstance(spec, BenchmarkSpec):
+        if spec.n_objectives == 1:
             raise ConfigError(f"{benchmark_id!r} is single-objective; use `run` instead")
         w = np.asarray(weights, dtype=float) if weights is not None else (
             np.full(spec.n_objectives, 1.0 / spec.n_objectives))

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from aded.benchmarks import (
     SINGLE_OBJECTIVE,
     UnknownBenchmarkError,
 )
+from aded.harness import cmd_list_benchmarks
 from aded.moo import pareto_dominates
+
+# test_catalog_digest, recorded before single- and multi-objective functions
+# shared one spec class
+CATALOG_DIGEST = "e2aef3a1d5239000cd941a1370db78210781bb81e179ec8cf7a6a26024433ada"
 
 
 def grid_min(spec, points_per_axis=101):
@@ -60,6 +66,32 @@ class TestCatalog:
         for benchmark_id, spec in SINGLE_OBJECTIVE.items():
             observed = grid_min(spec)
             assert observed >= spec.known_optimum - 1e-6, benchmark_id
+
+    def test_catalog_digest(self):
+        """One sha256 over what the catalog says about each function: the
+        listing's kind, dim_rule, default dim and optimum, the argmins, the
+        box at the default dim and at each dim 1-8 (or the error a refused
+        dim raises), and the analytic front at k = 7 (or its error)."""
+        listing = {e["id"]: e for e in json.loads(cmd_list_benchmarks("json"))}
+        digest = hashlib.sha256()
+        for benchmark_id, spec in CATALOG.items():
+            e = listing[benchmark_id]
+            digest.update(repr((benchmark_id, e["kind"], e["dim_rule"], e["dim"],
+                                e["optimum"])).encode())
+            for argmin in getattr(spec, "argmin_examples", []):
+                digest.update(argmin.tobytes())
+            for dim in (None, *range(1, 9)):
+                try:
+                    space = spec.space(dim)
+                except Exception as exc:
+                    digest.update(f"{dim}:{type(exc).__name__}".encode())
+                else:
+                    digest.update(space.lows.tobytes() + space.highs.tobytes())
+            try:
+                digest.update(analytic_front(benchmark_id, 7).tobytes())
+            except Exception as exc:
+                digest.update(type(exc).__name__.encode())
+        assert digest.hexdigest() == CATALOG_DIGEST
 
 
 class TestPointValues:

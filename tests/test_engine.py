@@ -61,11 +61,9 @@ class TestDynamicNeighborhood:
             assert 3 not in dynamic_neighborhood(3, 8, 4, rng)
 
     def test_uniform_selection_frequency(self):
-        n, k, draws = 6, 2, 100000
-        rng = RngStream(17)
-        counts = np.zeros(n)
-        for _ in range(draws):
-            counts[dynamic_neighborhood(0, n, k, rng)] += 1
+        n, k, draws = 6, 2, 100_000
+        rows = dynamic_neighborhood(np.zeros(draws, np.intp), n, k, RngStream(17))
+        counts = np.bincount(rows.ravel(), minlength=n)
         p = k / (n - 1)
         sigma = np.sqrt(p * (1 - p) / draws)
         for j in range(1, n):

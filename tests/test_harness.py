@@ -388,7 +388,7 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,benchmarks,error", [
-        ("moo", "zdt1,dltz1", "dltz1 is fixed at 7 variables, got 5"),
+        ("moo", "zdt1,dltz1", "dltz1 is fixed at 7 dimensions, got 5"),
         ("run", "sphere,booth", "booth is fixed at 2 dimensions, got 5"),
     ])
     def test_dim_a_benchmark_does_not_take_exit_two_before_any_run(
@@ -410,8 +410,12 @@ class TestCli:
         (["run", "--benchmark", "zdt1"], "'zdt1' is multi-objective; use `moo` instead"),
         (["compare", "--benchmark", "zdt1"], "'zdt1' is multi-objective; use `moo` instead"),
         (["tournament", "--benchmark", "zdt1"], "'zdt1' is multi-objective; use `moo` instead"),
+        (["compare", "--benchmark", "sphere"], "compare needs --runs >= 2"),
+        (["run", "--benchmark", "sphere,booth,sphere"],
+         "benchmark 'sphere' is listed more than once"),
     ], ids=["moo-nan-weight", "fixed-f-negative", "fixed-f-nan", "fixed-cr-above-one",
-            "stagnation-tol-nan", "run-zdt1", "compare-zdt1", "tournament-zdt1"])
+            "stagnation-tol-nan", "run-zdt1", "compare-zdt1", "tournament-zdt1",
+            "compare-one-run", "repeated-benchmark"])
     def test_config_error_exit_two_before_any_run(self, argv, error, tmp_path, capsys,
                                                   monkeypatch):
         self.check_exit_two_before_any_run(argv, error, tmp_path, capsys, monkeypatch)
@@ -489,7 +493,8 @@ class TestCli:
         def boom(x):
             raise ValueError("boom")
 
-        broken = benchmarks.MultiObjectiveSpec("broken_mo", boom, 2, 2, (0.0, 1.0))
+        broken = benchmarks.BenchmarkSpec("broken_mo", boom, "any-n", ((0.0, 1.0),),
+                                          min_dim=2, n_objectives=2)
         monkeypatch.setitem(benchmarks.CATALOG, "broken_mo", broken)
         code = main(["moo", "--benchmark", "broken_mo", "--pop", "8", "--gens", "2",
                      "--runs", "1", "--out", str(tmp_path)])
@@ -506,7 +511,8 @@ class TestCli:
         def boom(x):
             raise ValueError("boom")
 
-        broken = benchmarks.MultiObjectiveSpec("broken_mo", boom, 2, 2, (0.0, 1.0))
+        broken = benchmarks.BenchmarkSpec("broken_mo", boom, "any-n", ((0.0, 1.0),),
+                                          min_dim=2, n_objectives=2)
         monkeypatch.setitem(benchmarks.CATALOG, "broken_mo", broken)
         code = main(["moo", "--benchmark", "broken_mo", "--pop", "8", "--gens", "2",
                      "--runs", "2", "--jobs", "2", "--out", str(tmp_path)])

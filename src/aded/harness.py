@@ -375,18 +375,17 @@ def _write_json(path: Path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_list_benchmarks(fmt: str = "csv") -> str:
-    """Catalog listing: id, kind, dimension rule, bounds, known optimum."""
+    """Catalog listing: id, kind, dimension rule, default dim, bounds, known
+    optimum. The bounds are the box at the default dim, one (low, high) pair
+    per coordinate, for every function."""
     entries = []
     for spec in CATALOG.values():
-        single = spec.n_objectives == 1
-        pairs = spec.space().as_pairs()
         entries.append({
             "id": spec.id,
-            "kind": "single" if single else f"multi({spec.n_objectives})",
+            "kind": "single" if spec.n_objectives == 1 else f"multi({spec.n_objectives})",
             "dim_rule": spec.dim_rule,
             "dim": spec.dim,
-            # a multi-objective box is one (low, high) for every variable, listed once
-            "bounds": pairs if single else pairs[:1],
+            "bounds": spec.space().as_pairs(),
             "optimum": spec.known_optimum,
         })
     if fmt == "json":
@@ -617,8 +616,8 @@ def cmd_moo(plan: ExperimentPlan, weights=None, reference_size: int = 1000) -> d
                 for x, objs in result.front:
                     front_rows.append(
                         [benchmark_id, run_idx, entry["seed"],
-                         ";".join(repr(float(v)) for v in x)]
-                        + [float(v) for v in objs]
+                         ";".join(map(repr, x.tolist()))]
+                        + objs.tolist()
                     )
                 metric_rows.append([
                     benchmark_id, run_idx, entry["seed"], entry.get("gd"),

@@ -51,7 +51,23 @@ def fdc(population, fitnesses, reference) -> float:
 
 # Elements in one block of pairwise differences (8 bytes each: 256 KB, which
 # measured faster than 1 MB blocks and keeps the temporaries out of peak RSS).
-_DIVERSITY_BLOCK = 1 << 15
+_DISTANCE_BLOCK = 1 << 15
+
+
+def _squared_distances(p, q) -> np.ndarray:
+    """Squared Euclidean distances from each row of ``p`` (r, d) to each row
+    of ``q`` (m, d), as an (r, m) array, with the bits of
+    ``np.add.reduce(diff * diff, axis=-1)`` over the row differences. NumPy
+    adds fewer than 8 terms left to right; so does this, a coordinate at a
+    time, which is much faster than its reduction over a short last axis."""
+    if p.shape[1] >= 8:
+        diff = p[:, None, :] - q[None, :, :]
+        return np.add.reduce(diff * diff, axis=-1)
+    sq = 0.0
+    for pc, qc in zip(p.T, q.T):
+        diff = pc[:, None] - qc[None, :]
+        sq = sq + diff * diff
+    return sq
 
 
 def diversity(population, space: SearchSpace) -> float:
@@ -65,23 +81,11 @@ def diversity(population, space: SearchSpace) -> float:
     n, d = x.shape
     if n < 2:
         raise UndefinedMetricError("diversity needs at least 2 members")
-    rows = max(1, _DIVERSITY_BLOCK // (n * d))
-    columns = np.ascontiguousarray(x.T)
+    rows = max(1, _DISTANCE_BLOCK // (n * d))
     total = 0.0
     for a in range(0, n - 1, rows):
-        # squared distances of members a + i and a + 1 + j
-        if d < 8:
-            # NumPy adds fewer than 8 terms left to right; so does this, a
-            # coordinate at a time, which is much faster than its reduction
-            # over a short last axis
-            sq = 0.0
-            for c in columns:
-                diff = c[a:a + rows, None] - c[None, a + 1:]
-                sq = sq + diff * diff
-        else:
-            diff = x[a:a + rows, None, :] - x[None, a + 1:, :]
-            sq = np.add.reduce(diff * diff, axis=-1)
-        dist = np.sqrt(sq)
+        # distances of members a + i and a + 1 + j
+        dist = np.sqrt(_squared_distances(x[a:a + rows], x[a + 1:]))
         for i in range(dist.shape[0]):
             total += float(np.add.reduce(dist[i, i:]))
     mean_pairwise = total / (n * (n - 1) / 2)
@@ -182,10 +186,16 @@ class FrontPair:
 
 def generational_distance(pair: FrontPair) -> float:
     """Root-mean-square distance from each reference point to its nearest
-    obtained point."""
-    sq = np.empty(pair.reference.shape[0])
-    for idx, p in enumerate(pair.reference):
-        sq[idx] = np.min(np.sum((pair.obtained - p) ** 2, axis=1))
+    obtained point. Distances are computed a block of reference points at a
+    time against the whole obtained front, one objective at a time (see
+    ``_squared_distances``), with the bits of a per-point
+    ``np.sum((obtained - p) ** 2, axis=1)``."""
+    obtained, reference = pair.obtained, pair.reference
+    rows = max(1, _DISTANCE_BLOCK // obtained.size)
+    sq = np.concatenate([
+        _squared_distances(reference[a:a + rows], obtained).min(axis=1)
+        for a in range(0, reference.shape[0], rows)
+    ])
     return float(np.sqrt(sq.mean()))
 
 

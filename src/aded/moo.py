@@ -1,6 +1,12 @@
 """Multi-objective optimization: Pareto-dominance primitives, weighted
 scalarization, non-dominated filtering, and the multi-objective engine: the
 adaptive engine's generation loop with dominance-gated admission.
+
+Objective vectors are compared one objective at a time: one elementwise
+comparison per objective, joined with ``&`` and ``|``. An ``all``/``any``
+reduction over a last axis of two or three objectives costs over ten times
+as much as those comparisons, and the engine makes such comparisons between
+every pair of trials, and between trials and archive, in each generation.
 """
 
 from __future__ import annotations
@@ -20,8 +26,24 @@ _PULL = StrategyId("adedneighbors", "bin")
 
 def _dominates(a, b):
     """Pareto dominance (minimization) over the last axis, broadcasting over
-    the leading ones: no worse everywhere and strictly better somewhere."""
-    return np.all(a <= b, axis=-1) & np.any(a < b, axis=-1)
+    the leading ones: no worse everywhere and strictly better somewhere.
+    Built one objective at a time, with the booleans of ``np.all(a <= b, -1)
+    & np.any(a < b, -1)`` and without their slow short-axis reductions."""
+    no_worse = a[..., 0] <= b[..., 0]
+    better = a[..., 0] < b[..., 0]
+    for j in range(1, a.shape[-1]):
+        no_worse &= a[..., j] <= b[..., j]
+        better |= a[..., j] < b[..., j]
+    return no_worse & better
+
+
+def _equal(a, b):
+    """Objective vectors equal in every objective, broadcasting like
+    ``_dominates``: ``np.all(a == b, -1)`` one objective at a time."""
+    same = a[..., 0] == b[..., 0]
+    for j in range(1, a.shape[-1]):
+        same &= a[..., j] == b[..., j]
+    return same
 
 
 def pareto_dominates(a, b) -> bool:
@@ -31,6 +53,8 @@ def pareto_dominates(a, b) -> bool:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ShapeError(f"objective vectors differ in shape: {a.shape} vs {b.shape}")
+    if a.ndim != 1 or a.size == 0:
+        raise ShapeError(f"expected non-empty objective vectors (k,), got shape {a.shape}")
     return bool(_dominates(a, b))
 
 
@@ -96,8 +120,25 @@ def _archive_add(arch_x, arch_obj, new_x, new_obj):
     beaten = _dominates(new_obj[:, None], objs).any(axis=0)
     beaten[m:] |= _dominates(arch_obj[:, None], new_obj).any(axis=0)
     # new point j is row m + j: a repeat of any earlier row is dropped
-    beaten[m:] |= np.tril(np.all(new_obj[:, None] == objs, axis=-1), m - 1).any(axis=1)
+    beaten[m:] |= np.tril(_equal(new_obj[:, None], objs), m - 1).any(axis=1)
     return np.concatenate([arch_x, new_x])[~beaten], objs[~beaten]
+
+
+def _best_so_far(best, objs):
+    """The best objective vector after scanning the rows of ``objs`` in order:
+    a row replaces the best when it dominates it, and the first row replaces
+    None. Each link of that chain is the first row after the current best's
+    (from the start, for a given best) that dominates it: one dominance call
+    per link instead of one per row."""
+    i = -1
+    if best is None:
+        best, i = objs[0], 0
+    while True:
+        hits = np.flatnonzero(_dominates(objs[i + 1:], best))
+        if hits.size == 0:
+            return best
+        i += 1 + int(hits[0])
+        best = objs[i]
 
 
 def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> MoResult:
@@ -138,9 +179,7 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
         if arch_obj is None:                   # the objective count is known now
             arch_x, arch_obj = trials[:0], trial_objs[:0]
         arch_x, arch_obj = _archive_add(arch_x, arch_obj, trials[admitted], trial_objs[admitted])
-        for objs in trial_objs:
-            if best_obj is None or _dominates(objs, best_obj):
-                best_obj = objs
+        best_obj = _best_so_far(best_obj, trial_objs)
         front_size_hist.append(len(arch_obj))
         x = trials[admitted]
         if len(x) < n:

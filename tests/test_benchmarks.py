@@ -23,17 +23,13 @@ CATALOG_DIGEST = "e2aef3a1d5239000cd941a1370db78210781bb81e179ec8cf7a6a26024433a
 
 
 def grid_min(spec, points_per_axis=101):
-    """Brute-force oracle: exhaustive scan over an axis-aligned grid."""
+    """Brute-force oracle: exhaustive scan over an axis-aligned grid, as one
+    batch (a row has the same value alone and in any batch)."""
     space = spec.space()
+    assert space.dim in (1, 2)
     axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in space.as_pairs()]
-    if space.dim == 1:
-        return min(spec.evaluate([v]) for v in axes[0])
-    assert space.dim == 2
-    best = np.inf
-    for a in axes[0]:
-        for b in axes[1]:
-            best = min(best, spec.evaluate([a, b]))
-    return best
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, space.dim)
+    return float(spec.evaluate(grid).min())
 
 
 class TestCatalog:

@@ -165,6 +165,19 @@ class TestListBenchmarks:
         rules = {e["id"]: e["dim_rule"] for e in entries if e["kind"].startswith("multi")}
         assert rules == {"zdt1": "any-n", "zdt2": "any-n", "dltz1": "fixed-n", "mo_demo": "any-n"}
 
+    def test_bounds_are_the_default_box_for_every_kind(self):
+        """One pair per coordinate at the default dim, single- and
+        multi-objective alike."""
+        entries = {e["id"]: e for e in json.loads(cmd_list_benchmarks("json"))}
+        for e in entries.values():
+            assert len(e["bounds"]) == e["dim"], e["id"]
+        assert entries["sphere"]["bounds"] == [[-10.0, 10.0]] * 2
+        assert entries["mo_demo"]["bounds"] == [[-10.0, 10.0]] * 2
+        assert entries["zdt1"]["bounds"] == [[0.0, 1.0]] * 30
+        assert entries["bukin_n6"]["bounds"] == [[-15.0, -5.0], [-3.0, 3.0]]
+        csv_rows = {line.split(",")[0]: line for line in cmd_list_benchmarks().splitlines()}
+        assert csv_rows["mo_demo"] == "mo_demo,multi(2),any-n,2,[-10.0,10.0];[-10.0,10.0],"
+
 
 class TestCmdRun:
     def test_artifacts_and_row_counts(self, tmp_path):

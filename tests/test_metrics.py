@@ -9,6 +9,7 @@ from aded import (
     SearchSpace,
     ShapeError,
     UndefinedMetricError,
+    analytic_front,
     aov,
     convergence_rate,
     convergence_speed,
@@ -109,7 +110,7 @@ class TestDiversity:
         """Same value, to the bit, as summing np.linalg.norm over the members
         after each member in turn, whatever the block size."""
         if block is not None:
-            monkeypatch.setattr(metrics, "_DIVERSITY_BLOCK", block)
+            monkeypatch.setattr(metrics, "_DISTANCE_BLOCK", block)
         rng = np.random.default_rng(n * d)
         space = SearchSpace.cube(-3.0, 4.0, d)
         x = rng.uniform(-3, 4, size=(n, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
@@ -254,6 +255,44 @@ class TestGenerationalDistance:
         base = generational_distance(FrontPair(obtained, reference))
         scaled = generational_distance(FrontPair(3.0 * obtained, 3.0 * reference))
         assert scaled == pytest.approx(3.0 * base, rel=1e-12)
+
+
+def looped_gd(obtained, reference):
+    """The per-reference-point loop that ``generational_distance`` replaces."""
+    sq = np.empty(reference.shape[0])
+    for idx, p in enumerate(reference):
+        sq[idx] = np.min(np.sum((obtained - p) ** 2, axis=1))
+    return float(np.sqrt(sq.mean()))
+
+
+class TestGenerationalDistanceBits:
+    @pytest.mark.parametrize("benchmark_id", ["zdt1", "dltz1"])
+    @pytest.mark.parametrize("n_obtained", [1, 40, 500])
+    def test_bit_identical_to_per_point_loop(self, benchmark_id, n_obtained):
+        """Same bits as the per-point loop, on fronts of k = 2 and 3; the
+        1,000 reference points are one block at n_obtained 1 and several at
+        40 and 500."""
+        reference = analytic_front(benchmark_id, 1000)
+        rng = np.random.default_rng(n_obtained)
+        obtained = reference[rng.choice(len(reference), n_obtained)] \
+            + rng.uniform(0.0, 0.2, size=(n_obtained, reference.shape[1]))
+        pair = FrontPair(obtained, reference)
+        assert repr(generational_distance(pair)) == repr(looped_gd(obtained, reference))
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 9])
+    @pytest.mark.parametrize("block", [None, 64])
+    def test_bit_identical_at_any_block_and_width(self, k, block, monkeypatch):
+        """Same bits as the per-point loop on either side of 8 objectives,
+        where NumPy's sum stops adding left to right; one last-bit change in
+        a distance often vanishes in the mean, hence many fronts."""
+        if block is not None:
+            monkeypatch.setattr(metrics, "_DISTANCE_BLOCK", block)
+        rng = np.random.default_rng(k)
+        for _ in range(30):
+            obtained = rng.uniform(0, 1, size=(23, k)) * rng.choice([1e-3, 1.0, 1e3], size=(23, 1))
+            reference = rng.uniform(0, 1, size=(37, k))
+            pair = FrontPair(obtained, reference)
+            assert repr(generational_distance(pair)) == repr(looped_gd(obtained, reference))
 
 
 class TestSpread:

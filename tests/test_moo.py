@@ -18,7 +18,7 @@ from aded import (
 )
 from aded import moo
 from aded.benchmarks import lookup
-from aded.moo import _admit, _archive_add
+from aded.moo import _admit, _archive_add, _best_so_far, _dominates, _equal
 
 objective_vectors = st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=2)
 
@@ -40,6 +40,8 @@ class TestParetoDominates:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             pareto_dominates([1.0], [1.0, 2.0])
+        with pytest.raises(ShapeError):
+            pareto_dominates([], [])
 
     @given(objective_vectors)
     @settings(max_examples=60)
@@ -57,6 +59,63 @@ class TestParetoDominates:
     def test_transitive(self, a, b, c):
         if pareto_dominates(a, b) and pareto_dominates(b, c):
             assert pareto_dominates(a, c)
+
+
+def reduced_dominates(a, b):
+    """The short-axis reduction form that ``_dominates`` replaces."""
+    return np.all(a <= b, axis=-1) & np.any(a < b, axis=-1)
+
+
+def looped_best(best, trial_objs):
+    """The per-trial best-so-far loop that ``_best_so_far`` replaces."""
+    for objs in trial_objs:
+        if best is None or reduced_dominates(objs, best):
+            best = objs
+    return best
+
+
+class TestOneObjectiveAtATime:
+    """Each one-objective-at-a-time form against the form it replaces;
+    small integer objectives make ties and repeats common."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_dominates_equals_reductions_on_pairs(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(300):
+            a, b = rng.integers(0, 3, size=(2, k)).astype(float)
+            assert _dominates(a, b) == reduced_dominates(a, b)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_dominates_equals_reductions_on_broadcast(self, k):
+        rng = np.random.default_rng(10 + k)
+        for m, n in ((1, 1), (7, 5), (40, 60)):
+            a = rng.integers(0, 3, size=(m, k)).astype(float)
+            b = rng.integers(0, 3, size=(n, k)).astype(float)
+            got = _dominates(a[:, None], b)
+            assert got.shape == (m, n)
+            assert got.tolist() == reduced_dominates(a[:, None], b).tolist()
+            assert _equal(a[:, None], b).tolist() == np.all(a[:, None] == b, axis=-1).tolist()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_best_so_far_equals_per_trial_loop(self, k, monkeypatch):
+        """Same vector as the per-trial loop, from None and from a given best,
+        with one dominance call per link: at most one per row, plus one."""
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            assert calls <= len(objs) + 1, "the chain does not advance"
+            return _dominates(a, b)
+
+        monkeypatch.setattr(moo, "_dominates", counted)
+        rng = np.random.default_rng(20 + k)
+        for _ in range(200):
+            objs = rng.integers(0, 4, size=(int(rng.integers(1, 30)), k)).astype(float)
+            given = rng.integers(0, 4, size=k).astype(float)
+            for best in (None, given):
+                calls = 0
+                assert _best_so_far(best, objs).tolist() == looped_best(best, objs).tolist()
 
 
 class TestScalarize:

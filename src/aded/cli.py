@@ -16,8 +16,9 @@ from .harness import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
-    OPTION_KEYS,
+    OPTIONS,
     _given,
+    benchmark_list,
     build_plan,
     cmd_compare,
     cmd_list_benchmarks,
@@ -32,29 +33,12 @@ _CONFIG_ERRORS = (ConfigError, SpaceError, ShapeError, UnknownBenchmarkError, Va
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--benchmark", help="benchmark id, or a comma-separated list")
+    """--preset, --config and a string flag per option but ``algorithm``."""
     parser.add_argument("--preset", help="named preset to start from")
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--pop", type=int, help="population size")
-    parser.add_argument("--gens", type=int, help="maximum generations")
-    parser.add_argument("--runs", type=int, help="number of seeded runs")
-    parser.add_argument("--seed", type=int, help="base seed (run i uses seed + i)")
-    parser.add_argument("--strategy", help="strategy id, e.g. rand1bin, best1exp, adedrandbin")
-    parser.add_argument("--neighborhood", choices=["dynamic", "all"])
-    parser.add_argument("--neighborhood-size", type=int, dest="neighborhood_size")
-    parser.add_argument("--local-search", choices=["on", "off"], dest="local_search")
-    parser.add_argument("--ls-iterations", type=int, dest="ls_iterations")
-    parser.add_argument("--ls-probability", type=float, dest="ls_probability")
-    parser.add_argument("--stagnation-limit", type=int, dest="stagnation_limit")
-    parser.add_argument("--stagnation-tol", type=float, dest="stagnation_tol")
-    parser.add_argument("--mode", choices=["scheduled", "fixed"], help="F/CR treatment")
-    parser.add_argument("--f0", type=float, help="initial mutation factor")
-    parser.add_argument("--cr0", type=float, help="initial crossover rate")
-    parser.add_argument("--fixed-f", type=float, dest="fixed_f")
-    parser.add_argument("--fixed-cr", type=float, dest="fixed_cr")
-    parser.add_argument("--dim", type=int, help="dimensionality for any-n benchmarks")
-    parser.add_argument("--jobs", type=int, help="worker processes for the command's runs")
-    parser.add_argument("--out", help="output directory (default: $ADED_OUT or ./aded-out)")
+    for key, (_, help_text, _) in OPTIONS.items():
+        if key != "algorithm":
+            parser.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
 
 
 # The only options `tournament` uses; any other is refused, not ignored.
@@ -62,7 +46,7 @@ _TOURNAMENT_KEYS = ("benchmark", "runs", "pop", "gens", "seed", "jobs", "out")
 
 
 def _options_from_args(args) -> dict:
-    overrides = {k: getattr(args, k, None) for k in OPTION_KEYS}
+    overrides = {k: getattr(args, k, None) for k in OPTIONS}
     return resolve_options(
         preset=getattr(args, "preset", None),
         config_file=getattr(args, "config", None),
@@ -82,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="seeded batch of optimizer runs")
     _add_common_options(p_run)
-    p_run.add_argument("--algorithm", choices=["aded", "classic_de"], default=None)
+    p_run.add_argument("--algorithm", choices=["aded", "classic_de"], help=OPTIONS["algorithm"][1])
 
     p_cmp = sub.add_parser("compare", help="adaptive engine vs classic DE on shared benchmarks")
     _add_common_options(p_cmp)
@@ -137,9 +121,8 @@ def _dispatch(args) -> int:
             )
         kwargs = _given(options, {"runs": "n_runs", "pop": "pop", "gens": "gens",
                                   "seed": "base_seed", "jobs": "jobs"})
-        if options.get("benchmark"):
-            kwargs["benchmarks"] = [b.strip() for b in str(options["benchmark"]).split(",")
-                                    if b.strip()]
+        if "benchmark" in options:
+            kwargs["benchmarks"] = benchmark_list(options["benchmark"])
         out = resolve_out_dir(options)
         report = cmd_tournament(out_dir=out, **kwargs)
         for row in report["table"]:

@@ -101,34 +101,39 @@ EXIT_RUNTIME = 3
 # Option resolution
 # ---------------------------------------------------------------------------
 
-# Every option a preset, a config file or the command line can set; a config
-# file may also name a ``preset``.
-OPTION_KEYS = (
-    "benchmark", "algorithm", "pop", "gens", "runs", "seed", "strategy", "neighborhood",
-    "neighborhood_size", "local_search", "ls_iterations", "ls_probability", "ls_step",
-    "stagnation_limit", "stagnation_tol", "mode", "f0", "cr0", "fixed_f", "fixed_cr", "dim",
-    "jobs", "out",
-)
-
-_INT_KEYS = {"pop", "gens", "runs", "seed", "neighborhood_size", "ls_iterations",
-             "stagnation_limit", "dim", "jobs"}
-_FLOAT_KEYS = {"f0", "cr0", "fixed_f", "fixed_cr", "ls_probability", "stagnation_tol",
-               "ls_step"}
-
-
-def _coerce(key: str, value):
-    if value is None:
-        return None
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return str(value)
+# Every option a preset, a config file or a flag can set (a file may also name
+# a ``preset``): its type, its flag's help, and the EngineConfig field it sets,
+# or None for a key the command reads itself. The field's type checks a value.
+OPTIONS = {
+    "benchmark": (str, "benchmark id, or a comma-separated list", None),
+    "algorithm": (str, "single-objective engine", None),
+    "pop": (int, "population size", "population_size"),
+    "gens": (int, "maximum generations", "max_generations"),
+    "runs": (int, "number of seeded runs", None),
+    "seed": (int, "base seed (run i uses seed + i)", "seed"),
+    "strategy": (str, "strategy id, e.g. rand1bin, best1exp, adedrandbin", "strategy"),
+    "neighborhood": (str, "'dynamic' or 'all'", "neighborhood"),
+    "neighborhood_size": (int, "neighbors drawn per individual", "neighborhood_size"),
+    "local_search": (str, "'on' or 'off'", "local_search.enabled"),
+    "ls_iterations": (int, "refinement steps per trial", "local_search.max_iterations"),
+    "ls_probability": (float, "chance that a trial is refined", "local_search.probability"),
+    "ls_step": (float, "relative gradient step", "local_search.gradient_step"),
+    "stagnation_limit": (int, "generations without change to stop", "stagnation_limit"),
+    "stagnation_tol": (float, "change in best that counts as none", "stagnation_tol"),
+    "mode": (str, "F/CR treatment: 'scheduled' or 'fixed'", "schedule.mode"),
+    "f0": (float, "initial mutation factor", "schedule.initial_f"),
+    "cr0": (float, "initial crossover rate", "schedule.initial_cr"),
+    "fixed_f": (float, "mutation factor in fixed mode", "schedule.fixed_f"),
+    "fixed_cr": (float, "crossover rate in fixed mode", "schedule.fixed_cr"),
+    "dim": (int, "dimensionality for any-n benchmarks", None),
+    "jobs": (int, "worker processes for the command's runs", None),
+    "out": (str, "output directory (default: $ADED_OUT or ./aded-out)", None),
+}
 
 
 def load_config_file(path) -> dict:
     """Flat ``key = value`` config file; a ``preset`` key inherits that preset.
-    A key outside OPTION_KEYS and ``preset`` is an error."""
+    A key outside OPTIONS and ``preset`` is an error."""
     options: dict = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -139,26 +144,32 @@ def load_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in OPTION_KEYS and key != "preset":
+        if key not in OPTIONS and key != "preset":
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         options[key] = value
     return options
 
 
 def resolve_options(preset: str | None = None, config_file=None, overrides: dict | None = None) -> dict:
-    """Merge preset < config file < explicit overrides into one option dict."""
+    """Merge preset < config file < explicit overrides into one option dict,
+    each value read as its option's type."""
     merged: dict = {}
     file_options = load_config_file(config_file) if config_file else {}
-    preset = preset or file_options.pop("preset", None)
+    file_preset = file_options.pop("preset", None)
+    preset = preset or file_preset
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; available: {', '.join(PRESETS)}")
         merged.update(PRESETS[preset])
     merged.update(file_options)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-    return {k: _coerce(k, v) for k, v in merged.items()}
+    merged.update((key, value) for key, value in (overrides or {}).items() if value is not None)
+    for key, value in merged.items():
+        kind = OPTIONS[key][0]
+        try:
+            merged[key] = kind(value)
+        except ValueError:
+            raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
+    return merged
 
 
 def _given(options: dict, names: dict) -> dict:
@@ -168,24 +179,22 @@ def _given(options: dict, names: dict) -> dict:
 
 
 def build_engine_config(options: dict) -> EngineConfig:
-    schedule = _given(options, {"f0": "initial_f", "cr0": "initial_cr", "mode": "mode",
-                                "fixed_f": "fixed_f", "fixed_cr": "fixed_cr"})
-    budget = _given(options, {"ls_iterations": "max_iterations", "ls_step": "gradient_step",
-                              "ls_probability": "probability"})
-    if "local_search" in options:
-        if options["local_search"] not in ("on", "off"):
-            raise ConfigError(
-                f"local_search must be 'on' or 'off', got {options['local_search']!r}")
-        budget["enabled"] = options["local_search"] == "on"
-    engine = _given(options, {"pop": "population_size", "gens": "max_generations",
-                              "neighborhood": "neighborhood",
-                              "neighborhood_size": "neighborhood_size",
-                              "stagnation_limit": "stagnation_limit",
-                              "stagnation_tol": "stagnation_tol", "seed": "seed"})
-    if "strategy" in options:
-        engine["strategy"] = StrategyId.parse(options["strategy"])
-    return EngineConfig(schedule=ScheduleParams(**schedule),
-                        local_search=LocalSearchBudget(**budget), **engine)
+    """The config the options set; a field no option sets keeps its default."""
+    kwargs = {"schedule": {}, "local_search": {}, "": {}}
+    for key, (_, _, path) in OPTIONS.items():
+        if path is None or key not in options:
+            continue
+        value = options[key]
+        if key == "local_search":
+            if value not in ("on", "off"):
+                raise ConfigError(f"local_search must be 'on' or 'off', got {value!r}")
+            value = value == "on"
+        elif key == "strategy":
+            value = StrategyId.parse(value)
+        part, _, name = path.rpartition(".")
+        kwargs[part][name] = value
+    return EngineConfig(schedule=ScheduleParams(**kwargs["schedule"]),
+                        local_search=LocalSearchBudget(**kwargs["local_search"]), **kwargs[""])
 
 
 @dataclass
@@ -221,13 +230,17 @@ def resolve_out_dir(options: dict) -> str:
     return options.get("out") or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR
 
 
-def build_plan(options: dict) -> ExperimentPlan:
-    benchmark = options.get("benchmark")
-    if not benchmark:
+def benchmark_list(value) -> list:
+    """The ids in a comma-separated ``benchmark`` option; none is an error."""
+    benchmarks = [b.strip() for b in str(value or "").split(",") if b.strip()]
+    if not benchmarks:
         raise ConfigError("no benchmark selected (use --benchmark or a preset)")
-    benchmarks = [b.strip() for b in str(benchmark).split(",") if b.strip()]
+    return benchmarks
+
+
+def build_plan(options: dict) -> ExperimentPlan:
     return ExperimentPlan(
-        benchmarks=benchmarks,
+        benchmarks=benchmark_list(options.get("benchmark")),
         config=build_engine_config(options),
         out_dir=resolve_out_dir(options),
         **_given(options, {"algorithm": "algorithm", "runs": "n_runs", "seed": "base_seed",
@@ -316,6 +329,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _vector_cell(x) -> str:
+    """A decision vector as one CSV cell: its coordinates' reprs joined by ';'."""
+    return ";".join(map(repr, np.asarray(x, dtype=float).tolist()))
+
+
 def _write_csv(path: Path, header: list, rows: list) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
@@ -347,7 +365,7 @@ def write_summary_csv(path: Path, batches: dict) -> None:
             rows.append([
                 benchmark_id, run_idx, r.seed, float(r.best_f), r.n_evaluations,
                 r.generations_executed, r.terminated_by,
-                ";".join(repr(float(v)) for v in r.best_x),
+                _vector_cell(r.best_x),
             ])
     _write_csv(path, ["benchmark", "run", "seed", "best_f", "n_evaluations",
                       "generations", "terminated_by", "best_x"], rows)
@@ -614,11 +632,8 @@ def cmd_moo(plan: ExperimentPlan, weights=None, reference_size: int = 1000) -> d
         for benchmark_id, runs in all_results.items():
             for run_idx, (result, entry) in enumerate(runs):
                 for x, objs in result.front:
-                    front_rows.append(
-                        [benchmark_id, run_idx, entry["seed"],
-                         ";".join(map(repr, x.tolist()))]
-                        + objs.tolist()
-                    )
+                    front_rows.append([benchmark_id, run_idx, entry["seed"], _vector_cell(x)]
+                                      + objs.tolist())
                 metric_rows.append([
                     benchmark_id, run_idx, entry["seed"], entry.get("gd"),
                     entry.get("spread"), entry["front_size"], entry["n_evaluations"],

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -10,6 +11,7 @@ from aded import ConfigError, EngineConfig, harness
 from aded.benchmarks import BATTERY_IDS, UnknownBenchmarkError
 from aded.cli import main
 from aded.harness import (
+    OPTIONS,
     PRESETS,
     TOURNAMENT_PAIRS,
     ExperimentPlan,
@@ -62,6 +64,12 @@ class TestOptionResolution:
         assert options["pop"] == 11          # flag wins
         assert options["gens"] == 33         # file wins over preset
         assert options["benchmark"] == "sinusoidal"  # preset value survives
+
+    def test_preset_flag_wins_over_file_preset(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("preset = sinusoidal-dynamic\npop = 20\n")
+        options = resolve_options(preset="battery-2d", config_file=cfg)
+        assert options == {**PRESETS["battery-2d"], "pop": 20}
 
     def test_malformed_file_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -426,9 +434,14 @@ class TestCli:
         (["compare", "--benchmark", "sphere"], "compare needs --runs >= 2"),
         (["run", "--benchmark", "sphere,booth,sphere"],
          "benchmark 'sphere' is listed more than once"),
+        (["run", "--benchmark", ","], "no benchmark selected"),
+        (["compare", "--benchmark", ","], "no benchmark selected"),
+        (["tournament", "--benchmark", ","], "no benchmark selected"),
+        (["moo", "--benchmark", ","], "no benchmark selected"),
     ], ids=["moo-nan-weight", "fixed-f-negative", "fixed-f-nan", "fixed-cr-above-one",
             "stagnation-tol-nan", "run-zdt1", "compare-zdt1", "tournament-zdt1",
-            "compare-one-run", "repeated-benchmark"])
+            "compare-one-run", "repeated-benchmark", "run-no-benchmark",
+            "compare-no-benchmark", "tournament-no-benchmark", "moo-no-benchmark"])
     def test_config_error_exit_two_before_any_run(self, argv, error, tmp_path, capsys,
                                                   monkeypatch):
         self.check_exit_two_before_any_run(argv, error, tmp_path, capsys, monkeypatch)
@@ -551,6 +564,94 @@ class TestCli:
                      "--ls-probability", "0.2", "--out", str(tmp_path)])
         assert code == 0
         assert "gd=" in capsys.readouterr().out
+
+
+# A value other than the default for every option that sets a config field.
+NON_DEFAULT_VALUES = {
+    "pop": "24", "gens": "7", "seed": "3", "strategy": "best1exp", "neighborhood": "all",
+    "neighborhood_size": "5", "local_search": "off", "ls_iterations": "9",
+    "ls_probability": "0.5", "ls_step": "1e-7", "stagnation_limit": "4",
+    "stagnation_tol": "0.001", "mode": "fixed", "f0": "0.7", "cr0": "0.3", "fixed_f": "0.8",
+    "fixed_cr": "0.2",
+}
+
+
+class TestOptionTable:
+    """``harness.OPTIONS`` is the one vocabulary of presets, config files and
+    flags, and a value reads the same whichever of them gives it."""
+
+    def test_every_field_is_a_config_field_and_every_preset_key_an_option(self):
+        default = EngineConfig()
+        for key, (_, _, path) in OPTIONS.items():
+            if path is not None:
+                part, _, name = path.rpartition(".")
+                owner = type(getattr(default, part)) if part else EngineConfig
+                assert name in {f.name for f in dataclasses.fields(owner)}, key
+        for name, preset in PRESETS.items():
+            assert set(preset) <= set(OPTIONS), name
+        assert set(NON_DEFAULT_VALUES) == {k for k, (_, _, p) in OPTIONS.items() if p}
+
+    @staticmethod
+    def engine_config_of(argv, tmp_path, monkeypatch):
+        import aded.cli
+
+        plans = []
+        monkeypatch.setattr(aded.cli, "cmd_run",
+                            lambda plan: plans.append(plan) or {"benchmarks": {}})
+        assert main(["run", "--benchmark", "sphere", "--out", str(tmp_path)] + argv) == 0
+        return plans[0].config
+
+    @pytest.mark.parametrize("key", NON_DEFAULT_VALUES)
+    def test_flag_and_file_line_build_the_same_config(self, key, tmp_path, monkeypatch):
+        value = NON_DEFAULT_VALUES[key]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        by_flag = self.engine_config_of(["--" + key.replace("_", "-"), value],
+                                        tmp_path, monkeypatch)
+        by_file = self.engine_config_of(["--config", str(cfg)], tmp_path, monkeypatch)
+        assert by_flag == by_file != build_engine_config({})
+
+    def test_preset_flag_with_a_file_preset_runs_the_flag_preset(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("preset = sinusoidal-dynamic\n")
+        config = self.engine_config_of(["--preset", "battery-2d", "--config", str(cfg)],
+                                       tmp_path, monkeypatch)
+        assert config == build_engine_config(PRESETS["battery-2d"])
+
+    @pytest.mark.parametrize("key,value,error", [
+        ("neighborhood", "foo", "neighborhood must be 'dynamic' or 'all', got 'foo'"),
+        ("mode", "x", "unknown schedule mode 'x'"),
+        ("local_search", "offf", "local_search must be 'on' or 'off', got 'offf'"),
+        ("strategy", "zz", "cannot parse strategy id 'zz'"),
+        ("pop", "abc", "pop must be int, got 'abc'"),
+        ("f0", "x", "f0 must be float, got 'x'"),
+    ])
+    def test_refused_value_same_message_by_flag_or_file(self, key, value, error, tmp_path,
+                                                         capsys, monkeypatch):
+        import aded.harness
+
+        runs = []
+        monkeypatch.setattr(aded.harness, "_execute_batches", lambda *args: runs.append(args))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        errors = []
+        for given in (["--" + key.replace("_", "-"), value], ["--config", str(cfg)]):
+            argv = ["run", "--benchmark", "sphere", "--out", str(tmp_path / "out")] + given
+            assert main(argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"configuration error: {error}\n"
+        assert runs == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["list-benchmarks", "run", "compare", "tournament",
+                                         "moo"])
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        if command != "list-benchmarks":
+            usage = capsys.readouterr().out
+            assert all("--" + key.replace("_", "-") in usage
+                       for key in OPTIONS if key != "algorithm")
 
 
 class TestDiagnosticsOnDemand:

@@ -17,8 +17,8 @@ from .harness import (
     EXIT_OK,
     EXIT_RUNTIME,
     OPTIONS,
-    _given,
-    benchmark_list,
+    PRESETS,
+    TOURNAMENT_BENCHMARKS,
     build_plan,
     cmd_compare,
     cmd_list_benchmarks,
@@ -26,7 +26,6 @@ from .harness import (
     cmd_run,
     cmd_tournament,
     resolve_options,
-    resolve_out_dir,
 )
 
 _CONFIG_ERRORS = (ConfigError, SpaceError, ShapeError, UnknownBenchmarkError, ValueError)
@@ -41,17 +40,29 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
             parser.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
 
 
-# The only options `tournament` uses; any other is refused, not ignored.
-_TOURNAMENT_KEYS = ("benchmark", "runs", "pop", "gens", "seed", "jobs", "out")
+# Options a command refuses rather than ignores: each tournament variant sets
+# these itself, and the multi-objective engine draws no neighborhood and
+# builds its own donor.
+_NOT_TAKEN = {
+    "tournament": ("algorithm", "strategy", "mode", "f0", "cr0", "fixed_f", "fixed_cr"),
+    "moo": ("strategy", "neighborhood", "neighborhood_size"),
+}
+
+# The tournament's lowest layer, under its preset, config file and flags.
+_TOURNAMENT_DEFAULTS = {"benchmark": ",".join(TOURNAMENT_BENCHMARKS),
+                        **PRESETS["tournament-desk"]}
 
 
 def _options_from_args(args) -> dict:
-    overrides = {k: getattr(args, k, None) for k in OPTIONS}
-    return resolve_options(
+    options = resolve_options(
         preset=getattr(args, "preset", None),
         config_file=getattr(args, "config", None),
-        overrides=overrides,
+        overrides={k: getattr(args, k, None) for k in OPTIONS},
     )
+    refused = [k for k in _NOT_TAKEN.get(args.command, ()) if k in options]
+    if refused:
+        raise ConfigError(f"{args.command} does not take {', '.join(refused)}")
+    return options
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="seeded batch of optimizer runs")
     _add_common_options(p_run)
-    p_run.add_argument("--algorithm", choices=["aded", "classic_de"], help=OPTIONS["algorithm"][1])
+    p_run.add_argument("--algorithm", help=OPTIONS["algorithm"][1])
 
     p_cmp = sub.add_parser("compare", help="adaptive engine vs classic DE on shared benchmarks")
     _add_common_options(p_cmp)
@@ -86,53 +97,27 @@ def _dispatch(args) -> int:
         print(cmd_list_benchmarks(args.format))
         return EXIT_OK
 
+    options = _options_from_args(args)
     if args.command == "run":
-        options = _options_from_args(args)
         plan = build_plan(options)
         report = cmd_run(plan)
         for benchmark_id, stats in report["benchmarks"].items():
             print(f"{benchmark_id}: mean best_f = {stats['mean_best_f']:.6g} "
                   f"(min {stats['min_best_f']:.6g}) over {plan.n_runs} runs")
-        if plan.out_dir is not None:
-            print(f"artifacts written to {plan.out_dir}")
-        return EXIT_OK
-
-    if args.command == "compare":
-        options = _options_from_args(args)
-        plan_a = build_plan({**options, "algorithm": "aded"})
-        plan_b = build_plan({**options, "algorithm": "classic_de"})
-        report = cmd_compare(plan_a, plan_b)
+    elif args.command == "compare":
+        plan = build_plan({**options, "algorithm": "aded"})
+        report = cmd_compare(plan, build_plan({**options, "algorithm": "classic_de"}))
         for row in report["rows"]:
             print(f"{row['benchmark']}: {row['label_a']} mean {row['mean_a']:.6g} vs "
                   f"{row['label_b']} mean {row['mean_b']:.6g} "
                   f"(t={row['t']:.3f}, p={row['p']:.4f}{row['stars']})")
-        if plan_a.out_dir is not None:
-            print(f"artifacts written to {plan_a.out_dir}")
-        return EXIT_OK
-
-    if args.command == "tournament":
-        options = _options_from_args(args)
-        unsupported = [k for k in options if k not in _TOURNAMENT_KEYS]
-        if unsupported:
-            raise ConfigError(
-                "tournament does not take "
-                + ", ".join(f"--{k.replace('_', '-')}" for k in unsupported)
-                + "; every variant runs at its own fixed F/CR with the default engine settings"
-            )
-        kwargs = _given(options, {"runs": "n_runs", "pop": "pop", "gens": "gens",
-                                  "seed": "base_seed", "jobs": "jobs"})
-        if "benchmark" in options:
-            kwargs["benchmarks"] = benchmark_list(options["benchmark"])
-        out = resolve_out_dir(options)
-        report = cmd_tournament(out_dir=out, **kwargs)
+    elif args.command == "tournament":
+        plan = build_plan({**_TOURNAMENT_DEFAULTS, **options})
+        report = cmd_tournament(plan)
         for row in report["table"]:
             print(f"{row['variant']:<20} aov={row['aov']:.6g} cs={row['cs']:.6g} "
                   f"q={row['q']:.6g} avg_rank={row['average_rank']:.4f}")
-        print(f"artifacts written to {out}")
-        return EXIT_OK
-
-    if args.command == "moo":
-        options = _options_from_args(args)
+    elif args.command == "moo":
         plan = build_plan(options)
         weights = ([float(w) for w in args.weights.split(",")]
                    if getattr(args, "weights", None) else None)
@@ -143,11 +128,10 @@ def _dispatch(args) -> int:
                 gd_text = f"gd={gd:.6g} " if gd is not None else ""
                 print(f"{benchmark_id} seed {entry['seed']}: {gd_text}"
                       f"front size {entry['front_size']}")
-        if plan.out_dir is not None:
-            print(f"artifacts written to {plan.out_dir}")
-        return EXIT_OK
-
-    raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
+    else:
+        raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
+    print(f"artifacts written to {plan.out_dir}")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -172,12 +172,6 @@ def resolve_options(preset: str | None = None, config_file=None, overrides: dict
     return merged
 
 
-def _given(options: dict, names: dict) -> dict:
-    """Keyword arguments for the options that are set, keyed by the field
-    names in ``names``; an option that is not set keeps its field default."""
-    return {name: options[key] for key, name in names.items() if key in options}
-
-
 def build_engine_config(options: dict) -> EngineConfig:
     """The config the options set; a field no option sets keeps its default."""
     kwargs = {"schedule": {}, "local_search": {}, "": {}}
@@ -230,21 +224,19 @@ def resolve_out_dir(options: dict) -> str:
     return options.get("out") or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR
 
 
-def benchmark_list(value) -> list:
-    """The ids in a comma-separated ``benchmark`` option; none is an error."""
-    benchmarks = [b.strip() for b in str(value or "").split(",") if b.strip()]
+def build_plan(options: dict) -> ExperimentPlan:
+    """The plan the options set; an option that is not set keeps its default.
+    ``benchmark`` is a comma-separated list of at least one id."""
+    benchmarks = [b.strip() for b in str(options.get("benchmark") or "").split(",") if b.strip()]
     if not benchmarks:
         raise ConfigError("no benchmark selected (use --benchmark or a preset)")
-    return benchmarks
-
-
-def build_plan(options: dict) -> ExperimentPlan:
+    names = {"algorithm": "algorithm", "runs": "n_runs", "seed": "base_seed", "dim": "dim",
+             "jobs": "jobs"}
     return ExperimentPlan(
-        benchmarks=benchmark_list(options.get("benchmark")),
+        benchmarks=benchmarks,
         config=build_engine_config(options),
         out_dir=resolve_out_dir(options),
-        **_given(options, {"algorithm": "algorithm", "runs": "n_runs", "seed": "base_seed",
-                           "dim": "dim", "jobs": "jobs"}),
+        **{name: options[key] for key, name in names.items() if key in options},
     )
 
 
@@ -500,31 +492,30 @@ def cmd_compare(plan_a: ExperimentPlan, plan_b: ExperimentPlan) -> dict:
     return report
 
 
-def cmd_tournament(
-    benchmarks=TOURNAMENT_BENCHMARKS,
-    n_runs: int = 5,
-    pop: int = 40,
-    gens: int = 40,
-    base_seed: int = 0,
-    out_dir=None,
-    jobs: int = 1,
-) -> dict:
-    """Run every strategy variant with its fixed (F, CR) pair over the given
-    benchmarks, score AOV / convergence speed / Q, and rank by average rank."""
-    plans = [ExperimentPlan(
-        benchmarks=list(benchmarks), n_runs=n_runs, base_seed=base_seed, jobs=jobs,
-        config=build_engine_config({
-            "pop": pop, "gens": gens, "mode": "fixed", "fixed_f": fixed_f,
-            "fixed_cr": fixed_cr, "strategy": variant, "seed": base_seed,
-        }),
-    ) for variant, fixed_f, fixed_cr in TOURNAMENT_PAIRS]
+def cmd_tournament(plan: ExperimentPlan | None = None, *, benchmarks=TOURNAMENT_BENCHMARKS,
+                   n_runs: int = 5, pop: int = 40, gens: int = 40, base_seed: int = 0,
+                   out_dir=None, jobs: int = 1) -> dict:
+    """Run every strategy variant with its fixed (F, CR) pair over the plan's
+    benchmarks, score AOV / convergence speed / Q, and rank by average rank.
+
+    Each variant runs the plan with its own strategy and F/CR; every other
+    setting comes from the plan. Without a plan, the keywords give one at the
+    default engine settings."""
+    if plan is None:
+        config = EngineConfig(population_size=pop, max_generations=gens, seed=base_seed)
+        plan = ExperimentPlan(list(benchmarks), config, n_runs=n_runs, base_seed=base_seed,
+                              jobs=jobs, out_dir=out_dir)
+    variants = [replace(plan, algorithm="aded", config=replace(
+        plan.config, strategy=StrategyId.parse(name),
+        schedule=ScheduleParams(mode="fixed", fixed_f=fixed_f, fixed_cr=fixed_cr),
+    )) for name, fixed_f, fixed_cr in TOURNAMENT_PAIRS]
     results = iter(_execute_batches(
-        [_seeded_runs(plan, b) for plan in plans for b in benchmarks], jobs))
+        [_seeded_runs(variant, b) for variant in variants for b in plan.benchmarks], plan.jobs))
     detail_rows = []
     scores = []
     for variant, _, _ in TOURNAMENT_PAIRS:
         per_function = []
-        for benchmark_id in benchmarks:
+        for benchmark_id in plan.benchmarks:
             runs = next(results)
             qm = q_measure(runs, lookup(benchmark_id).known_optimum)
             entry = {
@@ -547,17 +538,19 @@ def cmd_tournament(
     pairs = {v: (f, cr) for v, f, cr in TOURNAMENT_PAIRS}
     report = {
         "version": __version__,
-        "benchmarks": list(benchmarks),
-        "n_runs": n_runs,
-        "pop": pop,
-        "gens": gens,
-        "base_seed": base_seed,
+        "benchmarks": list(plan.benchmarks),
+        "config": asdict(plan.config),
+        "config_hash": config_hash(plan.config),
+        "n_runs": plan.n_runs,
+        "pop": plan.config.population_size,
+        "gens": plan.config.max_generations,
+        "base_seed": plan.base_seed,
         "table": [asdict(s) | {"f": pairs[s.variant][0], "cr": pairs[s.variant][1]}
                   for s in ranked],
         "detail": detail_rows,
     }
-    if out_dir is not None:
-        out = Path(out_dir)
+    if plan.out_dir is not None:
+        out = Path(plan.out_dir)
         _write_csv(
             out / "tournament.csv",
             ["variant", "f", "cr", "aov", "aov_rank", "cs", "cs_rank",

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import aded.cli
 from aded import ConfigError, EngineConfig, harness
 from aded.benchmarks import BATTERY_IDS, UnknownBenchmarkError
 from aded.cli import main
@@ -438,10 +439,16 @@ class TestCli:
         (["compare", "--benchmark", ","], "no benchmark selected"),
         (["tournament", "--benchmark", ","], "no benchmark selected"),
         (["moo", "--benchmark", ","], "no benchmark selected"),
+        (["moo", "--benchmark", "zdt1", "--strategy", "best1bin"], "moo does not take strategy"),
+        (["moo", "--benchmark", "zdt1", "--neighborhood", "all"],
+         "moo does not take neighborhood"),
+        (["moo", "--benchmark", "zdt1", "--neighborhood-size", "3"],
+         "moo does not take neighborhood_size"),
     ], ids=["moo-nan-weight", "fixed-f-negative", "fixed-f-nan", "fixed-cr-above-one",
             "stagnation-tol-nan", "run-zdt1", "compare-zdt1", "tournament-zdt1",
             "compare-one-run", "repeated-benchmark", "run-no-benchmark",
-            "compare-no-benchmark", "tournament-no-benchmark", "moo-no-benchmark"])
+            "compare-no-benchmark", "tournament-no-benchmark", "moo-no-benchmark",
+            "moo-strategy", "moo-neighborhood", "moo-neighborhood-size"])
     def test_config_error_exit_two_before_any_run(self, argv, error, tmp_path, capsys,
                                                   monkeypatch):
         self.check_exit_two_before_any_run(argv, error, tmp_path, capsys, monkeypatch)
@@ -483,29 +490,33 @@ class TestCli:
         assert code == 2
         assert "neighborhood_size" in capsys.readouterr().err
 
-    def test_tournament_refuses_flags_it_does_not_use(self, tmp_path, capsys):
-        code = main(["tournament", "--benchmark", "sphere", "--pop", "8", "--gens", "1",
-                     "--runs", "1", "--neighborhood-size", "20", "--ls-iterations", "0",
-                     "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--neighborhood-size" in err and "--ls-iterations" in err
-        assert not (tmp_path / "tournament.csv").exists()
+    @pytest.mark.parametrize("command,key", [(command, key)
+                                             for command, keys in aded.cli._NOT_TAKEN.items()
+                                             for key in keys])
+    def test_refused_key_exit_two_by_flag_or_file(self, command, key, tmp_path, capsys,
+                                                  monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "_execute_batches", lambda *args: runs.append(args))
+        value = NON_DEFAULT_VALUES.get(key, "aded")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        givens = [["--config", str(cfg)]]
+        if key != "algorithm":  # a flag of `run` only
+            givens.append(["--" + key.replace("_", "-"), value])
+        for given in givens:
+            assert main([command, "--out", str(tmp_path / "out")] + given) == 2
+            assert capsys.readouterr().err == \
+                f"configuration error: {command} does not take {key}\n"
+        assert runs == [] and not (tmp_path / "out").exists()
 
-    def test_tournament_passes_only_the_options_set(self, tmp_path, monkeypatch, capsys):
-        import aded.cli
-
-        seen = []
-        monkeypatch.setattr(aded.cli, "cmd_tournament",
-                            lambda **kwargs: seen.append(kwargs) or {"table": []})
-        assert main(["tournament", "--out", str(tmp_path)]) == 0
-        assert main(["tournament", "--benchmark", "sphere, booth", "--runs", "2", "--pop", "8",
-                     "--gens", "3", "--seed", "4", "--jobs", "1", "--out", str(tmp_path)]) == 0
-        assert seen == [
-            {"out_dir": str(tmp_path)},
-            {"out_dir": str(tmp_path), "benchmarks": ["sphere", "booth"], "n_runs": 2,
-             "pop": 8, "gens": 3, "base_seed": 4, "jobs": 1},
-        ]
+    @pytest.mark.parametrize("command,preset,key", [
+        ("tournament", "sinusoidal-dynamic", "algorithm"),
+        ("moo", "sinusoidal-global", "neighborhood"),
+    ])
+    def test_refused_key_from_a_preset_exit_two(self, command, preset, key, tmp_path, capsys):
+        assert main([command, "--preset", preset, "--out", str(tmp_path / "out")]) == 2
+        assert f"{command} does not take {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_moo_weights_of_wrong_length_exit_two(self, tmp_path, capsys):
         code = main(["moo", "--benchmark", "zdt1", "--weights", "1,1,1", "--pop", "6",
@@ -625,6 +636,8 @@ class TestOptionTable:
         ("strategy", "zz", "cannot parse strategy id 'zz'"),
         ("pop", "abc", "pop must be int, got 'abc'"),
         ("f0", "x", "f0 must be float, got 'x'"),
+        ("algorithm", "foo", "algorithm must be one of ('aded', 'classic_de', 'aded_mo'), "
+                             "got 'foo'"),
     ])
     def test_refused_value_same_message_by_flag_or_file(self, key, value, error, tmp_path,
                                                          capsys, monkeypatch):
@@ -652,6 +665,94 @@ class TestOptionTable:
             usage = capsys.readouterr().out
             assert all("--" + key.replace("_", "-") in usage
                        for key in OPTIONS if key != "algorithm")
+
+
+class _Stop(Exception):
+    """Raised in place of a command's runs once their configs are captured."""
+
+
+class TestTournamentPlan:
+    """`tournament` runs one plan, built like every other command's, as the
+    base of each variant; it refuses only the keys the variants set."""
+
+    @staticmethod
+    def captured_runs(argv, tmp_path, monkeypatch):
+        """The ``_execute_run`` arguments of ``aded tournament`` + argv, in order."""
+        import aded.harness
+
+        captured = []
+
+        def capture(batches, jobs, *rest):
+            captured.extend(run for batch in batches for run in batch)
+            raise _Stop
+
+        monkeypatch.setattr(aded.harness, "_execute_batches", capture)
+        with pytest.raises(_Stop):
+            main(["tournament", "--out", str(tmp_path / "out")] + argv)
+        return captured
+
+    @pytest.mark.parametrize("key", [k for k in NON_DEFAULT_VALUES
+                                     if k not in aded.cli._NOT_TAKEN["tournament"]])
+    @pytest.mark.parametrize("given", ["flag", "file"])
+    def test_every_other_option_reaches_every_variant(self, key, given, tmp_path, monkeypatch):
+        value = NON_DEFAULT_VALUES[key]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = (["--" + key.replace("_", "-"), value] if given == "flag"
+                else ["--config", str(cfg)])
+        runs = self.captured_runs(argv, tmp_path, monkeypatch)
+        n_runs = PRESETS["tournament-desk"]["runs"]
+        assert len(runs) == len(TOURNAMENT_PAIRS) * len(harness.TOURNAMENT_BENCHMARKS) * n_runs
+        path = OPTIONS[key][2]
+        expected = build_engine_config(resolve_options(overrides={key: value}))
+        default = build_engine_config(PRESETS["tournament-desk"])
+        for i, (_, algorithm, cfg, _, _) in enumerate(runs):
+            variant, fixed_f, fixed_cr = TOURNAMENT_PAIRS[i // (n_runs * 2)]
+            assert algorithm == "aded"
+            assert cfg.strategy == StrategyId.parse(variant)
+            assert cfg.schedule == ScheduleParams(mode="fixed", fixed_f=fixed_f,
+                                                  fixed_cr=fixed_cr)
+            if key == "seed":
+                assert cfg.seed == int(value) + i % n_runs
+            else:
+                assert _field(cfg, path) == _field(expected, path) != _field(default, path)
+
+    def test_no_options_give_the_default_plan(self, tmp_path, monkeypatch, capsys):
+        plans = []
+        monkeypatch.setattr(aded.cli, "cmd_tournament",
+                            lambda plan: plans.append(plan) or {"table": []})
+        assert main(["tournament", "--out", str(tmp_path)]) == 0
+        assert plans == [build_plan({"benchmark": "sphere,sinusoidal",
+                                     **PRESETS["tournament-desk"], "out": str(tmp_path)})]
+        assert capsys.readouterr().out == f"artifacts written to {tmp_path}\n"
+
+    def test_plan_and_keyword_forms_agree(self, tmp_path):
+        cmd_tournament(build_plan({"benchmark": "sphere", "runs": 2, "pop": 12, "gens": 3,
+                                   "seed": 1, "out": str(tmp_path / "plan")}))
+        cmd_tournament(benchmarks=("sphere",), n_runs=2, pop=12, gens=3, base_seed=1,
+                       out_dir=tmp_path / "keywords")
+        for name in ("tournament.csv", "tournament_detail.csv", "tournament.json"):
+            assert (tmp_path / "plan" / name).read_bytes() == \
+                (tmp_path / "keywords" / name).read_bytes(), name
+
+    def test_local_search_off_runs_and_is_reported(self, tmp_path, capsys):
+        argv = ["tournament", "--benchmark", "sphere", "--pop", "12", "--gens", "3",
+                "--runs", "2"]
+        assert main(argv + ["--out", str(tmp_path / "on")]) == 0
+        assert main(argv + ["--local-search", "off", "--out", str(tmp_path / "off")]) == 0
+        on, off = (json.loads((tmp_path / d / "tournament.json").read_text())
+                   for d in ("on", "off"))
+        assert on["config"]["local_search"]["enabled"]
+        assert not off["config"]["local_search"]["enabled"]
+        assert on["config_hash"] != off["config_hash"]
+        assert on["table"] != off["table"]
+
+
+def _field(cfg, path):
+    """The value of ``cfg`` at a dotted OPTIONS path such as ``schedule.fixed_f``."""
+    for name in path.split("."):
+        cfg = getattr(cfg, name)
+    return cfg
 
 
 class TestDiagnosticsOnDemand:
@@ -787,8 +888,11 @@ class TestPinnedOutputs:
             "0822d68726d3dc75cf3bd63cf1ac34d602fd452ae1957311e1e0059bc5cc96b3"
         assert _digest((tmp_path / "tournament_detail.csv").read_bytes()) == \
             "c06034166f7a1d5d8ecef2bfe96cc61b68661dcb277bb3aae6e2846628f63c62"
-        assert _report_digest(tmp_path / "tournament.json") == \
+        # recorded before the report gave its base config
+        report = tmp_path / "tournament.json"
+        assert _report_digest(report, drop=("wall_seconds", "config", "config_hash")) == \
             "b2ae5af0fe2cac1387badf588b11e606a1a3750a3066b23fb09f94bb0e81f115"
+        assert json.loads(report.read_text())["config_hash"] == "830c492607b40691"
 
     def test_run_report(self, jobs, tmp_path):
         cmd_run(build_plan({"benchmark": "rastrigin,himmelblau", "pop": 12, "gens": 8,

@@ -171,17 +171,16 @@ def draw_distinct(rng: RngStream, pool: int, k: int, m: int, skip=None) -> np.nd
         picks += picks >= skip[:, None]
     ordered = np.sort(picks, axis=1)
     redo = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-    taken = np.empty((redo.size, s + k), dtype=np.intp)
+    # a redo row is [skip | ranks], rank j among the indices still free;
+    # decoded last column first, each later entry steps over each earlier one
+    codes = np.empty((redo.size, s + k), dtype=np.intp)
     if s:
-        taken[:, 0] = skip[redo]
-    ranks = rng.integers(0, pool - s - np.arange(k), size=(redo.size, k))
-    for j in range(k):
-        # column j takes the free index of rank r: r plus the count of taken
-        # indices c_t (ascending, t = 0, 1, ...) with c_t - t <= r
-        below = np.sort(taken[:, :s + j], axis=1) - np.arange(s + j)
-        r = ranks[:, j]
-        taken[:, s + j] = r + (below <= r[:, None]).sum(axis=1)
-    picks[redo] = taken[:, s:]
+        codes[:, 0] = skip[redo]
+    codes[:, s:] = rng.integers(0, pool - s - np.arange(k), size=(redo.size, k))
+    for i in range(s + k - 2, -1, -1):
+        tail = codes[:, i + 1:]
+        tail += tail >= codes[:, i:i + 1]
+    picks[redo] = codes[:, s:]
     return picks
 
 

@@ -199,6 +199,28 @@ class TestDrawDistinct:
         stat = float(((counts[seen] - expected) ** 2 / expected).sum())
         assert stat < chi2.ppf(0.999, 23)
 
+    @pytest.mark.parametrize("pool, k, with_skip",
+                             [(5, 3, True), (9, 8, True), (12, 4, False), (40, 10, True),
+                              (40, 12, False), (300, 10, True)])
+    def test_matches_a_per_row_reference(self, pool, k, with_skip):
+        # the same two RNG calls, decoded one row at a time: a row with a
+        # repeat takes, for each rank r, the r-th index not yet taken
+        # and not its skip
+        m = 200
+        for seed in range(20):
+            skip = np.random.default_rng(seed).integers(0, pool, m) if with_skip else None
+            rng = RngStream(seed)
+            picks = rng.integers(0, pool - with_skip, size=(m, k))
+            if with_skip:
+                picks += picks >= skip[:, None]
+            redo = [r for r in range(m) if len(set(picks[r].tolist())) < k]
+            ranks = rng.integers(0, pool - with_skip - np.arange(k), size=(len(redo), k))
+            for row, rank in zip(redo, ranks):
+                free = [j for j in range(pool) if not with_skip or j != skip[row]]
+                picks[row] = [free.pop(r) for r in rank.tolist()]
+            drawn = draw_distinct(RngStream(seed), pool, k, m, skip=skip)
+            assert drawn.tolist() == picks.tolist()
+
 
 class TestBinomialCrossover:
     def test_cr_one_copies_donor(self):

@@ -1,7 +1,7 @@
 """Adaptive differential evolution with diversification.
 
 A library and benchmark harness for single- and multi-objective optimization:
-the adaptive engine (scheduled F/CR, a random neighborhood per member,
+the adaptive engine (scheduled F/CR, uniform random mutation bases,
 crowding selection, local refinement, stagnation stopping) with classic DE as
 one of its presets, a 22-function benchmark battery plus ZDT/DTLZ-style suites,
 diagnostic metrics, and Welch-test / ranking comparison tooling.
@@ -40,7 +40,6 @@ from .variation import (
 from .engine import (
     EngineConfig,
     RunResult,
-    dynamic_neighborhood,
     has_converged,
     run_aded,
     run_classic_de,
@@ -76,7 +75,7 @@ __all__ = [
     "LocalSearchBudget", "ScheduleParams", "StrategyId", "adaptive_crossover_rate",
     "adaptive_mutation_rate", "crossover_binomial", "crossover_exponential",
     "finite_difference_gradient", "local_refine", "EngineConfig", "RunResult",
-    "dynamic_neighborhood", "has_converged", "run_aded", "run_classic_de", "MoResult",
+    "has_converged", "run_aded", "run_classic_de", "MoResult",
     "nondominated_filter", "pareto_dominates", "run_aded_mo", "scalarize", "FrontPair",
     "UndefinedMetricError", "aov", "convergence_rate", "convergence_speed",
     "diversity", "fdc", "generational_distance", "q_measure", "spread", "success_rate",

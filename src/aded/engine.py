@@ -1,7 +1,8 @@
 """The single-objective engine and the parts every engine shares: the
 generation loop (scheduled F/CR and the stagnation stop) and the counting
-objective adapter. The adaptive engine has random neighborhoods, crowding
-selection and optional local refinement; classic DE is a preset of it.
+objective adapter. The adaptive engine has uniform random mutation bases,
+crowding selection and optional local refinement; classic DE is a preset of
+it.
 """
 
 from __future__ import annotations
@@ -43,8 +44,11 @@ class EngineConfig:
     max_generations: int = 100
     schedule: ScheduleParams = field(default_factory=ScheduleParams)
     strategy: StrategyId = field(default_factory=lambda: StrategyId("adedrand", "bin"))
-    neighborhood: str = "dynamic"          # "dynamic" | "all"
-    neighborhood_size: int | None = None   # None resolves to min(10, pop - 1)
+    # "dynamic" | "all": neither field changes the draw (see run_aded);
+    # neighborhood_size, None resolving to min(10, pop - 1), still bounds the
+    # strategies "dynamic" allows
+    neighborhood: str = "dynamic"
+    neighborhood_size: int | None = None
     local_search: LocalSearchBudget = field(default_factory=LocalSearchBudget)
     stagnation_limit: int = 10
     stagnation_tol: float = 1e-12
@@ -68,17 +72,6 @@ class EngineConfig:
             )
         if self.neighborhood not in ("dynamic", "all"):
             raise ConfigError(f"neighborhood must be 'dynamic' or 'all', got {self.neighborhood!r}")
-
-
-def dynamic_neighborhood(i, n: int, k: int, rng: RngStream) -> np.ndarray:
-    """Uniform draw of min(k, n-1) distinct neighbor indices, never including
-    i. For an index array ``i`` (``np.arange(n)`` for a whole generation) the
-    draws are made at once, one row per entry."""
-    if n < 2:
-        raise ConfigError("dynamic neighborhood needs a population of >= 2")
-    members = np.atleast_1d(i)
-    rows = draw_distinct(rng, n, min(k, n - 1), members.size, skip=members)
-    return rows if np.ndim(i) else rows[0]
 
 
 def has_converged(history, stagnation_limit: int, tol: float = 0.0) -> bool:
@@ -158,22 +151,18 @@ class _CountingObjective:
 
 def _draw_trials(cfg: EngineConfig, n: int, d: int, cr: float, rng: RngStream):
     """Draw one generation's randomness, one array per kind, in a fixed order:
-    k coefficients, neighbors, bases, crossover, refinement coins.
+    k coefficients, bases, crossover, refinement coins.
+
+    Member i's bases are a uniform ordered pick of ``index_count`` distinct
+    members other than i, whatever ``cfg.neighborhood`` says.
 
     Returns the ``(n, index_count)`` base indices, the ``(n,)`` k
     coefficients, the ``(n, d)`` crossover masks and the ``(n,)`` refinement
     flags.
     """
     strategy = cfg.strategy
-    need = strategy.index_count
-    members = np.arange(n)
     k_coeff = rng.random(n) if strategy.uses_k else np.zeros(n)
-    if cfg.neighborhood == "dynamic":
-        neighbors = dynamic_neighborhood(members, n, cfg.neighborhood_size, rng)
-        picks = draw_distinct(rng, neighbors.shape[1], need, n)
-        bases = np.take_along_axis(neighbors, picks, axis=1)
-    else:
-        bases = draw_distinct(rng, n, need, n, skip=members)
+    bases = draw_distinct(rng, n, strategy.index_count, n, skip=np.arange(n))
     masks = draw_crossover(strategy.crossover, d, cr, rng, n)
     return bases, k_coeff, masks, cfg.local_search.refines(rng, n)
 
@@ -193,15 +182,17 @@ def _evaluate_trials(counting, trials, refine, gen, space, budget, scalar=None) 
 
     flagged = np.flatnonzero(refine)
     plain = np.flatnonzero(~refine)
-    parts = [counting.batch(trials[plain], named(plain))] if plain.size else []
-    if flagged.size:
-        def evaluate(points, rows):
-            return counting.batch(points, named(flagged[rows]))
+    plain_values = counting.batch(trials[plain], named(plain)) if plain.size else None
+    if not flagged.size:
+        return plain_values
 
-        trials[flagged], values, _ = lockstep_refine(evaluate, trials[flagged], space, budget,
-                                                     scalar)
-        parts.append(values)
-    return np.concatenate(parts)[np.argsort(np.concatenate([plain, flagged]))]
+    def evaluate(points, rows):
+        return counting.batch(points, named(flagged[rows]))
+
+    trials[flagged], values, _ = lockstep_refine(evaluate, trials[flagged], space, budget, scalar)
+    if plain_values is None:
+        return values
+    return np.concatenate([plain_values, values])[np.argsort(np.concatenate([plain, flagged]))]
 
 
 def _generations(cfg: EngineConfig, fixed, step):
@@ -222,10 +213,12 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig, on_generation=Non
     bound repair, optional local refinement, crowding selection, and
     stagnation-based early stopping.
 
-    With ``neighborhood="dynamic"`` each member draws its mutation bases
-    from a fresh uniform subset of ``neighborhood_size`` other members. The
-    bases then have the same distribution as with ``neighborhood="all"``:
-    the neighborhood does not adapt to trial fitness.
+    Each member draws its mutation bases as a uniform ordered pick of
+    distinct other members. ``neighborhood="dynamic"`` and ``"all"`` give
+    identical runs: a uniform subset of ``neighborhood_size`` members, with
+    the bases picked among them, would have the same law, so no subset is
+    drawn. Under ``"dynamic"``, a strategy that needs more bases than
+    ``neighborhood_size`` is still refused.
 
     Each generation is built from the previous one as a whole, and its trials
     are evaluated by ``_evaluate_trials``.

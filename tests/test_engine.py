@@ -11,7 +11,6 @@ from aded import (
     SearchSpace,
     StrategyId,
     convergence_rate,
-    dynamic_neighborhood,
     has_converged,
     init_population,
     run_aded,
@@ -50,45 +49,6 @@ class TestEngineConfig:
             EngineConfig(**kwargs)
 
 
-class TestDynamicNeighborhood:
-    def test_size_capped_at_population(self):
-        out = dynamic_neighborhood(0, 3, 5, RngStream(0))
-        assert sorted(out.tolist()) == [1, 2]
-
-    def test_self_never_appears(self):
-        rng = RngStream(9)
-        for _ in range(2000):
-            assert 3 not in dynamic_neighborhood(3, 8, 4, rng)
-
-    def test_uniform_selection_frequency(self):
-        n, k, draws = 6, 2, 100_000
-        rows = dynamic_neighborhood(np.zeros(draws, np.intp), n, k, RngStream(17))
-        counts = np.bincount(rows.ravel(), minlength=n)
-        p = k / (n - 1)
-        sigma = np.sqrt(p * (1 - p) / draws)
-        for j in range(1, n):
-            assert abs(counts[j] / draws - p) < 3 * sigma + 1e-9
-
-    def test_tiny_population_rejected(self):
-        with pytest.raises(ConfigError):
-            dynamic_neighborhood(0, 1, 3, RngStream(0))
-
-    def test_index_array_draws_one_row_per_entry(self):
-        n, k = 12, 5
-        rows = dynamic_neighborhood(np.arange(n), n, k, RngStream(4))
-        assert rows.shape == (n, k)
-        for i, row in enumerate(rows):
-            assert len(set(row.tolist())) == k
-            assert i not in row
-            assert row.min() >= 0 and row.max() < n
-
-    def test_scalar_is_the_one_row_case(self):
-        for i in range(7):
-            one = dynamic_neighborhood(i, 7, 3, RngStream(i))
-            rows = dynamic_neighborhood(np.array([i]), 7, 3, RngStream(i))
-            assert one.tolist() == rows[0].tolist()
-
-
 def chi_square_uniform(counts) -> bool:
     """Whether counts over equally likely cells pass a chi-square test at 0.1%."""
     counts = np.asarray(counts, dtype=float)
@@ -101,27 +61,38 @@ class TestGenerationDraws:
     """One generation's random draws, made as whole-generation arrays."""
 
     @pytest.mark.parametrize("strategy", ["adedrandbin", "rand2exp", "currenttobest1bin"])
-    def test_bases_distinct_non_self_and_inside_the_neighborhood(self, monkeypatch, strategy):
-        drawn = []
-
-        def recording(*args):
-            drawn.append(dynamic_neighborhood(*args))
-            return drawn[-1]
-
-        monkeypatch.setattr(engine, "dynamic_neighborhood", recording)
+    def test_bases_distinct_and_non_self(self, strategy):
         n = 40
         cfg = small_cfg(population_size=n, neighborhood_size=7,
                         strategy=StrategyId.parse(strategy))
         rng = RngStream(11)
         for _ in range(20):
             bases = engine._draw_trials(cfg, n, 3, 0.5, rng)[0]
-            neighbors = drawn[-1]
-            assert neighbors.shape == (n, 7)
             assert bases.shape == (n, cfg.strategy.index_count)
             for i in range(n):
                 assert len(set(bases[i].tolist())) == bases.shape[1]
                 assert i not in bases[i]
-                assert set(bases[i].tolist()) <= set(neighbors[i].tolist())
+                assert bases[i].min() >= 0 and bases[i].max() < n
+
+    @pytest.mark.parametrize("strategy, seed, size", [("adedrandbin", 0, 3), ("rand1bin", 1, 9),
+                                                      ("rand2exp", 2, 5),
+                                                      ("currenttobest1bin", 3, 19)])
+    def test_dynamic_runs_equal_all_runs(self, strategy, seed, size):
+        spec = lookup("rastrigin")
+        results = [
+            run_aded(spec.evaluate, spec.space(),
+                     small_cfg(population_size=20, seed=seed, neighborhood=neighborhood,
+                               neighborhood_size=size, strategy=StrategyId.parse(strategy),
+                               local_search=LocalSearchBudget(max_iterations=2,
+                                                              probability=0.3)))
+            for neighborhood in ("dynamic", "all")
+        ]
+        dynamic, every = results
+        assert dynamic.best_x.tobytes() == every.best_x.tobytes()
+        assert dynamic.best_f == every.best_f
+        assert dynamic.best_f_history.tobytes() == every.best_f_history.tobytes()
+        assert dynamic.n_evaluations == every.n_evaluations
+        assert dynamic.terminated_by == every.terminated_by
 
     @pytest.mark.parametrize("neighborhood", ["dynamic", "all"])
     def test_bases_uniform_in_every_position(self, neighborhood):

@@ -223,8 +223,8 @@ class TestCmdRun:
     PINNED_ARTIFACTS = {
         "refine-0.3": (
             {"ls_probability": 0.3, "ls_iterations": 4},
-            "03be2f5bd57b4fa4a00b214693a45c20632c26d7253eba2cf5de5d750ae338f7",
-            "d8d94a404ca2984070e04d6fe176602b36f80e47bbf56cecfdd5ca522218ed5c",
+            "abaa8709bc5cce2dfa1f08b1e9719258ebe4d38eec3d687a2c72694530812c52",
+            "8fb76a9d0f621a5cfb8bad39daecb2a2519764151c97e4ee285f8a485f842706",
         ),
         "all-neighbors": (
             {"neighborhood": "all", "local_search": "off"},
@@ -292,7 +292,7 @@ class TestCmdCompare:
             assert f"{row['evals_b']:.1f}" in text[3 + 2 * i].split()
         # recorded before the evaluations were reported; the CSV keeps its columns
         assert hashlib.sha256((tmp_path / "comparison.csv").read_bytes()).hexdigest() == \
-            "79b88ebcbde8f20760355295f7d74da2c95b3d5163a492879b79b8751d35ad42"
+            "3fdba5fe6925256710e4a2cc9deaf88f39b3c7669a43775c4207d5489ecd212c"
 
 
 class TestCmdTournament:
@@ -885,13 +885,13 @@ class TestPinnedOutputs:
         cmd_tournament(benchmarks=("sphere", "rastrigin"), n_runs=3, pop=14, gens=8,
                        base_seed=2, out_dir=tmp_path, jobs=jobs)
         assert _digest((tmp_path / "tournament.csv").read_bytes()) == \
-            "0822d68726d3dc75cf3bd63cf1ac34d602fd452ae1957311e1e0059bc5cc96b3"
+            "aba8220335e8dff56b94b0ff6f03db5ccba0e45172ed614761b864eba23918db"
         assert _digest((tmp_path / "tournament_detail.csv").read_bytes()) == \
-            "c06034166f7a1d5d8ecef2bfe96cc61b68661dcb277bb3aae6e2846628f63c62"
+            "a062d01aa0920141e3bd9f7bdebdb876a3003866b2dd16a62be147b3a4694647"
         # recorded before the report gave its base config
         report = tmp_path / "tournament.json"
         assert _report_digest(report, drop=("wall_seconds", "config", "config_hash")) == \
-            "b2ae5af0fe2cac1387badf588b11e606a1a3750a3066b23fb09f94bb0e81f115"
+            "bfee0d1e5423c98e2821287c3345591b18a536e64157280cbf8bdcedb64ae5f5"
         assert json.loads(report.read_text())["config_hash"] == "830c492607b40691"
 
     def test_run_report(self, jobs, tmp_path):
@@ -899,7 +899,7 @@ class TestPinnedOutputs:
                             "runs": 3, "seed": 0, "jobs": jobs, "out": str(tmp_path),
                             "ls_probability": 0.3, "ls_iterations": 4}))
         assert _report_digest(tmp_path / "report.json") == \
-            "3c046a9832cd5088cfea9c12a9d94c8d3d5e47d29ee4c8516adb5f3cf85a8af4"
+            "9d59b2bf45b16b59acb49545f7e7733ac83986d4538f23c68b19c64a6f5d14c0"
 
     def test_compare(self, jobs, tmp_path):
         options = {"benchmark": "sphere,rastrigin", "pop": 12, "gens": 8, "runs": 3,
@@ -908,11 +908,11 @@ class TestPinnedOutputs:
         cmd_compare(build_plan({**options, "algorithm": "aded"}),
                     build_plan({**options, "algorithm": "classic_de"}))
         assert _digest((tmp_path / "comparison.csv").read_bytes()) == \
-            "8f25dc6f793e0a4f030edc163d133746a73891b19dfe6868050890c427107c7d"
+            "676c2e6381438b4a56748369350ca9385c16c9ec9576006ee99ba4001b089d68"
         assert _digest((tmp_path / "comparison.txt").read_bytes()) == \
-            "1545831de11692be12b2de0eb0f5c3c52b88ac18645703c968756744ab9b6ab6"
+            "76d067328f670f71dd16bca135195963b353f21f82f8493393b6b5a30317d2d2"
         assert _report_digest(tmp_path / "comparison.json") == \
-            "be588e782b0941844bd90e074bbae89bd0ebde296b92c5ca3359e2f8ea60141f"
+            "dc3fbd4d16f7a20fcc7e44389920aa4cfc0b5a6c3f1cfdefe780ff5439400dbb"
 
     def test_moo(self, jobs, tmp_path):
         cmd_moo(build_plan(moo_options(benchmark="zdt1,dltz1", runs=2, jobs=jobs,

@@ -71,9 +71,9 @@ def test_aded_dynamic_neighborhood_with_local_search():
         local_search=LocalSearchBudget(enabled=True, max_iterations=5, probability=0.3),
     )
     assert fingerprint(run_aded(spec.evaluate, spec.space(), cfg)) == (
-        "2.372302221331779e-08", 1617,
-        "7a14a38a85a7c2041b2644740cebfeb69285334415663cf3b38cb1bc7537bc4c",
-        "ff5d57bc13d8c5a2506e91bf5a8895dd1fd8694250c43f052f5ce89986059239",
+        "0.16880659984179802", 1330,
+        "6d2145b7355b7aad7b0309d491c5507af436d976b7f950813277af7f4198a781",
+        "15f6520c6a99cff2ccc91f7c5d9bd404f02f4fbc82656861a1e6e83e5420c7dd",
         "max-generations",
     )
 
@@ -222,7 +222,7 @@ GRID_REFINEMENTS = {
     "p0.3": LocalSearchBudget(max_iterations=3, probability=0.3),
     "p1": LocalSearchBudget(max_iterations=2, probability=1.0),
 }
-GRID_DIGEST = "65c0eabd3699c1d68ee7815326f20d563c2f54ef593e3cd7566c5c1b6a0a35aa"
+GRID_DIGEST = "e1aeb5afdb17219e006e02c0ba040e6935ec8274d855b476ca5489feaf239e87"
 
 
 def test_engine_grid_digest():

@@ -32,20 +32,25 @@ _CONFIG_ERRORS = (ConfigError, SpaceError, ShapeError, UnknownBenchmarkError, Va
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    """--preset, --config and a string flag per option but ``algorithm``."""
+    """--preset, --config and a string flag per option but ``algorithm``. The
+    flag of an option the command refuses is parsed, so that the refusal reads
+    the same as from a file, but left out of --help."""
     parser.add_argument("--preset", help="named preset to start from")
     parser.add_argument("--config", help="flat key=value config file")
+    refused = _NOT_TAKEN.get(parser.prog.split()[-1], ())
     for key, (_, help_text, _) in OPTIONS.items():
         if key != "algorithm":
-            parser.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
+            parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                                help=argparse.SUPPRESS if key in refused else help_text)
 
 
-# Options a command refuses rather than ignores: each tournament variant sets
-# these itself, and the multi-objective engine draws no neighborhood and
-# builds its own donor.
+# Options a command refuses rather than ignores: compare runs both engines,
+# each tournament variant sets these itself, and the multi-objective engine
+# draws no neighborhood, builds its own donor and reads F only.
 _NOT_TAKEN = {
+    "compare": ("algorithm",),
     "tournament": ("algorithm", "strategy", "mode", "f0", "cr0", "fixed_f", "fixed_cr"),
-    "moo": ("strategy", "neighborhood", "neighborhood_size"),
+    "moo": ("strategy", "neighborhood", "neighborhood_size", "algorithm", "cr0", "fixed_cr"),
 }
 
 # The tournament's lowest layer, under its preset, config file and flags.
@@ -105,8 +110,8 @@ def _dispatch(args) -> int:
             print(f"{benchmark_id}: mean best_f = {stats['mean_best_f']:.6g} "
                   f"(min {stats['min_best_f']:.6g}) over {plan.n_runs} runs")
     elif args.command == "compare":
-        plan = build_plan({**options, "algorithm": "aded"})
-        report = cmd_compare(plan, build_plan({**options, "algorithm": "classic_de"}))
+        plan = build_plan(options)
+        report = cmd_compare(plan)
         for row in report["rows"]:
             print(f"{row['benchmark']}: {row['label_a']} mean {row['mean_a']:.6g} vs "
                   f"{row['label_b']} mean {row['mean_b']:.6g} "

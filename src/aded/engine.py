@@ -45,8 +45,8 @@ class EngineConfig:
     schedule: ScheduleParams = field(default_factory=ScheduleParams)
     strategy: StrategyId = field(default_factory=lambda: StrategyId("adedrand", "bin"))
     # "dynamic" | "all": neither field changes the draw (see run_aded);
-    # neighborhood_size, None resolving to min(10, pop - 1), still bounds the
-    # strategies "dynamic" allows
+    # neighborhood_size, None resolving to min(10, pop - 1), still refuses a
+    # strategy under "dynamic" that takes more bases than it
     neighborhood: str = "dynamic"
     neighborhood_size: int | None = None
     local_search: LocalSearchBudget = field(default_factory=LocalSearchBudget)
@@ -72,6 +72,13 @@ class EngineConfig:
             )
         if self.neighborhood not in ("dynamic", "all"):
             raise ConfigError(f"neighborhood must be 'dynamic' or 'all', got {self.neighborhood!r}")
+        if self.neighborhood == "dynamic" and self.neighborhood_size < self.strategy.index_count:
+            raise ConfigError(
+                f"strategy {self.strategy.name} needs {self.strategy.index_count} neighbors, "
+                f"but the neighborhood supplies only {self.neighborhood_size}"
+            )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def has_converged(history, stagnation_limit: int, tol: float = 0.0) -> bool:
@@ -217,8 +224,8 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig, on_generation=Non
     distinct other members. ``neighborhood="dynamic"`` and ``"all"`` give
     identical runs: a uniform subset of ``neighborhood_size`` members, with
     the bases picked among them, would have the same law, so no subset is
-    drawn. Under ``"dynamic"``, a strategy that needs more bases than
-    ``neighborhood_size`` is still refused.
+    drawn. Under ``"dynamic"``, ``EngineConfig`` still refuses a strategy
+    that needs more bases than ``neighborhood_size``.
 
     Each generation is built from the previous one as a whole, and its trials
     are evaluated by ``_evaluate_trials``.
@@ -232,12 +239,6 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig, on_generation=Non
     t0 = time.perf_counter()
     rng = RngStream(cfg.seed)
     n = cfg.population_size
-    pool_size = n - 1 if cfg.neighborhood == "all" else min(cfg.neighborhood_size, n - 1)
-    if pool_size < cfg.strategy.index_count:
-        raise ConfigError(
-            f"strategy {cfg.strategy.name} needs {cfg.strategy.index_count} neighbors, "
-            f"but the neighborhood supplies only {pool_size}"
-        )
     fixed = cfg.schedule.resolve_fixed(rng) if cfg.schedule.mode == "fixed" else None
 
     counting = _CountingObjective(objective)

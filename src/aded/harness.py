@@ -74,7 +74,7 @@ PRESETS = {
         "pop": 50, "gens": 100, "runs": 10, "neighborhood": "all",
     },
     # full 2-D battery settings used by the comparison tables
-    "battery-2d": {"algorithm": "aded", "pop": 300, "gens": 200, "runs": 30},
+    "battery-2d": {"pop": 300, "gens": 200, "runs": 30},
     # classic DE on the convex demo objective, run to full depth
     "classic-convex": {
         "benchmark": "sphere", "algorithm": "classic_de",
@@ -86,9 +86,8 @@ PRESETS = {
     # multi-objective runs: high initial F keeps the admitted archive spread
     # across the whole front while a light local-search touch pulls it tight
     "moo-zdt1": {
-        "benchmark": "zdt1", "algorithm": "aded_mo", "pop": 100, "gens": 100,
-        "runs": 3, "f0": 2.0, "cr0": 0.9, "stagnation_limit": 40,
-        "ls_iterations": 5, "ls_probability": 0.1,
+        "benchmark": "zdt1", "pop": 100, "gens": 100, "runs": 3, "f0": 2.0,
+        "stagnation_limit": 40, "ls_iterations": 5, "ls_probability": 0.1,
     },
 }
 
@@ -454,32 +453,29 @@ def _comparison_text(rows: list) -> str:
     return "\n".join(lines)
 
 
-def cmd_compare(plan_a: ExperimentPlan, plan_b: ExperimentPlan) -> dict:
-    """Run two plans over a shared benchmark list and emit Welch comparisons.
-    Both arms' runs share one runner, with ``plan_a.jobs`` workers."""
-    if list(plan_a.benchmarks) != list(plan_b.benchmarks):
-        raise ConfigError("compared plans must share the same benchmark list")
-    batches = [_seeded_runs(plan, b) for b in plan_a.benchmarks for plan in (plan_a, plan_b)]
-    n_runs = min(plan_a.n_runs, plan_b.n_runs)
-    if n_runs < 2:
-        raise ConfigError(f"compare needs --runs >= 2 (Welch's test), got {n_runs}")
-    results = iter(_execute_batches(batches, plan_a.jobs))
+def cmd_compare(plan: ExperimentPlan) -> dict:
+    """Run the plan under the adaptive engine and under classic DE, and emit
+    a Welch comparison per benchmark. Both arms' runs share one runner."""
+    labels = ("aded", "classic_de")
+    arms = [replace(plan, algorithm=algorithm) for algorithm in labels]
+    batches = [_seeded_runs(arm, b) for b in plan.benchmarks for arm in arms]
+    if plan.n_runs < 2:
+        raise ConfigError(f"compare needs --runs >= 2 (Welch's test), got {plan.n_runs}")
+    results = iter(_execute_batches(batches, plan.jobs))
     rows = []
     per_benchmark = {}
-    for benchmark_id in plan_a.benchmarks:
-        results_a, results_b = next(results), next(results)
-        row = compare_batches(benchmark_id, results_a, results_b,
-                              label_a=plan_a.algorithm, label_b=plan_b.algorithm)
-        rows.append(row)
-        per_benchmark[benchmark_id] = (results_a, results_b)
+    for benchmark_id in plan.benchmarks:
+        pair = next(results), next(results)
+        rows.append(compare_batches(benchmark_id, *pair, *labels))
+        per_benchmark[benchmark_id] = pair
     report = {
         "version": __version__,
-        "labels": [plan_a.algorithm, plan_b.algorithm],
-        "config_hash": [config_hash(plan_a.config), config_hash(plan_b.config)],
+        "labels": list(labels),
+        "config_hash": [config_hash(plan.config)] * 2,
         "rows": [asdict(r) | {"stars": r.stars} for r in rows],
     }
-    if plan_a.out_dir is not None:
-        out = Path(plan_a.out_dir)
+    if plan.out_dir is not None:
+        out = Path(plan.out_dir)
         _write_csv(
             out / "comparison.csv",
             ["benchmark", "label_a", "mean_a", "sd_a", "label_b", "mean_b", "sd_b",
@@ -493,19 +489,12 @@ def cmd_compare(plan_a: ExperimentPlan, plan_b: ExperimentPlan) -> dict:
     return report
 
 
-def cmd_tournament(plan: ExperimentPlan | None = None, *, benchmarks=TOURNAMENT_BENCHMARKS,
-                   n_runs: int = 5, pop: int = 40, gens: int = 40, base_seed: int = 0,
-                   out_dir=None, jobs: int = 1) -> dict:
+def cmd_tournament(plan: ExperimentPlan) -> dict:
     """Run every strategy variant with its fixed (F, CR) pair over the plan's
     benchmarks, score AOV / convergence speed / Q, and rank by average rank.
 
     Each variant runs the plan with its own strategy and F/CR; every other
-    setting comes from the plan. Without a plan, the keywords give one at the
-    default engine settings."""
-    if plan is None:
-        config = EngineConfig(population_size=pop, max_generations=gens, seed=base_seed)
-        plan = ExperimentPlan(list(benchmarks), config, n_runs=n_runs, base_seed=base_seed,
-                              jobs=jobs, out_dir=out_dir)
+    setting comes from the plan."""
     variants = [replace(plan, algorithm="aded", config=replace(
         plan.config, strategy=StrategyId.parse(name),
         schedule=ScheduleParams(mode="fixed", fixed_f=fixed_f, fixed_cr=fixed_cr),

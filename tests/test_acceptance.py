@@ -37,7 +37,7 @@ from aded import (
 )
 from aded.benchmarks import SINGLE_OBJECTIVE, lookup
 from aded.cli import main
-from aded.harness import cmd_tournament
+from aded.harness import build_plan, cmd_tournament
 from aded.stats import rank_variants
 
 
@@ -296,7 +296,8 @@ def test_criterion_10_zdt1_generational_distance():
 
 def test_criterion_11_tournament_pipeline(tmp_path):
     t0 = time.monotonic()
-    result = cmd_tournament(n_runs=5, pop=20, gens=15, base_seed=0, out_dir=tmp_path)
+    result = cmd_tournament(build_plan({"benchmark": "sphere,sinusoidal", "runs": 5, "pop": 20,
+                                        "gens": 15, "out": str(tmp_path)}))
     table = result["table"]
     ok = len(table) == 14
     scores = [(row["variant"], row["aov"], row["cs"], row["q"]) for row in table]

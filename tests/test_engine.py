@@ -262,12 +262,9 @@ class TestRunAded:
                       schedule=ScheduleParams(mode="fixed", fixed_f=fixed_f, fixed_cr=fixed_cr))
 
     def test_strategy_needs_enough_neighbors(self):
-        cfg = small_cfg(
-            strategy=StrategyId.parse("rand2bin"), neighborhood_size=3
-        )
-        spec = lookup("sphere")
-        with pytest.raises(ConfigError):
-            run_aded(spec.evaluate, spec.space(), cfg)
+        with pytest.raises(ConfigError, match="strategy rand2bin needs 5 neighbors, "
+                                              "but the neighborhood supplies only 3"):
+            small_cfg(strategy=StrategyId.parse("rand2bin"), neighborhood_size=3)
 
     def test_exponential_strategy_runs(self):
         spec = lookup("sphere")

@@ -13,6 +13,7 @@ import sys
 from .benchmarks import UnknownBenchmarkError
 from .core import ConfigError, DomainError, ShapeError, SpaceError
 from .harness import (
+    ALGORITHMS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
@@ -44,13 +45,16 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
                                 help=argparse.SUPPRESS if key in refused else help_text)
 
 
-# Options a command refuses rather than ignores: compare runs both engines,
-# each tournament variant sets these itself, and the multi-objective engine
-# draws no neighborhood, builds its own donor and reads F only.
+# Options a command, or the classic_de algorithm of `run`, refuses rather
+# than ignores: compare runs both engines, each tournament variant sets these
+# itself, the multi-objective engine draws no neighborhood, builds its own
+# donor and reads F only, and classic DE replaces these (engine.classic_config).
 _NOT_TAKEN = {
     "compare": ("algorithm",),
     "tournament": ("algorithm", "strategy", "mode", "f0", "cr0", "fixed_f", "fixed_cr"),
     "moo": ("strategy", "neighborhood", "neighborhood_size", "algorithm", "cr0", "fixed_cr"),
+    "classic_de": ("strategy", "neighborhood", "neighborhood_size", "local_search",
+                   "ls_iterations", "ls_probability", "ls_step", "mode", "f0", "cr0"),
 }
 
 # The tournament's lowest layer, under its preset, config file and flags.
@@ -64,9 +68,11 @@ def _options_from_args(args) -> dict:
         config_file=getattr(args, "config", None),
         overrides={k: getattr(args, k, None) for k in OPTIONS},
     )
-    refused = [k for k in _NOT_TAKEN.get(args.command, ()) if k in options]
-    if refused:
-        raise ConfigError(f"{args.command} does not take {', '.join(refused)}")
+    algorithm = options.get("algorithm")
+    for taker in (args.command, algorithm if algorithm in ALGORITHMS else None):
+        refused = [k for k in _NOT_TAKEN.get(taker, ()) if k in options]
+        if refused:
+            raise ConfigError(f"{taker} does not take {', '.join(refused)}")
     return options
 
 
@@ -124,8 +130,10 @@ def _dispatch(args) -> int:
                   f"q={row['q']:.6g} avg_rank={row['average_rank']:.4f}")
     elif args.command == "moo":
         plan = build_plan(options)
-        weights = ([float(w) for w in args.weights.split(",")]
-                   if getattr(args, "weights", None) else None)
+        try:
+            weights = [float(w) for w in args.weights.split(",")] if args.weights else None
+        except ValueError:
+            raise ConfigError(f"weights must be comma-separated numbers, got {args.weights!r}") from None
         report = cmd_moo(plan, weights=weights)
         for benchmark_id, entries in report["benchmarks"].items():
             for entry in entries:

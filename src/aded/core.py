@@ -1,8 +1,8 @@
 """Core domain types shared by every other module.
 
-Provides box-bounded search spaces, the deterministic random-stream
-wrapper, and the low-level sampling primitives (bounded initialization and
-bound repair). A population is a plain ``(n, dim)`` array.
+Provides box-bounded search spaces, the deterministic random stream, the
+sampling primitives (bounded initialization, bound repair) and the
+evaluation ledger. A population is a plain ``(n, dim)`` array.
 """
 
 from __future__ import annotations
@@ -131,3 +131,43 @@ def evaluate_rows(objective, points) -> np.ndarray:
         return np.asarray(objective(points), dtype=float)
     return np.array([objective(p) for p in points], dtype=float)
 
+
+class _CountingObjective:
+    """The evaluation ledger: wraps the raw objective, counts every evaluated
+    point, checks finiteness, and names the failing point in errors.
+
+    It takes an ``(m, d)`` batch and passes it on through ``evaluate_rows``.
+    Values are floats, or arrays when ``multi`` (several objectives).
+    """
+
+    __slots__ = ("fn", "multi", "count")
+
+    def __init__(self, fn, multi: bool = False):
+        self.fn = fn
+        self.multi = multi
+        self.count = 0
+
+    def batch(self, points, where) -> np.ndarray:
+        """Values at the rows of ``points``; ``where(r)`` names row r in
+        errors. When the batch fails, its rows are evaluated again one at a
+        time, so that the error names the first row that fails alone."""
+        m = len(points)
+        self.count += m
+        try:
+            values = evaluate_rows(self.fn, points)
+            if values.ndim != 1 + self.multi or values.shape[0] != m:
+                raise ShapeError(f"a batch of {m} points gave values of shape {values.shape}")
+        except Exception as exc:
+            for r in range(m):
+                try:
+                    value = evaluate_rows(self.fn, points[r:r + 1])[0]
+                except Exception as row_exc:
+                    raise DomainError(f"objective failed at {where(r)}: {row_exc}") from row_exc
+                if not np.isfinite(value).all():
+                    raise DomainError(f"objective returned {value} at {where(r)}")
+            raise DomainError(f"objective failed on the batch at {where(0)}: {exc}") from exc
+        finite = np.isfinite(values)
+        if not finite.all():
+            r = int(np.argmin(finite.reshape(m, -1).all(axis=1)))
+            raise DomainError(f"objective returned {values[r]} at {where(r)}")
+        return values

@@ -1,8 +1,8 @@
 """The single-objective engine and the parts every engine shares: the
-generation loop (scheduled F/CR and the stagnation stop) and the counting
-objective adapter. The adaptive engine has uniform random mutation bases,
-crowding selection and optional local refinement; classic DE is a preset of
-it.
+generation loop (scheduled F/CR and the stagnation stop) and the one call
+that repairs, refines and evaluates a generation's trials. The adaptive
+engine has uniform random mutation bases, crowding selection and optional
+local refinement; classic DE is a preset of it.
 """
 
 from __future__ import annotations
@@ -12,16 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    DomainError,
-    RngStream,
-    ShapeError,
-    SearchSpace,
-    clip_to_bounds,
-    evaluate_rows,
-    init_population,
-)
+from .core import ConfigError, RngStream, SearchSpace, _CountingObjective, init_population
 from .variation import (
     LocalSearchBudget,
     ScheduleParams,
@@ -113,49 +104,6 @@ class RunResult:
         return int(self.best_f_history.size)
 
 
-class _CountingObjective:
-    """Wraps the raw objective: counts every evaluated point, checks
-    finiteness, and attaches generation/individual context to failures.
-
-    It takes an ``(m, d)`` batch and passes it on through
-    ``core.evaluate_rows``, the one adapter for batched and per-row
-    objectives. Values are floats, or arrays when ``multi`` (several
-    objectives).
-    """
-
-    __slots__ = ("fn", "multi", "count")
-
-    def __init__(self, fn, multi: bool = False):
-        self.fn = fn
-        self.multi = multi
-        self.count = 0
-
-    def batch(self, points, where) -> np.ndarray:
-        """Values at the rows of ``points``; ``where(r)`` names row r in
-        errors. When the batch fails, its rows are evaluated again one at a
-        time, so that the error names the first row that fails alone."""
-        m = len(points)
-        self.count += m
-        try:
-            values = evaluate_rows(self.fn, points)
-            if values.ndim != 1 + self.multi or values.shape[0] != m:
-                raise ShapeError(f"a batch of {m} points gave values of shape {values.shape}")
-        except Exception as exc:
-            for r in range(m):
-                try:
-                    value = evaluate_rows(self.fn, points[r:r + 1])[0]
-                except Exception as row_exc:
-                    raise DomainError(f"objective failed at {where(r)}: {row_exc}") from row_exc
-                if not np.isfinite(value).all():
-                    raise DomainError(f"objective returned {value} at {where(r)}")
-            raise DomainError(f"objective failed on the batch at {where(0)}: {exc}") from exc
-        finite = np.isfinite(values)
-        if not finite.all():
-            r = int(np.argmin(finite.reshape(m, -1).all(axis=1)))
-            raise DomainError(f"objective returned {values[r]} at {where(r)}")
-        return values
-
-
 def _draw_trials(cfg: EngineConfig, n: int, d: int, cr: float, rng: RngStream):
     """Draw one generation's randomness, one array per kind, in a fixed order:
     k coefficients, bases, crossover, refinement coins.
@@ -174,32 +122,14 @@ def _draw_trials(cfg: EngineConfig, n: int, d: int, cr: float, rng: RngStream):
     return bases, k_coeff, masks, cfg.local_search.refines(rng, n)
 
 
-def _evaluate_trials(counting, trials, refine, gen, space, budget, scalar=None) -> np.ndarray:
-    """Objective values of a generation's trials, in two calls: the trials
-    not flagged in ``refine`` reach the objective as one batch, and the
-    flagged ones are refined together by ``lockstep_refine``, each refined
-    trial replacing its row of ``trials``.
-
-    With ``scalar`` (multi-objective runs), refinement minimizes
-    ``scalar(objective vectors)`` and returns each refined trial's objective
-    vector.
-    """
-    def named(rows):
-        return lambda r: f"generation {gen}, individual {rows[r]}"
-
-    flagged = np.flatnonzero(refine)
-    plain = np.flatnonzero(~refine)
-    plain_values = counting.batch(trials[plain], named(plain)) if plain.size else None
-    if not flagged.size:
-        return plain_values
-
+def _evaluate_trials(counting, trials, refine, gen, space, budget, scalar=None):
+    """A generation's trials, clipped and those flagged in ``refine`` refined,
+    and their values (objective vectors with ``scalar``): one call of
+    ``lockstep_refine``, whose errors name the generation and individual."""
     def evaluate(points, rows):
-        return counting.batch(points, named(flagged[rows]))
+        return counting.batch(points, lambda r: f"generation {gen}, individual {rows[r]}")
 
-    trials[flagged], values, _ = lockstep_refine(evaluate, trials[flagged], space, budget, scalar)
-    if plain_values is None:
-        return values
-    return np.concatenate([plain_values, values])[np.argsort(np.concatenate([plain, flagged]))]
+    return lockstep_refine(evaluate, trials, space, budget, scalar, refine)
 
 
 def _generations(cfg: EngineConfig, fixed, step):
@@ -228,7 +158,7 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig, on_generation=Non
     that needs more bases than ``neighborhood_size``.
 
     Each generation is built from the previous one as a whole, and its trials
-    are evaluated by ``_evaluate_trials``.
+    are bound-repaired, refined and evaluated by ``_evaluate_trials``.
 
     The engine records only the best fitness of each generation. A caller
     that wants more (diversity, FDC) passes ``on_generation``, which is
@@ -249,8 +179,8 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig, on_generation=Non
         nonlocal x, fit
         bases, k_coeff, masks, refine = _draw_trials(cfg, n, space.dim, cr_rate, rng)
         donors = mutation_donors(cfg.strategy, x, bases, x[int(np.argmin(fit))], f_rate, k_coeff)
-        trials = clip_to_bounds(np.where(masks, donors, x), space)
-        trial_f = _evaluate_trials(counting, trials, refine, gen, space, cfg.local_search)
+        trials, trial_f = _evaluate_trials(counting, np.where(masks, donors, x), refine, gen,
+                                           space, cfg.local_search)
         improved = trial_f < fit                   # crowding: incumbent wins ties
         x = np.where(improved[:, None], trials, x)
         fit = np.where(improved, trial_f, fit)
@@ -271,19 +201,22 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig, on_generation=Non
     )
 
 
-def run_classic_de(objective, space: SearchSpace, cfg: EngineConfig,
-                   on_generation=None) -> RunResult:
-    """Canonical DE baseline (Storn & Price): ``run_aded`` with rand/1 mutation,
-    binomial crossover, every other member as neighbor, and no local search.
-    F and CR stay constant at cfg.schedule.fixed_f / fixed_cr (default 0.8 / 0.9).
-    ``on_generation`` is passed on to ``run_aded``."""
+def classic_config(cfg: EngineConfig) -> EngineConfig:
+    """The config classic DE (Storn & Price) runs: ``cfg`` with rand/1/bin,
+    every other member as neighbor, no local search, and F and CR fixed at
+    cfg.schedule.fixed_f / fixed_cr (default 0.8 / 0.9)."""
     f = cfg.schedule.fixed_f if cfg.schedule.fixed_f is not None else CLASSIC_F
     cr = cfg.schedule.fixed_cr if cfg.schedule.fixed_cr is not None else CLASSIC_CR
-    classic = replace(
+    return replace(
         cfg,
         schedule=ScheduleParams(mode="fixed", fixed_f=f, fixed_cr=cr),
         strategy=StrategyId("rand1", "bin"),
         neighborhood="all",
         local_search=LocalSearchBudget(enabled=False),
     )
-    return run_aded(objective, space, classic, on_generation)
+
+
+def run_classic_de(objective, space: SearchSpace, cfg: EngineConfig,
+                   on_generation=None) -> RunResult:
+    """Canonical DE baseline: ``run_aded`` under ``classic_config(cfg)``."""
+    return run_aded(objective, space, classic_config(cfg), on_generation)

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, metrics
 from .benchmarks import CATALOG, analytic_front, lookup
 from .core import ConfigError, ShapeError
-from .engine import EngineConfig, run_aded, run_classic_de
+from .engine import EngineConfig, classic_config, run_aded, run_classic_de
 from .metrics import (
     FrontPair,
     aov,
@@ -409,17 +409,19 @@ def cmd_list_benchmarks(fmt: str = "csv") -> str:
 
 
 def cmd_run(plan: ExperimentPlan) -> dict:
-    """Execute the plan and emit raw history, per-run summary, and a report."""
+    """Execute the plan and emit raw history, per-run summary, and a report,
+    which records the config that ran (``classic_config`` for classic DE)."""
     if plan.algorithm == "aded_mo":
         raise ConfigError("multi-objective plans go through the `moo` command")
     recorded = dict(zip(plan.benchmarks, _execute_batches(
         [_seeded_runs(plan, b) for b in plan.benchmarks], plan.jobs, _execute_recorded_run)))
     batches = {b: [result for result, _ in runs] for b, runs in recorded.items()}
+    ran = classic_config(plan.config) if plan.algorithm == "classic_de" else plan.config
     report = {
         "version": __version__,
         "algorithm": plan.algorithm,
-        "config": asdict(plan.config),
-        "config_hash": config_hash(plan.config),
+        "config": asdict(ran),
+        "config_hash": config_hash(ran),
         "n_runs": plan.n_runs,
         "base_seed": plan.base_seed,
         "benchmarks": {},
@@ -455,7 +457,8 @@ def _comparison_text(rows: list) -> str:
 
 def cmd_compare(plan: ExperimentPlan) -> dict:
     """Run the plan under the adaptive engine and under classic DE, and emit
-    a Welch comparison per benchmark. Both arms' runs share one runner."""
+    a Welch comparison per benchmark. Both arms' runs share one runner; the
+    report gives each arm's config hash, classic DE's of ``classic_config``."""
     labels = ("aded", "classic_de")
     arms = [replace(plan, algorithm=algorithm) for algorithm in labels]
     batches = [_seeded_runs(arm, b) for b in plan.benchmarks for arm in arms]
@@ -471,7 +474,7 @@ def cmd_compare(plan: ExperimentPlan) -> dict:
     report = {
         "version": __version__,
         "labels": list(labels),
-        "config_hash": [config_hash(plan.config)] * 2,
+        "config_hash": [config_hash(plan.config), config_hash(classic_config(plan.config))],
         "rows": [asdict(r) | {"stars": r.stars} for r in rows],
     }
     if plan.out_dir is not None:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, RngStream, SearchSpace, ShapeError, clip_to_bounds, init_population
-from .engine import EngineConfig, _CountingObjective, _evaluate_trials, _generations
+from .core import ConfigError, RngStream, SearchSpace, ShapeError, _CountingObjective, init_population
+from .engine import EngineConfig, _evaluate_trials, _generations
 from .variation import StrategyId, draw_distinct, mutation_donors
 
 # each trial is its donor, with no crossover: x + F (x_a - x) + F (x_b - x), x_a, x_b members
@@ -173,8 +173,9 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
         nonlocal x, arch_x, arch_obj, best_obj
         pulls = draw_distinct(rng, n, 2, n)
         refine = cfg.local_search.refines(rng, n)
-        trials = clip_to_bounds(mutation_donors(_PULL, x, pulls, None, f_rate, np.zeros(n)), space)
-        trial_objs = _evaluate_trials(counting, trials, refine, gen, space, cfg.local_search, scalar)
+        donors = mutation_donors(_PULL, x, pulls, None, f_rate, np.zeros(n))
+        trials, trial_objs = _evaluate_trials(counting, donors, refine, gen, space,
+                                              cfg.local_search, scalar)
         admitted = _admit(trial_objs)
         if arch_obj is None:                   # the objective count is known now
             arch_x, arch_obj = trials[:0], trial_objs[:0]

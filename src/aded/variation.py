@@ -13,10 +13,10 @@ import numpy as np
 
 from .core import (
     ConfigError,
-    DomainError,
     RngStream,
     SearchSpace,
     ShapeError,
+    _CountingObjective,
     clip_to_bounds,
     evaluate_rows,
 )
@@ -356,16 +356,35 @@ def _two_loop(g, s, y, rho, gamma, used: int) -> np.ndarray:
 
 
 def lockstep_refine(evaluate, x0, space: SearchSpace, budget: LocalSearchBudget,
-                    scalar=None):
-    """Projected L-BFGS descent from every row of the ``(m, d)`` array ``x0``
-    at once: the limited-memory BFGS of Liu & Nocedal (1989) with bounds
-    handled by projection, as in L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995).
+                    scalar=None, refine=None):
+    """Evaluate every row of the ``(m, d)`` array ``x0``, clipped into the
+    box, in one batch, and refine the rows flagged in ``refine`` (every row
+    when it is None) together by ``_descend``. ``evaluate(points, rows)``
+    returns the objective's values at the rows of ``points``, point k
+    belonging to row ``rows[k]`` of ``x0``; with ``scalar``, they are
+    vectors and the descent minimizes ``scalar(values)``.
 
-    ``evaluate(points, rows)`` returns the objective's values at the rows of
-    ``points``, point k belonging to start row ``rows[k]``. The start points
-    go out as one batch, each iteration's central-difference probes of every
-    row still going as one batch, and each backtracking round's trial
-    points as one batch.
+    Returns (x, values): the rows, inside the box, a refined row never worse
+    than its start and an unflagged row its clipped start; and the
+    objective's own values there.
+    """
+    x = clip_to_bounds(x0, space)
+    raw = evaluate(x, np.arange(len(x)))
+    flagged = np.arange(len(x)) if refine is None else np.flatnonzero(refine)
+    if flagged.size:         # the descent's state is sized to the flagged rows
+        x[flagged], raw[flagged] = _descend(lambda points, rows: evaluate(points, flagged[rows]),
+                                            x[flagged], raw[flagged], space, budget, scalar)
+    return x, raw
+
+
+def _descend(evaluate, x, raw, space: SearchSpace, budget: LocalSearchBudget, scalar):
+    """Projected L-BFGS descent from every row of the ``(m, d)`` array ``x``
+    at once, ``raw`` holding the objective's values there and ``evaluate``
+    taking rows of ``x``: the limited-memory BFGS of Liu & Nocedal (1989)
+    with bounds handled by projection, as in L-BFGS-B (Byrd, Lu, Nocedal &
+    Zhu 1995). Each iteration's central-difference probes of the rows still
+    going go out as one batch, and each backtracking round's trial points
+    as one batch.
 
     Each iteration a row takes its L-BFGS step (the two-loop recursion on
     the gradient, with the components held at a bound by the gradient left
@@ -382,20 +401,12 @@ def lockstep_refine(evaluate, x0, space: SearchSpace, budget: LocalSearchBudget,
     retries). Row arithmetic is elementwise or a reduction along the row,
     so each row's result is the same whichever rows it is refined with.
 
-    With ``scalar``, the objective's values are vectors (one row per point)
-    and the descent minimizes ``scalar(values)``.
-
-    Returns (x, f, evals): the refined rows, inside the box and never worse
-    than their start; the objective's own values there; and each row's
-    evaluation count.
+    Returns the refined rows and the objective's values there.
     """
-    x = clip_to_bounds(x0, space)
     m, d = x.shape
-    evals = np.zeros(m, dtype=np.int64)
 
     def values(points, rows):
         """The objective's values at ``points`` and the values descended on."""
-        evals[:] += np.bincount(rows, minlength=m)
         raw = evaluate(points, rows)
         return raw, (raw if scalar is None else scalar(raw))
 
@@ -409,10 +420,7 @@ def lockstep_refine(evaluate, x0, space: SearchSpace, budget: LocalSearchBudget,
         return finite_difference_gradient(probes, x[rows], budget.gradient_step,
                                           space.lows, space.highs)
 
-    raw, f = values(x, np.arange(m))
-    if not np.isfinite(f).all():
-        bad = f[~np.isfinite(f)][0]
-        raise DomainError(f"objective is non-finite at a local-search start point: {bad}")
+    f = raw if scalar is None else scalar(raw)
     g = gradient(np.arange(m))
     s_pairs = np.zeros((m, LBFGS_MEMORY, d))
     y_pairs = np.zeros((m, LBFGS_MEMORY, d))
@@ -484,17 +492,23 @@ def lockstep_refine(evaluate, x0, space: SearchSpace, budget: LocalSearchBudget,
             g[c] = g_new
             going[c] = _projected_gradient(x[c], g_new, space) > GTOL
 
-    return x, raw, evals
+    return x, raw
 
 
 def local_refine(objective, x0, space: SearchSpace, budget: LocalSearchBudget):
     """Refinement of one point: ``lockstep_refine`` with m = 1.
 
-    Gradients come from central finite differences, every probe counts as an
-    objective evaluation, and the result is never worse than the start point
-    nor outside the box. A ``batched`` objective gets each batch of points
-    in one call. Returns (x, f, evals).
+    Gradients come from central finite differences, and the result is never
+    worse than the start point nor outside the box. A ``batched`` objective
+    gets each batch of points in one call. Every point goes through the
+    evaluation ledger, as in the engines: ``evals`` is its count, and a
+    value that is not finite, at any point, raises ``DomainError``. Returns
+    (x, f, evals).
     """
-    x, f, evals = lockstep_refine(lambda points, rows: evaluate_rows(objective, points),
-                                  np.asarray(x0, dtype=float)[None], space, budget)
-    return x[0], float(f[0]), int(evals[0])
+    counting = _CountingObjective(objective)
+
+    def evaluate(points, rows):
+        return counting.batch(points, lambda r: f"local-search point {points[r]}")
+
+    x, f = lockstep_refine(evaluate, np.asarray(x0, dtype=float)[None], space, budget)
+    return x[0], float(f[0]), counting.count

@@ -126,6 +126,20 @@ class TestOneCallPerBatch:
         assert log.shapes == [(12, 3)] * 10
         assert result.n_evaluations == 120
 
+    def test_first_call_of_each_generation_holds_every_trial(self):
+        log = CallLog()
+        ends = []
+        cfg = EngineConfig(population_size=10, max_generations=6, seed=2,
+                           stagnation_limit=6, stagnation_tol=0.0,
+                           local_search=LocalSearchBudget(max_iterations=3, probability=0.5))
+        result = run_aded(log, SearchSpace.cube(-1.0, 1.0, 3), cfg,
+                          on_generation=lambda gen, x, fit: ends.append(len(log.shapes)))
+        starts = [1] + ends[:-1]                 # call 0 is the initial population
+        assert [log.shapes[i] for i in starts] == [(10, 3)] * 6
+        # every generation refines some trials, so its later calls are refinement's
+        assert all(end - start > 1 for start, end in zip(starts, ends))
+        assert result.n_evaluations == sum(shape[0] for shape in log.shapes)
+
     def test_one_call_per_gradient(self):
         log = CallLog()
         grad = finite_difference_gradient(log, np.array([0.5, -1.0, 2.0]))

@@ -12,6 +12,7 @@ import aded.cli
 from aded import ConfigError, EngineConfig, harness
 from aded.benchmarks import BATTERY_IDS, UnknownBenchmarkError
 from aded.cli import main
+from aded.engine import classic_config
 from aded.harness import (
     OPTIONS,
     PRESETS,
@@ -287,6 +288,14 @@ class TestCmdCompare:
         assert hashlib.sha256((tmp_path / "comparison.csv").read_bytes()).hexdigest() == \
             "3fdba5fe6925256710e4a2cc9deaf88f39b3c7669a43775c4207d5489ecd212c"
 
+    def test_records_the_config_each_arm_ran(self, tmp_path):
+        plan = build_plan(tiny_options(runs=2, out=str(tmp_path)))
+        cmd_compare(plan)
+        payload = json.loads((tmp_path / "comparison.json").read_text())
+        assert payload["config_hash"] == [config_hash(plan.config),
+                                          config_hash(classic_config(plan.config))]
+        assert payload["config_hash"][0] != payload["config_hash"][1]
+
 
 class TestCmdTournament:
     def test_micro_tournament_shape_and_ranks(self, tmp_path):
@@ -441,12 +450,17 @@ class TestCli:
         (["tournament", "--benchmark", "sphere", "--neighborhood-size", "4"],
          "strategy rand2bin needs 5 neighbors, but the neighborhood supplies only 4"),
         (["run", "--benchmark", "sphere", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["run", "--preset", "classic-convex", "--strategy", "best2bin", "--f0", "0.7"],
+         "classic_de does not take strategy, f0"),
+        (["moo", "--benchmark", "zdt1", "--weights", "a,b"],
+         "weights must be comma-separated numbers, got 'a,b'"),
     ], ids=["moo-nan-weight", "fixed-f-negative", "fixed-f-nan", "fixed-cr-above-one",
             "stagnation-tol-nan", "run-zdt1", "compare-zdt1", "tournament-zdt1",
             "compare-one-run", "repeated-benchmark", "run-no-benchmark",
             "compare-no-benchmark", "tournament-no-benchmark", "moo-no-benchmark",
             "moo-strategy", "moo-neighborhood", "moo-neighborhood-size",
-            "tournament-neighborhood-size", "negative-seed"])
+            "tournament-neighborhood-size", "negative-seed", "classic-preset",
+            "moo-weights-not-numbers"])
     def test_config_error_exit_two_before_any_run(self, argv, error, tmp_path, capsys,
                                                   monkeypatch):
         self.check_exit_two_before_any_run(argv, error, tmp_path, capsys, monkeypatch)
@@ -496,13 +510,19 @@ class TestCli:
         runs = []
         monkeypatch.setattr(harness, "_execute_batches", lambda *args: runs.append(args))
         value = NON_DEFAULT_VALUES.get(key, "aded")
+        lines, flags = [f"{key} = {value}"], ["--" + key.replace("_", "-"), value]
+        argv = [command]
+        if command == "classic_de":  # an algorithm of `run`, given the same way as the key
+            argv = ["run", "--benchmark", "sphere"]
+            lines.insert(0, "algorithm = classic_de")
+            flags = ["--algorithm", "classic_de"] + flags
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(f"{key} = {value}\n")
+        cfg.write_text("\n".join(lines) + "\n")
         givens = [["--config", str(cfg)]]
         if key != "algorithm":  # a flag of `run` only
-            givens.append(["--" + key.replace("_", "-"), value])
+            givens.append(flags)
         for given in givens:
-            assert main([command, "--out", str(tmp_path / "out")] + given) == 2
+            assert main(argv + ["--out", str(tmp_path / "out")] + given) == 2
             assert capsys.readouterr().err == \
                 f"configuration error: {command} does not take {key}\n"
         assert runs == [] and not (tmp_path / "out").exists()
@@ -516,6 +536,16 @@ class TestCli:
         assert main([command, "--preset", preset, "--out", str(tmp_path / "out")]) == 2
         assert f"{command} does not take {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_classic_convex_preset_runs_and_reports_the_config_it_ran(self, tmp_path):
+        assert main(["run", "--preset", "classic-convex", "--pop", "12", "--gens", "3",
+                     "--runs", "1", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        ran = classic_config(build_engine_config({**PRESETS["classic-convex"], "pop": 12,
+                                                  "gens": 3}))
+        assert payload["config"] == json.loads(json.dumps(dataclasses.asdict(ran)))
+        assert payload["config"]["strategy"] == {"mutation": "rand1", "crossover": "bin"}
+        assert payload["config_hash"] == config_hash(ran)
 
     def test_moo_weights_of_wrong_length_exit_two(self, tmp_path, capsys):
         code = main(["moo", "--benchmark", "zdt1", "--weights", "1,1,1", "--pop", "6",
@@ -941,8 +971,9 @@ class TestPinnedOutputs:
             "676c2e6381438b4a56748369350ca9385c16c9ec9576006ee99ba4001b089d68"
         assert _digest((tmp_path / "comparison.txt").read_bytes()) == \
             "76d067328f670f71dd16bca135195963b353f21f82f8493393b6b5a30317d2d2"
+        # re-pinned when classic DE's config_hash became that of the config it runs
         assert _report_digest(tmp_path / "comparison.json") == \
-            "dc3fbd4d16f7a20fcc7e44389920aa4cfc0b5a6c3f1cfdefe780ff5439400dbb"
+            "36ba88bbbb729cb2874bbdde18f68f53131c09569ff13edb9202e78ba9ffafb3"
 
     def test_moo(self, jobs, tmp_path):
         cmd_moo(build_plan(moo_options(benchmark="zdt1,dltz1", runs=2, jobs=jobs,

@@ -1,13 +1,25 @@
 """Run invariants of both engines over random small configurations: runs
 stay in the box, best-so-far never worsens, evaluation counts are exact, and
-a run that used its whole budget records every generation."""
+a run that used its whole budget records every generation. The refiner that
+evaluates each generation refines only the rows it is asked to."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aded import EngineConfig, LocalSearchBudget, ScheduleParams, StrategyId, run_aded, run_aded_mo
+from aded import (
+    EngineConfig,
+    LocalSearchBudget,
+    ScheduleParams,
+    StrategyId,
+    clip_to_bounds,
+    local_refine,
+    run_aded,
+    run_aded_mo,
+)
 from aded.benchmarks import lookup
+from aded.core import evaluate_rows
+from aded.variation import lockstep_refine
 
 
 def counted(evaluate, batched):
@@ -91,3 +103,42 @@ def test_run_aded_mo_invariants(cfg, dim, batched, weight):
     assert space.contains(result.best_scalarized[0])
     check_count(result.n_evaluations, objective, cfg, cfg.population_size * generations)
     check_generations(result.terminated_by, cfg, generations)
+
+
+@settings(max_examples=40, deadline=None)
+@given(benchmark_id=st.sampled_from(["sphere", "rastrigin", "ackley"]), dim=st.integers(1, 3),
+       batched=st.booleans(), refine=st.lists(st.booleans(), min_size=1, max_size=6),
+       iterations=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_lockstep_refine_refines_the_flagged_rows_only(benchmark_id, dim, batched, refine,
+                                                        iterations, seed):
+    spec = lookup(benchmark_id)
+    space = spec.space(dim)
+    objective = counted(spec.evaluate, batched)
+    budget = LocalSearchBudget(max_iterations=iterations)
+    refine = np.array(refine)
+    m = refine.size
+    # starts in a box half as wide again on each side, so that some are clipped
+    x0 = np.random.default_rng(seed).uniform(space.lows - space.widths / 2,
+                                             space.highs + space.widths / 2, size=(m, dim))
+    evals = np.zeros(m, dtype=np.int64)
+
+    def evaluate(points, rows):
+        evals[:] += np.bincount(rows, minlength=m)
+        return evaluate_rows(objective, points)
+
+    x, values = lockstep_refine(evaluate, x0, space, budget, refine=refine)
+    start = clip_to_bounds(x0, space)
+    start_values = spec.evaluate(start)
+    assert evals.sum() == objective.points
+    assert values.tobytes() == spec.evaluate(x).tobytes()
+    for r in range(m):
+        if refine[r]:
+            x_alone, _, evals_alone = local_refine(spec.evaluate, x0[r], space, budget)
+            assert space.contains(x[r])
+            assert values[r] <= start_values[r]
+            assert x[r].tobytes() == x_alone.tobytes()
+            assert evals[r] == evals_alone
+        else:
+            assert x[r].tobytes() == start[r].tobytes()
+            assert values[r] == start_values[r]
+            assert evals[r] == 1

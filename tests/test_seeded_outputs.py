@@ -131,21 +131,21 @@ def test_aded_mo_three_objectives_refining_every_trial():
 def test_refined_trials_evaluated_only_by_the_refiner(name, monkeypatch):
     """A refined trial's objective vector comes from the refiner, so the run
     spends exactly its refined-trial count fewer evaluations than when each
-    was evaluated once more, and every evaluation is a plain trial or a
-    refiner call."""
+    was evaluated once more, and every evaluation passes the one refiner
+    call of its generation."""
     refined, refiner_evals = [], []
 
-    def recording(evaluate, x0, *args):
-        x, values, evals = lockstep_refine(evaluate, x0, *args)
-        refined.append(len(x0))
-        refiner_evals.append(int(evals.sum()))
-        return x, values, evals
+    def recording(evaluate, x0, space, budget, scalar, refine):
+        def counted(points, rows):
+            refiner_evals.append(len(points))
+            return evaluate(points, rows)
+
+        refined.append(int(np.count_nonzero(refine)))
+        return lockstep_refine(counted, x0, space, budget, scalar, refine)
 
     monkeypatch.setattr(engine, "lockstep_refine", recording)
     result = run_refined_mo(name)
-    n = REFINED_MO_RUNS[name][1].population_size
-    plain = n * len(result.front_size_history) - sum(refined)
-    assert result.n_evaluations == plain + sum(refiner_evals)
+    assert result.n_evaluations == sum(refiner_evals)
     assert REFINED_MO_RUNS[name][3] - result.n_evaluations == sum(refined) > 0
 
 

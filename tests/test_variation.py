@@ -424,6 +424,17 @@ class TestLocalRefine:
         with pytest.raises(DomainError):
             local_refine(lambda z: float("nan"), [0.5], space, LocalSearchBudget())
 
+    def test_nan_at_a_line_search_point_raises(self):
+        from aded import DomainError
+
+        # the gradient probes around (1, 1) are finite; the first step's end is not
+        def objective(z):
+            return float("nan") if z[0] < 0.5 else float(np.sum(z * z))
+
+        space = SearchSpace.cube(-2.0, 2.0, 2)
+        with pytest.raises(DomainError, match=r"returned nan at local-search point \[-1\. -1\.\]"):
+            local_refine(objective, [1.0, 1.0], space, LocalSearchBudget())
+
 
 class TestLockstepRefine:
     """Rows refined together: each row's result is its result alone."""
@@ -439,14 +450,27 @@ class TestLockstepRefine:
         return space, np.random.default_rng(dim).uniform(space.lows, space.highs, size=(20, dim))
 
     @staticmethod
-    def refine(objective, x0, space):
+    def counted(evaluate, m):
+        """``evaluate`` and each of the m rows' evaluation count, read from
+        the ``rows`` of every call."""
+        evals = np.zeros(m, dtype=np.int64)
+
+        def counting(points, rows):
+            evals[:] += np.bincount(rows, minlength=m)
+            return evaluate(points, rows)
+
+        return counting, evals
+
+    @classmethod
+    def refine(cls, objective, x0, space):
         calls = []
 
         def evaluate(points, rows):
             calls.append(len(points))
             return evaluate_rows(objective, points)
 
-        x, f, evals = lockstep_refine(evaluate, x0, space, LocalSearchBudget())
+        evaluate, evals = cls.counted(evaluate, len(x0))
+        x, f = lockstep_refine(evaluate, x0, space, LocalSearchBudget())
         return x, f, evals, sum(calls)      # points evaluated
 
     @pytest.mark.parametrize("benchmark_id, dim", CASES)
@@ -508,10 +532,11 @@ class TestLockstepRefine:
         def scalar(values):
             return (values * weights).sum(axis=-1)
 
-        x, objs, evals = lockstep_refine(lambda points, rows: spec.evaluate(points), x0,
-                                         space, LocalSearchBudget(), scalar)
-        x_s, f_s, evals_s = lockstep_refine(
-            lambda points, rows: scalar(spec.evaluate(points)), x0, space, LocalSearchBudget())
+        evaluate, evals = self.counted(lambda points, rows: spec.evaluate(points), len(x0))
+        x, objs = lockstep_refine(evaluate, x0, space, LocalSearchBudget(), scalar)
+        evaluate, evals_s = self.counted(lambda points, rows: scalar(spec.evaluate(points)),
+                                         len(x0))
+        x_s, f_s = lockstep_refine(evaluate, x0, space, LocalSearchBudget())
         assert x.tobytes() == x_s.tobytes()
         assert evals.tolist() == evals_s.tolist()
         assert objs.tobytes() == spec.evaluate(x).tobytes()

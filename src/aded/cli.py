@@ -109,29 +109,27 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     options = _options_from_args(args)
+    plan = build_plan({**_TOURNAMENT_DEFAULTS, **options} if args.command == "tournament"
+                      else options)
     if args.command == "run":
-        plan = build_plan(options)
         report = cmd_run(plan)
         for benchmark_id, stats in report["benchmarks"].items():
             print(f"{benchmark_id}: mean best_f = {stats['mean_best_f']:.6g} "
                   f"(min {stats['min_best_f']:.6g}) over {plan.n_runs} runs")
     elif args.command == "compare":
-        plan = build_plan(options)
         report = cmd_compare(plan)
         for row in report["rows"]:
             print(f"{row['benchmark']}: {row['label_a']} mean {row['mean_a']:.6g} vs "
                   f"{row['label_b']} mean {row['mean_b']:.6g} "
                   f"(t={row['t']:.3f}, p={row['p']:.4f}{row['stars']})")
     elif args.command == "tournament":
-        plan = build_plan({**_TOURNAMENT_DEFAULTS, **options})
         report = cmd_tournament(plan)
         for row in report["table"]:
             print(f"{row['variant']:<20} aov={row['aov']:.6g} cs={row['cs']:.6g} "
                   f"q={row['q']:.6g} avg_rank={row['average_rank']:.4f}")
     elif args.command == "moo":
-        plan = build_plan(options)
         try:
-            weights = [float(w) for w in args.weights.split(",")] if args.weights else None
+            weights = None if args.weights is None else [float(w) for w in args.weights.split(",")]
         except ValueError:
             raise ConfigError(f"weights must be comma-separated numbers, got {args.weights!r}") from None
         report = cmd_moo(plan, weights=weights)

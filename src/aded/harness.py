@@ -202,7 +202,7 @@ class ExperimentPlan:
     base_seed: int = 0
     dim: int | None = None
     jobs: int = 1
-    out_dir: Path | None = None
+    out_dir: str | Path | None = None
     fmt: str = "csv"       # not read: the commands always write CSV and JSON
 
     def __post_init__(self):
@@ -216,7 +216,6 @@ class ExperimentPlan:
             if benchmark_id in self.benchmarks[:i]:
                 raise ConfigError(f"benchmark {benchmark_id!r} is listed more than once")
             lookup(benchmark_id).space(self.dim)
-        self.out_dir = Path(self.out_dir) if self.out_dir is not None else None
 
 
 def resolve_out_dir(options: dict) -> str:
@@ -307,6 +306,13 @@ def config_hash(cfg: EngineConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _header(plan: ExperimentPlan, cfg: EngineConfig) -> dict:
+    """The run record that opens the reports of `run`, `tournament` and `moo`:
+    the version, the config that ran and its hash, the run count and base seed."""
+    return {"version": __version__, "config": asdict(cfg), "config_hash": config_hash(cfg),
+            "n_runs": plan.n_runs, "base_seed": plan.base_seed}
+
+
 # ---------------------------------------------------------------------------
 # Artifact writers
 # ---------------------------------------------------------------------------
@@ -326,41 +332,24 @@ def _vector_cell(x) -> str:
     return ";".join(map(repr, np.asarray(x, dtype=float).tolist()))
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _csv(header: list, rows: list) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def write_history_csv(path: Path, batches: dict) -> None:
-    """One row per (benchmark, run, generation) with the tracked diagnostics.
-    ``batches`` maps a benchmark to ``_execute_recorded_run`` outputs."""
-    rows = []
-    for benchmark_id, runs in batches.items():
-        for run_idx, (r, history) in enumerate(runs):
-            rate = np.diff(r.best_f_history)
-            for g, (diversity_g, fdc_g) in enumerate(history):
-                rows.append([
-                    benchmark_id, run_idx, r.seed, g,
-                    float(r.best_f_history[g]), diversity_g, fdc_g,
-                    float(rate[g - 1]) if g >= 1 else None,
-                ])
-    _write_csv(path, ["benchmark", "run", "seed", "generation", "best_f",
-                      "diversity", "fdc", "convergence_rate"], rows)
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
 
 
-def write_summary_csv(path: Path, batches: dict) -> None:
-    rows = []
-    for benchmark_id, results in batches.items():
-        for run_idx, r in enumerate(results):
-            rows.append([
-                benchmark_id, run_idx, r.seed, float(r.best_f), r.n_evaluations,
-                r.generations_executed, r.terminated_by,
-                _vector_cell(r.best_x),
-            ])
-    _write_csv(path, ["benchmark", "run", "seed", "best_f", "n_evaluations",
-                      "generations", "terminated_by", "best_x"], rows)
+def _write(out_dir, files: dict) -> None:
+    """Write each ``{name: text}`` file into ``out_dir``, made if missing; a
+    plan without an output directory writes nothing."""
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
 
 
 def _summary_stats(results: list) -> dict:
@@ -373,11 +362,6 @@ def _summary_stats(results: list) -> dict:
         "mean_evaluations": float(np.mean([r.n_evaluations for r in results])),
         "wall_seconds": [r.wall_seconds for r in results],
     }
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -415,28 +399,30 @@ def cmd_run(plan: ExperimentPlan) -> dict:
         raise ConfigError("multi-objective plans go through the `moo` command")
     recorded = dict(zip(plan.benchmarks, _execute_batches(
         [_seeded_runs(plan, b) for b in plan.benchmarks], plan.jobs, _execute_recorded_run)))
-    batches = {b: [result for result, _ in runs] for b, runs in recorded.items()}
     ran = classic_config(plan.config) if plan.algorithm == "classic_de" else plan.config
-    report = {
-        "version": __version__,
-        "algorithm": plan.algorithm,
-        "config": asdict(ran),
-        "config_hash": config_hash(ran),
-        "n_runs": plan.n_runs,
-        "base_seed": plan.base_seed,
-        "benchmarks": {},
-    }
-    for benchmark_id, results in batches.items():
+    report = {**_header(plan, ran), "algorithm": plan.algorithm, "benchmarks": {}}
+    batches, history_rows, summary_rows = {}, [], []
+    for benchmark_id, runs in recorded.items():
+        results = batches[benchmark_id] = [r for r, _ in runs]
         stats = _summary_stats(results)
         optimum = lookup(benchmark_id).known_optimum
         if optimum is not None:
             stats["success_rate"] = success_rate(results, optimum)
         report["benchmarks"][benchmark_id] = stats
-    if plan.out_dir is not None:
-        out = Path(plan.out_dir)
-        write_history_csv(out / "raw_history.csv", recorded)
-        write_summary_csv(out / "run_summary.csv", batches)
-        _write_json(out / "report.json", report)
+        for run_idx, (r, history) in enumerate(runs):
+            rate = np.diff(r.best_f_history)
+            history_rows.extend([benchmark_id, run_idx, r.seed, g, float(r.best_f_history[g]),
+                                 diversity_g, fdc_g, float(rate[g - 1]) if g >= 1 else None]
+                                for g, (diversity_g, fdc_g) in enumerate(history))
+            summary_rows.append([benchmark_id, run_idx, r.seed, float(r.best_f), r.n_evaluations,
+                                 r.generations_executed, r.terminated_by, _vector_cell(r.best_x)])
+    _write(plan.out_dir, {
+        "raw_history.csv": _csv(["benchmark", "run", "seed", "generation", "best_f",
+                                 "diversity", "fdc", "convergence_rate"], history_rows),
+        "run_summary.csv": _csv(["benchmark", "run", "seed", "best_f", "n_evaluations",
+                                 "generations", "terminated_by", "best_x"], summary_rows),
+        "report.json": _json(report),
+    })
     report["results"] = batches
     return report
 
@@ -477,17 +463,15 @@ def cmd_compare(plan: ExperimentPlan) -> dict:
         "config_hash": [config_hash(plan.config), config_hash(classic_config(plan.config))],
         "rows": [asdict(r) | {"stars": r.stars} for r in rows],
     }
-    if plan.out_dir is not None:
-        out = Path(plan.out_dir)
-        _write_csv(
-            out / "comparison.csv",
+    _write(plan.out_dir, {
+        "comparison.csv": _csv(
             ["benchmark", "label_a", "mean_a", "sd_a", "label_b", "mean_b", "sd_b",
              "t", "p", "df", "sig"],
             [[r.benchmark, r.label_a, r.mean_a, r.sd_a, r.label_b, r.mean_b, r.sd_b,
-              r.t, r.p, r.df, r.stars] for r in rows],
-        )
-        (out / "comparison.txt").write_text(_comparison_text(rows) + "\n")
-        _write_json(out / "comparison.json", report)
+              r.t, r.p, r.df, r.stars] for r in rows]),
+        "comparison.txt": _comparison_text(rows) + "\n",
+        "comparison.json": _json(report),
+    })
     report["pairs"] = per_benchmark
     return report
 
@@ -530,34 +514,26 @@ def cmd_tournament(plan: ExperimentPlan) -> dict:
     ranked = rank_variants(scores)
     pairs = {v: (f, cr) for v, f, cr in TOURNAMENT_PAIRS}
     report = {
-        "version": __version__,
+        **_header(plan, plan.config),
         "benchmarks": list(plan.benchmarks),
-        "config": asdict(plan.config),
-        "config_hash": config_hash(plan.config),
-        "n_runs": plan.n_runs,
         "pop": plan.config.population_size,
         "gens": plan.config.max_generations,
-        "base_seed": plan.base_seed,
         "table": [asdict(s) | {"f": pairs[s.variant][0], "cr": pairs[s.variant][1]}
                   for s in ranked],
         "detail": detail_rows,
     }
-    if plan.out_dir is not None:
-        out = Path(plan.out_dir)
-        _write_csv(
-            out / "tournament.csv",
+    _write(plan.out_dir, {
+        "tournament.csv": _csv(
             ["variant", "f", "cr", "aov", "aov_rank", "cs", "cs_rank",
              "q_measure", "q_rank", "average_rank"],
             [[s.variant, pairs[s.variant][0], pairs[s.variant][1], s.aov, s.aov_rank,
-              s.cs, s.cs_rank, s.q, s.q_rank, s.average_rank] for s in ranked],
-        )
-        _write_csv(
-            out / "tournament_detail.csv",
+              s.cs, s.cs_rank, s.q, s.q_rank, s.average_rank] for s in ranked]),
+        "tournament_detail.csv": _csv(
             ["variant", "benchmark", "aov", "cs", "q_measure", "n_success"],
             [[e["variant"], e["benchmark"], e["aov"], e["cs"], e["q"], e["n_success"]]
-             for e in detail_rows],
-        )
-        _write_json(out / "tournament.json", report)
+             for e in detail_rows]),
+        "tournament.json": _json(report),
+    })
     report["ranked"] = ranked
     return report
 
@@ -568,14 +544,7 @@ def cmd_moo(plan: ExperimentPlan, weights=None, reference_size: int = 1000) -> d
     Every run uses the multi-objective engine, whatever ``plan.algorithm``
     says, and the weights are checked for every benchmark before any run
     starts."""
-    report = {
-        "version": __version__,
-        "config": asdict(plan.config),
-        "config_hash": config_hash(plan.config),
-        "n_runs": plan.n_runs,
-        "base_seed": plan.base_seed,
-        "benchmarks": {},
-    }
+    report = {**_header(plan, plan.config), "benchmarks": {}}
     batches = []
     for benchmark_id in plan.benchmarks:
         spec = lookup(benchmark_id)
@@ -587,14 +556,14 @@ def cmd_moo(plan: ExperimentPlan, weights=None, reference_size: int = 1000) -> d
             raise ShapeError(f"{benchmark_id} has {spec.n_objectives} objectives, weights {w.shape}")
         _check_weights(w)
         batches.append(_seeded_runs(replace(plan, algorithm="aded_mo"), benchmark_id, w))
-    all_results = {}
+    all_results, front_rows, metric_rows = {}, [], []
     for benchmark_id, results in zip(plan.benchmarks, _execute_batches(batches, plan.jobs)):
         try:
             reference = analytic_front(benchmark_id, reference_size)
         except KeyError:
             reference = None
         runs = []
-        for result in results:
+        for run_idx, result in enumerate(results):
             front = np.array([objs for _, objs in result.front])
             entry = {
                 "seed": result.seed,
@@ -609,30 +578,20 @@ def cmd_moo(plan: ExperimentPlan, weights=None, reference_size: int = 1000) -> d
                 entry["gd"] = generational_distance(pair)
                 entry["spread"] = spread(pair) if front.shape[0] >= 2 else None
             runs.append((result, entry))
+            front_rows.extend([benchmark_id, run_idx, result.seed, _vector_cell(x), *objs.tolist()]
+                              for x, objs in result.front)
+            metric_rows.append([benchmark_id, run_idx, result.seed, entry.get("gd"),
+                                entry.get("spread"), entry["front_size"], entry["n_evaluations"],
+                                entry["terminated_by"]])
         all_results[benchmark_id] = runs
         report["benchmarks"][benchmark_id] = [e for _, e in runs]
-    if plan.out_dir is not None:
-        out = Path(plan.out_dir)
-        front_rows = []
-        metric_rows = []
-        for benchmark_id, runs in all_results.items():
-            for run_idx, (result, entry) in enumerate(runs):
-                for x, objs in result.front:
-                    front_rows.append([benchmark_id, run_idx, entry["seed"], _vector_cell(x)]
-                                      + objs.tolist())
-                metric_rows.append([
-                    benchmark_id, run_idx, entry["seed"], entry.get("gd"),
-                    entry.get("spread"), entry["front_size"], entry["n_evaluations"],
-                    entry["terminated_by"],
-                ])
-        max_objs = max(len(row) - 4 for row in front_rows)
-        _write_csv(out / "front.csv",
-                   ["benchmark", "run", "seed", "x"] + [f"f{i + 1}" for i in range(max_objs)],
-                   front_rows)
-        _write_csv(out / "moo_metrics.csv",
-                   ["benchmark", "run", "seed", "gd", "spread", "front_size",
-                    "n_evaluations", "terminated_by"],
-                   metric_rows)
-        _write_json(out / "moo_report.json", report)
+    n_objs = max(len(row) - 4 for row in front_rows)
+    _write(plan.out_dir, {
+        "front.csv": _csv(["benchmark", "run", "seed", "x"] + [f"f{i + 1}" for i in range(n_objs)],
+                          front_rows),
+        "moo_metrics.csv": _csv(["benchmark", "run", "seed", "gd", "spread", "front_size",
+                                 "n_evaluations", "terminated_by"], metric_rows),
+        "moo_report.json": _json(report),
+    })
     report["results"] = all_results
     return report

@@ -130,14 +130,11 @@ def _midranks(values) -> np.ndarray:
     """Ascending ranks starting at 1; tied values share the mean of their positions."""
     v = np.asarray(values, dtype=float)
     order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    sizes = np.diff(np.r_[starts, v.size])
     ranks = np.empty(v.size)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(starts + (sizes + 1) / 2.0, sizes)
     return ranks
 
 

@@ -368,6 +368,38 @@ class TestCmdMoo:
         assert entry["front_size"] >= 1
 
 
+class TestReports:
+    def test_plan_without_out_dir_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run = cmd_run(ExperimentPlan(benchmarks=["sphere"], n_runs=2,
+                                     config=build_engine_config(tiny_options())))
+        moo = cmd_moo(ExperimentPlan(benchmarks=["zdt1"], algorithm="aded_mo", n_runs=1,
+                                     config=build_engine_config(moo_options())))
+        assert len(run["results"]["sphere"]) == 2 and len(moo["results"]["zdt1"]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run-aded", "run-classic_de", "tournament", "moo"])
+    def test_every_report_carries_one_run_record(self, command, tmp_path):
+        out = str(tmp_path)
+        if command == "tournament":
+            plan = build_plan({"benchmark": "sphere", "runs": 1, "pop": 10, "gens": 2, "out": out})
+            cmd_tournament(plan)
+            name = "tournament.json"
+        elif command == "moo":
+            plan = build_plan(moo_options(out=out))
+            cmd_moo(plan)
+            name = "moo_report.json"
+        else:
+            plan = build_plan(tiny_options(algorithm=command[4:], out=out))
+            cmd_run(plan)
+            name = "report.json"
+        payload = json.loads((tmp_path / name).read_text())
+        assert payload["version"] == aded.__version__
+        assert (payload["n_runs"], payload["base_seed"]) == (plan.n_runs, plan.base_seed)
+        recorded = json.dumps(payload["config"], sort_keys=True).encode()
+        assert payload["config_hash"] == hashlib.sha256(recorded).hexdigest()[:16]
+
+
 class TestCli:
     def test_run_exit_zero(self, tmp_path, capsys):
         code = main(["run", "--benchmark", "sphere", "--pop", "12", "--gens", "4",
@@ -454,13 +486,15 @@ class TestCli:
          "classic_de does not take strategy, f0"),
         (["moo", "--benchmark", "zdt1", "--weights", "a,b"],
          "weights must be comma-separated numbers, got 'a,b'"),
+        (["moo", "--benchmark", "zdt1", "--weights", ""],
+         "weights must be comma-separated numbers, got ''"),
     ], ids=["moo-nan-weight", "fixed-f-negative", "fixed-f-nan", "fixed-cr-above-one",
             "stagnation-tol-nan", "run-zdt1", "compare-zdt1", "tournament-zdt1",
             "compare-one-run", "repeated-benchmark", "run-no-benchmark",
             "compare-no-benchmark", "tournament-no-benchmark", "moo-no-benchmark",
             "moo-strategy", "moo-neighborhood", "moo-neighborhood-size",
             "tournament-neighborhood-size", "negative-seed", "classic-preset",
-            "moo-weights-not-numbers"])
+            "moo-weights-not-numbers", "moo-weights-empty"])
     def test_config_error_exit_two_before_any_run(self, argv, error, tmp_path, capsys,
                                                   monkeypatch):
         self.check_exit_two_before_any_run(argv, error, tmp_path, capsys, monkeypatch)

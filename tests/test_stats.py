@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aded import ConfigError, DegenerateSampleError, compare_batches, rank_variants, welch_t
-from aded.stats import significance_stars
+from aded.stats import _midranks, significance_stars
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -274,3 +274,21 @@ class TestRankVariants:
     def test_single_variant_rejected(self):
         with pytest.raises(ConfigError):
             rank_variants([("only", 1.0, 1.0, 1.0)])
+
+
+class TestMidranks:
+    @pytest.mark.parametrize("values", [
+        [3.0, 1.0, 3.0, 3.0, 2.0],
+        [np.inf, -np.inf, 0.0, np.inf, -np.inf, 0.0, 0.0],
+        [5.0, 5.0, 5.0, 5.0],
+        [-0.0, 0.0, 1e300, -np.inf, 1e300],
+        *np.random.default_rng(4).choice([-np.inf, -1.0, 0.0, 2.0, np.inf], (20, 9)).tolist(),
+    ])
+    def test_rank_is_one_plus_lower_plus_half_the_other_ties(self, values):
+        v = np.array(values)
+        expected = [1 + np.sum(v < x) + (np.sum(v == x) - 1) / 2 for x in v]
+        assert _midranks(values).tolist() == expected
+
+    def test_nans_rank_last_each_on_its_own_in_input_order(self):
+        nan = float("nan")
+        assert _midranks([nan, 2.0, nan, 1.0, 2.0]).tolist() == [4.0, 2.5, 5.0, 1.0, 2.5]

@@ -343,16 +343,16 @@ def _two_loop(g, s, y, rho, gamma, used: int) -> np.ndarray:
     & Wright, Algorithm 7.4) over the newest ``used`` slots of the pair
     buffers, the newest last. An empty slot has rho 0 and changes nothing."""
     q = g.copy()
-    alpha = np.zeros((LBFGS_MEMORY, len(g)))
+    alphas = []
     slots = range(LBFGS_MEMORY - used, LBFGS_MEMORY)
     for j in reversed(slots):
-        alpha[j] = rho[:, j] * _rowdot(s[:, j], q)
-        q -= alpha[j][:, None] * y[:, j]
-    r = gamma[:, None] * q
-    for j in slots:
-        beta = rho[:, j] * _rowdot(y[:, j], r)
-        r += (alpha[j] - beta)[:, None] * s[:, j]
-    return r
+        alphas.append(rho[:, j] * _rowdot(s[:, j], q))
+        q -= alphas[-1][:, None] * y[:, j]
+    q *= gamma[:, None]
+    for j, alpha in zip(slots, reversed(alphas)):
+        beta = rho[:, j] * _rowdot(y[:, j], q)
+        q += (alpha - beta)[:, None] * s[:, j]
+    return q
 
 
 def lockstep_refine(evaluate, x0, space: SearchSpace, budget: LocalSearchBudget,
@@ -445,26 +445,28 @@ def _descend(evaluate, x, raw, space: SearchSpace, budget: LocalSearchBudget, sc
         slope[steepest] = _rowdot(ga[steepest], direction[steepest])
 
         # backtrack along the segment from x to x + direction, inside the box
+        # the searching rows' state, shrunk to the rows still searching
         moved = np.zeros(a.size, dtype=bool)
-        t = np.ones(a.size)
-        searching = np.arange(a.size)
+        searching, rows, ts = np.arange(a.size), a, np.ones(a.size)
+        xs, steps_to, slopes, f_base = xa, direction, slope, fa
         for _ in range(MAX_BACKTRACKS + 1):
-            ts, slopes, f_base = t[searching], slope[searching], fa[searching]
-            points = clip_to_bounds(xa[searching] + ts[:, None] * direction[searching], space)
-            trial_raw, trial_f = values(points, a[searching])
+            points = xs + ts[:, None] * steps_to
+            np.clip(points, space.lows, space.highs, out=points)
+            trial_raw, trial_f = values(points, rows)
             ok = trial_f <= f_base + ARMIJO * ts * slopes
-            done = searching[ok]
-            x[a[done]], f[a[done]] = points[ok], trial_f[ok]
+            done = rows[ok]
+            x[done], f[done] = points[ok], trial_f[ok]
             if scalar is not None:
-                raw[a[done]] = trial_raw[ok]
-            moved[done] = True
+                raw[done] = trial_raw[ok]
+            moved[searching[ok]] = True
             if ok.all():
                 break
+            keep = ~ok
+            searching, rows, xs, steps_to = searching[keep], rows[keep], xs[keep], steps_to[keep]
+            ts, slopes, f_base, trial_f = ts[keep], slopes[keep], f_base[keep], trial_f[keep]
             # minimizer of the quadratic through f(x), the slope and f(trial),
             # kept within [0.1, 0.5] of the step (0.5 when f(trial) is not finite)
-            ts, slopes, f_base, trial_f = ts[~ok], slopes[~ok], f_base[~ok], trial_f[~ok]
-            searching = searching[~ok]
-            t[searching] = np.fmax(0.1 * ts, np.fmin(0.5 * ts, -slopes * ts * ts / (
+            ts = np.fmax(0.1 * ts, np.fmin(0.5 * ts, -slopes * ts * ts / (
                 2.0 * (trial_f - f_base - slopes * ts))))
 
         steps[a] += 1

@@ -220,33 +220,38 @@ class TestCmdRun:
         assert (serial / "raw_history.csv").read_bytes() == \
             (parallel / "raw_history.csv").read_bytes()
 
-    # sha256 of (raw_history.csv, run_summary.csv), recorded when the engine
-    # still computed diversity and FDC in every generation of every run;
-    # "all-neighbors" re-recorded when himmelblau's powers became NumPy array
-    # powers, which moved its values (and its rows only) in the last bit
+    # sha256 of raw_history.csv and of run_summary.csv without its
+    # n_evaluations column, and that column; the raw history recorded when
+    # the engine still computed diversity and FDC in every generation of
+    # every run, "all-neighbors" re-recorded when himmelblau's powers became
+    # NumPy array powers, which moved its values (and its rows only) in the
+    # last bit
     PINNED_ARTIFACTS = {
         "refine-0.3": (
             {"ls_probability": 0.3, "ls_iterations": 4},
             "abaa8709bc5cce2dfa1f08b1e9719258ebe4d38eec3d687a2c72694530812c52",
-            "8fb76a9d0f621a5cfb8bad39daecb2a2519764151c97e4ee285f8a485f842706",
+            "0b021c627560573930caf240e80c9391770ae32893d604d0babe7e4666e0ffe8",
+            [["886"], ["688"], ["722"], ["835"], ["640"], ["662"]],
         ),
         "all-neighbors": (
             {"neighborhood": "all", "local_search": "off"},
             "a98182e5d84dee44c2f8a9888a0ae7e0a740f6d96b1060521b3fc8ed2c9db497",
-            "54f7154d11d7dacb7488d7ae25d4632882216b8de80dd6b6533984c907cb25f4",
+            "d38b4d8ca55612a054cc371ad5e4d1eaf409588c7928593d7df862abb0feebd1",
+            [["108"]] * 6,
         ),
     }
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
     def test_artifact_bytes_pinned(self, name, jobs, tmp_path):
-        extra, raw_sha, summary_sha = self.PINNED_ARTIFACTS[name]
+        extra, raw_sha, summary_sha, evaluations = self.PINNED_ARTIFACTS[name]
         cmd_run(build_plan({"benchmark": "rastrigin,himmelblau", "pop": 12, "gens": 8,
                             "runs": 3, "seed": 0, "jobs": jobs, "out": str(tmp_path),
                             **extra}))
-        digest = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                  for f in ("raw_history.csv", "run_summary.csv")}
-        assert digest == {"raw_history.csv": raw_sha, "run_summary.csv": summary_sha}
+        summary = tmp_path / "run_summary.csv"
+        assert _digest((tmp_path / "raw_history.csv").read_bytes()) == raw_sha
+        assert _digest(_drop_column(summary, "n_evaluations")) == summary_sha
+        assert _columns(summary, "n_evaluations") == evaluations
 
     def test_multiple_benchmarks(self, tmp_path):
         plan = build_plan(tiny_options(benchmark="sphere,booth", out=str(tmp_path)))
@@ -950,51 +955,91 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _report_digest(path, drop=("wall_seconds",)) -> str:
-    """sha256 of a JSON report with the keys in ``drop`` removed at every level."""
+def _report_digest(path, drop=("wall_seconds",), sort_by=None) -> str:
+    """sha256 of a JSON report with the keys in ``drop`` removed at every level,
+    and each list of objects sorted by their ``sort_by`` key when it is given."""
     def strip(value):
         if isinstance(value, dict):
             return {k: strip(v) for k, v in value.items() if k not in drop}
         if isinstance(value, list):
-            return [strip(v) for v in value]
+            items = [strip(v) for v in value]
+            if sort_by is not None and all(isinstance(v, dict) for v in items):
+                items.sort(key=lambda v: v[sort_by])
+            return items
         return value
 
     return _digest(json.dumps(strip(json.loads(path.read_text())), sort_keys=True).encode())
 
 
-def _drop_column(path, name) -> bytes:
+def _drop_column(path, *names, sort_rows=False) -> bytes:
+    """A CSV without the columns ``names``, its rows sorted when ``sort_rows``."""
     lines = [line.split(",") for line in path.read_text().splitlines()]
-    col = lines[0].index(name)
-    return "\n".join(",".join(row[:col] + row[col + 1:]) for row in lines).encode()
+    cols = {lines[0].index(name) for name in names}
+    kept = [",".join(cell for i, cell in enumerate(row) if i not in cols) for row in lines]
+    if sort_rows:
+        kept[1:] = sorted(kept[1:])
+    return "\n".join(kept).encode()
+
+
+def _columns(path, *names) -> list:
+    """The cells of a CSV's columns ``names``, row by row."""
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    cols = [lines[0].index(name) for name in names]
+    return [[row[i] for i in cols] for row in lines[1:]]
+
+
+def _drop_text_column(path, name, width=12) -> tuple:
+    """A fixed-width table without its column ``name``, right-aligned in
+    ``width`` characters, and the cells of that column under the header
+    and its rule."""
+    lines = path.read_text().splitlines()
+    end = lines[0].index(name) + len(name)
+    start = end - width
+    return ("\n".join(line[:start] + line[end:] for line in lines).encode(),
+            [line[start:end].strip() for line in lines[2:]])
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 class TestPinnedOutputs:
     """Artifacts of each command, pinned byte for byte; JSON reports without
-    their wall-clock fields. Recorded while the batch measures took a
-    ``RunBatch`` and the harness computed AOV and CS a second time for
-    ``report.json``."""
+    their wall-clock fields. What derives from evaluation counts (the Q
+    measure, the ranks and row order that follow from it, mean evaluations)
+    is pinned apart from the values."""
 
     def test_tournament(self, jobs, tmp_path):
         # sphere and rastrigin at this size give 1, 2 and 3 successes of 3
         cmd_tournament(build_plan({"benchmark": "sphere,rastrigin", "runs": 3, "pop": 14,
                                    "gens": 8, "seed": 2, "out": str(tmp_path), "jobs": jobs}))
-        assert _digest((tmp_path / "tournament.csv").read_bytes()) == \
-            "aba8220335e8dff56b94b0ff6f03db5ccba0e45172ed614761b864eba23918db"
-        assert _digest((tmp_path / "tournament_detail.csv").read_bytes()) == \
-            "a062d01aa0920141e3bd9f7bdebdb876a3003866b2dd16a62be147b3a4694647"
-        # recorded before the report gave its base config
+        table, detail = tmp_path / "tournament.csv", tmp_path / "tournament_detail.csv"
+        by_q = ("q_measure", "q_rank", "average_rank")
+        assert _digest(_drop_column(table, *by_q, sort_rows=True)) == \
+            "58a608593fcc422f77684773d062c5ce7ef12f141e5ae6c1fe7d6779650fbea0"
+        assert _digest(repr(_columns(table, "variant", *by_q)).encode()) == \
+            "81e7e072541c5a8553d1f2544408b7db04da9ab214b185f351d69ddb6d1c6811"
+        assert _digest(_drop_column(detail, "q_measure")) == \
+            "b66115b7dff163f83d3e2faf75a09083b68f5801df417d5935dba228a7ea4f4e"
+        assert _digest(repr(_columns(detail, "q_measure")).encode()) == \
+            "41660476425b870774afe0277abef26ed38ead8a7c5186aee32e0e3c350e6536"
         report = tmp_path / "tournament.json"
-        assert _report_digest(report, drop=("wall_seconds", "config", "config_hash")) == \
-            "bfee0d1e5423c98e2821287c3345591b18a536e64157280cbf8bdcedb64ae5f5"
-        assert json.loads(report.read_text())["config_hash"] == "830c492607b40691"
+        assert _report_digest(report, drop=("wall_seconds", "config", "config_hash", "q",
+                                            "q_rank", "average_rank"), sort_by="variant") == \
+            "caf6fe67ff7ffd74208e952307a53a85627a6166deeef5d5d1d5d01a44180ee9"
+        payload = json.loads(report.read_text())
+        by_q = [[e["variant"], e["q"], e["q_rank"], e["average_rank"]] for e in payload["table"]]
+        assert _digest(repr(by_q + [e["q"] for e in payload["detail"]]).encode()) == \
+            "9c0e3b6c8975ec2ad95afacdc48c9da9c578543baeb728068f9d7317aeaba3d3"
+        assert payload["config_hash"] == "830c492607b40691"
 
     def test_run_report(self, jobs, tmp_path):
         cmd_run(build_plan({"benchmark": "rastrigin,himmelblau", "pop": 12, "gens": 8,
                             "runs": 3, "seed": 0, "jobs": jobs, "out": str(tmp_path),
                             "ls_probability": 0.3, "ls_iterations": 4}))
-        assert _report_digest(tmp_path / "report.json") == \
-            "9d59b2bf45b16b59acb49545f7e7733ac83986d4538f23c68b19c64a6f5d14c0"
+        report = tmp_path / "report.json"
+        assert _report_digest(report, drop=("wall_seconds", "mean_evaluations")) == \
+            "7dbe8faf927b50b451e0949c318393ff683c8dec40fff9069c700829769a0c8c"
+        benchmarks = json.loads(report.read_text())["benchmarks"]
+        assert {b: stats["mean_evaluations"] for b, stats in benchmarks.items()} == \
+            {"himmelblau": 712.3333333333334, "rastrigin": 765.3333333333334}
 
     def test_compare(self, jobs, tmp_path):
         options = {"benchmark": "sphere,rastrigin", "pop": 12, "gens": 8, "runs": 3,
@@ -1003,11 +1048,15 @@ class TestPinnedOutputs:
         cmd_compare(build_plan(options))
         assert _digest((tmp_path / "comparison.csv").read_bytes()) == \
             "676c2e6381438b4a56748369350ca9385c16c9ec9576006ee99ba4001b089d68"
-        assert _digest((tmp_path / "comparison.txt").read_bytes()) == \
-            "76d067328f670f71dd16bca135195963b353f21f82f8493393b6b5a30317d2d2"
-        # re-pinned when classic DE's config_hash became that of the config it runs
-        assert _report_digest(tmp_path / "comparison.json") == \
-            "36ba88bbbb729cb2874bbdde18f68f53131c09569ff13edb9202e78ba9ffafb3"
+        text, evals = _drop_text_column(tmp_path / "comparison.txt", "evals")
+        assert _digest(text) == "7e5b2cb3e162e896848ee805fe9cc0dd77d9cbefe512a908cb0dfe869f2067e7"
+        assert evals == ["332.7", "108.0", "738.3", "108.0"]
+        report = tmp_path / "comparison.json"
+        assert _report_digest(report, drop=("wall_seconds", "evals_a", "evals_b")) == \
+            "b4a4c45ef66adf202315d6900334bfeb8e64c02035702bbc9454a7ae1913bd54"
+        rows = json.loads(report.read_text())["rows"]
+        assert [[row["evals_a"], row["evals_b"]] for row in rows] == \
+            [[332.6666666666667, 108.0], [738.3333333333334, 108.0]]
 
     def test_moo(self, jobs, tmp_path):
         cmd_moo(build_plan(moo_options(benchmark="zdt1,dltz1", runs=2, jobs=jobs,

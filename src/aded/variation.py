@@ -276,7 +276,9 @@ class LocalSearchBudget:
     ``LBFGS_MEMORY`` = 10) with central-difference gradients and Armijo
     backtracking, at most ``max_iterations`` steps per trial, applied to each
     trial with ``probability``. A generation's refined trials are refined
-    together, their probes sent to the objective in batches."""
+    together, their probes sent to the objective in batches. A gradient costs
+    a trial at most 2d evaluations: a probe that the box clamps back onto
+    the trial's point takes its known value."""
 
     enabled: bool = True
     max_iterations: int = 25
@@ -299,17 +301,28 @@ class LocalSearchBudget:
         return rng.random(m) < self.probability
 
 
-def finite_difference_gradient(objective, x, step: float = 1e-6, lows=None, highs=None) -> np.ndarray:
+def finite_difference_gradient(objective, x, step: float = 1e-6, lows=None, highs=None, *,
+                               fx=None) -> np.ndarray:
     """Central-difference gradient with per-coordinate step h_j = step*max(1, |x_j|),
     of one point ``(d,)`` or of each row of an ``(m, d)`` array.
 
-    When bounds are supplied, probe points are clamped inside them, which
-    degrades gracefully to a one-sided difference at the box boundary (some
-    objectives are only defined inside the box). The 2d probes of a point,
-    x + h_j e_j then x - h_j e_j for each j, follow one another, point after
-    point; they go to the objective as one ``(m * 2d, d)`` batch when it is
-    ``batched``, else one at a time in that order.
+    Bounds, both ``lows`` and ``highs`` or neither, clamp the probe points
+    inside them, which degrades gracefully to a one-sided difference at the
+    box boundary (some objectives are only defined inside the box). The 2d
+    probes of a point, x + h_j e_j then x - h_j e_j for each j, follow one
+    another, point after point; they go to the objective as one
+    ``(m * 2d, d)`` batch when it is ``batched``, else one at a time in that
+    order.
+
+    ``fx``, the objective's values at the rows of ``x``, spares the probes
+    that the clamp leaves equal to their row (those of a coordinate at a
+    bound): each takes its row's value. ``objective(points, owners)`` then
+    gets the other probes as one batch of at most ``m * 2d`` rows, in the
+    same order, and ``owners[k]``, the row of ``x`` that probe k belongs to.
     """
+    if (lows is None) != (highs is None):
+        missing = "lows" if lows is None else "highs"
+        raise ConfigError(f"probe bounds need both lows and highs; {missing} is missing")
     x = np.asarray(x, dtype=float)
     rows = np.atleast_2d(x)
     m, d = rows.shape
@@ -317,11 +330,24 @@ def finite_difference_gradient(objective, x, step: float = 1e-6, lows=None, high
     up, down = rows + h, rows - h
     if lows is not None:
         up, down = np.minimum(up, highs), np.maximum(down, lows)
-    j = np.arange(d)
-    probes = np.repeat(rows, 2 * d, axis=0).reshape(m, d, 2, d)
-    probes[:, j, 0, j] = up
-    probes[:, j, 1, j] = down
-    values = evaluate_rows(objective, probes.reshape(-1, d)).reshape(m, d, 2)
+    probes = np.repeat(rows, 2 * d, axis=0)
+    # a row's probes, flattened, hold x + h_j e_j's coordinate j at j(2d + 1)
+    # and x - h_j e_j's at j(2d + 1) + d
+    moved = probes.reshape(m, -1)
+    moved[:, ::2 * d + 1] = up
+    moved[:, d::2 * d + 1] = down
+    if fx is None:
+        values = evaluate_rows(objective, probes)
+    else:
+        up_held, down_held = up == rows, down == rows
+        if np.count_nonzero(up_held) or np.count_nonzero(down_held):
+            sent = np.flatnonzero(~np.concatenate((up_held[..., None], down_held[..., None]),
+                                                  axis=-1))
+            values = np.repeat(np.asarray(fx, dtype=float), 2 * d)
+            values[sent] = objective(probes.take(sent, axis=0), sent // (2 * d))
+        else:
+            values = objective(probes, np.arange(m).repeat(2 * d))
+    values = values.reshape(m, d, 2)
     denom = up - down
     grad = np.zeros_like(rows)
     np.divide(values[..., 0] - values[..., 1], denom, out=grad, where=denom > 0.0)
@@ -384,7 +410,10 @@ def _descend(evaluate, x, raw, space: SearchSpace, budget: LocalSearchBudget, sc
     with bounds handled by projection, as in L-BFGS-B (Byrd, Lu, Nocedal &
     Zhu 1995). Each iteration's central-difference probes of the rows still
     going go out as one batch, and each backtracking round's trial points
-    as one batch.
+    as one batch. The gradient gets ``f``, the values descended on at
+    ``x``, so a probe that the box clamps back onto its row (a coordinate
+    at a bound) is not evaluated, as L-BFGS-B leaves bound-held variables
+    out of its work; this changes evaluation counts, not results.
 
     Each iteration a row takes its L-BFGS step (the two-loop recursion on
     the gradient, with the components held at a bound by the gradient left
@@ -411,14 +440,9 @@ def _descend(evaluate, x, raw, space: SearchSpace, budget: LocalSearchBudget, sc
         return raw, (raw if scalar is None else scalar(raw))
 
     def gradient(rows):
-        owners = np.repeat(rows, 2 * d)
-
-        def probes(points):
-            return values(points, owners)[1]
-
-        probes.batched = True
-        return finite_difference_gradient(probes, x[rows], budget.gradient_step,
-                                          space.lows, space.highs)
+        return finite_difference_gradient(lambda points, owners: values(points, rows[owners])[1],
+                                          x[rows], budget.gradient_step, space.lows, space.highs,
+                                          fx=f[rows])
 
     f = raw if scalar is None else scalar(raw)
     g = gradient(np.arange(m))

@@ -1,7 +1,11 @@
 """Run invariants of both engines over random small configurations: runs
-stay in the box, best-so-far never worsens, evaluation counts are exact, and
-a run that used its whole budget records every generation. The refiner that
-evaluates each generation refines only the rows it is asked to."""
+stay in the box, best-so-far never worsens, evaluation counts are exact, no
+gradient probe re-evaluates its own row's point, and a run that used its
+whole budget records every generation. The refiner that evaluates each
+generation refines only the rows it is asked to."""
+
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from aded import (
     run_aded,
     run_aded_mo,
 )
+from aded import variation
 from aded.benchmarks import lookup
 from aded.core import evaluate_rows
 from aded.variation import lockstep_refine
@@ -59,6 +64,23 @@ CONFIGS = st.builds(
 )
 
 
+@contextmanager
+def probes_checked():
+    """The refiner's gradients, checked: no batch of probes they send holds
+    the point of the row it belongs to, whose value the refiner holds."""
+    gradient = variation.finite_difference_gradient
+
+    def checked(objective, x, *args, **kwargs):
+        def probes(points, owners):
+            assert not (points == x[owners]).all(axis=1).any()
+            return objective(points, owners)
+
+        return gradient(probes, x, *args, **kwargs)
+
+    with mock.patch.object(variation, "finite_difference_gradient", checked):
+        yield
+
+
 def check_count(n_evaluations, objective, cfg, plain_count):
     if cfg.local_search.enabled:
         assert n_evaluations == objective.points
@@ -81,7 +103,8 @@ def test_run_aded_invariants(cfg, benchmark_id, dim, batched):
     spec = lookup(benchmark_id)
     space = spec.space(dim)
     objective = counted(spec.evaluate, batched)
-    result = run_aded(objective, space, cfg)
+    with probes_checked():
+        result = run_aded(objective, space, cfg)
     generations = result.generations_executed
     assert space.contains(result.best_x)
     assert np.all(np.diff(result.best_f_history) <= 0.0)
@@ -97,7 +120,8 @@ def test_run_aded_mo_invariants(cfg, dim, batched, weight):
     spec = lookup("zdt1")
     space = spec.space(dim)
     objective = counted(spec.evaluate, batched)
-    result = run_aded_mo(objective, space, cfg, [weight, 1.0 - weight])
+    with probes_checked():
+        result = run_aded_mo(objective, space, cfg, [weight, 1.0 - weight])
     generations = len(result.front_size_history)
     assert all(space.contains(x) for x, _ in result.front)
     assert space.contains(result.best_scalarized[0])

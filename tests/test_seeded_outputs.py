@@ -104,7 +104,7 @@ def run_refined_mo(name):
 
 def test_aded_mo_front():
     result = run_refined_mo("zdt1")
-    assert result.n_evaluations == 19040
+    assert result.n_evaluations == 13502
     assert len(result.front) == 70
     assert sha(*[x for x, _ in result.front]) == (
         "473c546f0bf860ddc122715f8c503f3592904cb2d7609c48efc6ce348478cd5a")
@@ -121,7 +121,7 @@ def mo_fingerprint(result):
 
 def test_aded_mo_three_objectives_refining_every_trial():
     result = run_refined_mo("dltz1")
-    assert result.n_evaluations == 5362
+    assert result.n_evaluations == 3858
     assert mo_fingerprint(result) == (
         5,
         "bebf0ff6aa4dcbbd0904715e06f6ae240953fb0087a78e7e10eae19334f69f8d",
@@ -230,14 +230,14 @@ GRID_DIGEST = "0fd8b0b5ed7d70d8d5f820952b65699d634cece90eb4f38d6bc01ebec17eaefa"
 # refinement), the same with batched and per-row objectives
 GRID_EVALUATIONS = {
     ("scheduled", "off"): (104, 104, 56),
-    ("scheduled", "p0.3"): (547, 104, 359),
-    ("scheduled", "p1"): (871, 104, 448),
+    ("scheduled", "p0.3"): (545, 104, 281),
+    ("scheduled", "p1"): (869, 104, 280),
     ("fixed-explicit", "off"): (104, 88, 96),
-    ("fixed-explicit", "p0.3"): (487, 88, 303),
-    ("fixed-explicit", "p1"): (1285, 88, 448),
+    ("fixed-explicit", "p0.3"): (475, 88, 224),
+    ("fixed-explicit", "p1"): (1274, 88, 275),
     ("fixed-drawn", "off"): (96, 104, 56),
-    ("fixed-drawn", "p0.3"): (477, 104, 265),
-    ("fixed-drawn", "p1"): (900, 104, 449),
+    ("fixed-drawn", "p0.3"): (429, 104, 176),
+    ("fixed-drawn", "p1"): (802, 104, 266),
 }
 
 

@@ -24,7 +24,7 @@ from aded import (
     finite_difference_gradient,
     local_refine,
 )
-from aded.benchmarks import lookup
+from aded.benchmarks import CATALOG, lookup
 from aded.core import evaluate_rows
 from aded.variation import (
     CANONICAL_VARIANTS,
@@ -351,6 +351,57 @@ class TestFiniteDifferenceGradient:
             lambda z: float(z[0] ** 2), np.array([0.0]), lows=lows, highs=highs
         )
         assert grad[0] == pytest.approx(1e-6, abs=1e-8)  # one-sided slope of x^2 at 0
+
+    @pytest.mark.parametrize("given, missing", [("lows", "highs"), ("highs", "lows")])
+    def test_a_lone_bound_is_refused(self, given, missing):
+        with pytest.raises(ConfigError, match=f"{missing} is missing"):
+            finite_difference_gradient(lambda z: float(z @ z), np.zeros(2),
+                                       **{given: np.ones(2)})
+
+    @pytest.mark.parametrize("placement", ["faces", "interior"])
+    @pytest.mark.parametrize("benchmark_id", sorted(CATALOG))
+    def test_held_values_spare_exactly_the_clamped_probes(self, benchmark_id, placement):
+        spec = lookup(benchmark_id)
+        space = spec.space()
+        m, d = 8, space.dim
+
+        def objective(points):
+            values = spec.evaluate(points)
+            return values if spec.n_objectives == 1 else values.sum(axis=-1)
+
+        objective.batched = True
+        rng = np.random.default_rng(3)
+        x = rng.uniform(space.lows, space.highs, size=(m, d))
+        if placement == "faces":
+            # each coordinate at its low, its high or inside; rows 0 and 1 corners
+            at = rng.integers(0, 3, size=(m, d))
+            at[0], at[1] = 0, 1
+            x = np.where(at == 0, space.lows, np.where(at == 1, space.highs, x))
+        sent = []
+
+        def probes(points, owners):
+            sent.append((points.copy(), owners.copy()))
+            return objective(points)
+
+        all_probes = []
+
+        def every_probe(points):
+            all_probes.append(points.copy())
+            return objective(points)
+
+        every_probe.batched = True
+        held = finite_difference_gradient(probes, x, 1e-6, space.lows, space.highs,
+                                          fx=objective(x))
+        full = finite_difference_gradient(every_probe, x, 1e-6, space.lows, space.highs)
+        assert held.tobytes() == full.tobytes()
+        [points], [(sent_points, owners)] = all_probes, sent
+        all_owners = np.repeat(np.arange(m), 2 * d)
+        spared = (points == x[all_owners]).all(axis=1)
+        clamped = np.count_nonzero(x == space.lows) + np.count_nonzero(x == space.highs)
+        assert np.count_nonzero(spared) == clamped
+        assert (clamped > 0) == (placement == "faces")
+        assert sent_points.tobytes() == points[~spared].tobytes()
+        assert owners.tolist() == all_owners[~spared].tolist()
 
 
 class TestLocalRefine:

@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> int:
     if args.command == "list-benchmarks":
-        print(cmd_list_benchmarks(args.format))
+        print(cmd_list_benchmarks(args.format), end="")
         return EXIT_OK
 
     options = _options_from_args(args)

@@ -317,24 +317,27 @@ def _header(plan: ExperimentPlan, cfg: EngineConfig) -> dict:
 # Artifact writers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
-        return repr(float(value))
-    return str(value)
-
-
 def _vector_cell(x) -> str:
     """A decision vector as one CSV cell: its coordinates' reprs joined by ';'."""
     return ";".join(map(repr, np.asarray(x, dtype=float).tolist()))
 
 
+def _cell(value) -> str:
+    """A value as one CSV cell, quoted as RFC 4180 asks when it holds a
+    comma or a double quote."""
+    if value is None:
+        return ""
+    text = repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv(header: list, rows: list) -> str:
+    """A CSV table; a row shorter than the header is padded with empty cells."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join(_cell(cell) for cell in row) + "," * (len(header) - len(row))
+                 for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -383,13 +386,11 @@ def cmd_list_benchmarks(fmt: str = "csv") -> str:
             "optimum": spec.known_optimum,
         })
     if fmt == "json":
-        return json.dumps(entries, indent=2)
-    lines = ["id,kind,dim_rule,dim,bounds,optimum"]
-    for e in entries:
-        bounds = ";".join(f"[{lo},{hi}]" for lo, hi in e["bounds"])
-        opt = "" if e["optimum"] is None else repr(float(e["optimum"]))
-        lines.append(f"{e['id']},{e['kind']},{e['dim_rule']},{e['dim']},{bounds},{opt}")
-    return "\n".join(lines)
+        return json.dumps(entries, indent=2) + "\n"
+    return _csv(["id", "kind", "dim_rule", "dim", "bounds", "optimum"], [
+        [e["id"], e["kind"], e["dim_rule"], e["dim"],
+         ";".join(f"[{lo},{hi}]" for lo, hi in e["bounds"]),
+         None if e["optimum"] is None else float(e["optimum"])] for e in entries])
 
 
 def cmd_run(plan: ExperimentPlan) -> dict:

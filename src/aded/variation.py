@@ -30,22 +30,23 @@ FIXED_F_RANGE = (0.5, 2.0)
 FIXED_CR_RANGE = (0.1, 0.9)
 
 
-def adaptive_mutation_rate(generation: int, max_generations: int, initial_f: float) -> float:
-    """Linearly decaying mutation factor: initial_f * (1 - generation / max)."""
+def _progress(generation: int, max_generations: int) -> float:
+    """The fraction ``generation / max_generations`` of a run gone by."""
     if max_generations <= 0:
         raise ConfigError("max_generations must be positive")
     if not 0 <= generation <= max_generations:
         raise ConfigError(f"generation {generation} outside [0, {max_generations}]")
-    return initial_f * (1.0 - generation / max_generations)
+    return generation / max_generations
+
+
+def adaptive_mutation_rate(generation: int, max_generations: int, initial_f: float) -> float:
+    """Linearly decaying mutation factor: initial_f * (1 - generation / max)."""
+    return initial_f * (1.0 - _progress(generation, max_generations))
 
 
 def adaptive_crossover_rate(generation: int, max_generations: int, initial_cr: float) -> float:
     """Linearly growing crossover rate: initial_cr * (generation / max)."""
-    if max_generations <= 0:
-        raise ConfigError("max_generations must be positive")
-    if not 0 <= generation <= max_generations:
-        raise ConfigError(f"generation {generation} outside [0, {max_generations}]")
-    return initial_cr * (generation / max_generations)
+    return initial_cr * _progress(generation, max_generations)
 
 
 @dataclass(frozen=True)
@@ -95,29 +96,23 @@ class ScheduleParams:
 # Mutation strategies
 # ---------------------------------------------------------------------------
 
-# mutation kind -> number of distinct random indices consumed per donor
-MUTATION_INDEX_COUNT = {
-    "rand1": 3,
-    "best1": 2,
-    "rand2": 5,
-    "best2": 4,
-    "currenttorand1": 3,
-    "currenttobest1": 2,
-    "randtobest1": 3,
-    "adedrand": 3,        # x_i + F (r1 - x_i) + F (r2 - r3)
-    "adedneighbors": 2,   # x_i + F (n1 - x_i) + F (n2 - x_i)
+# mutation kind -> (distinct random indices r consumed per donor, whether it
+# draws the current-to-* coefficient k, its donors from the members x, their
+# picks r, the best point, F and k)
+MUTATIONS = {
+    "rand1": (3, False, lambda x, r, best, f, k: r[0] + f * (r[1] - r[2])),
+    "best1": (2, False, lambda x, r, best, f, k: best + f * (r[0] - r[1])),
+    "rand2": (5, False, lambda x, r, best, f, k: r[0] + f * (r[1] - r[2] + r[3] - r[4])),
+    "best2": (4, False, lambda x, r, best, f, k: best + f * (r[0] - r[1] + r[2] - r[3])),
+    "currenttorand1": (3, True, lambda x, r, best, f, k: x + k * (r[2] - x) + f * (r[0] - r[1])),
+    "currenttobest1": (2, True, lambda x, r, best, f, k: x + k * (best - x) + f * (r[0] - r[1])),
+    "randtobest1": (3, False,
+                    lambda x, r, best, f, k: r[0] + f * (best - r[0]) + f * (r[1] - r[2])),
+    "adedrand": (3, False, lambda x, r, best, f, k: x + f * (r[0] - x) + f * (r[1] - r[2])),
+    "adedneighbors": (2, False, lambda x, r, best, f, k: x + f * (r[0] - x) + f * (r[1] - x)),
 }
 
-_USES_K = {"currenttorand1", "currenttobest1"}
-
 CROSSOVER_KINDS = ("bin", "exp")
-
-# The 14 canonical strategy ids used by the variant tournament.
-CANONICAL_VARIANTS = tuple(
-    f"{m}{c}"
-    for m in ("rand1", "best1", "rand2", "best2", "currenttorand1", "currenttobest1", "randtobest1")
-    for c in CROSSOVER_KINDS
-)
 
 
 @dataclass(frozen=True)
@@ -128,10 +123,9 @@ class StrategyId:
     crossover: str
 
     def __post_init__(self):
-        if self.mutation not in MUTATION_INDEX_COUNT:
-            raise ConfigError(
-                f"unknown mutation {self.mutation!r}; choose from {sorted(MUTATION_INDEX_COUNT)}"
-            )
+        if self.mutation not in MUTATIONS:
+            raise ConfigError(f"unknown mutation {self.mutation!r}; "
+                              f"choose from {sorted(MUTATIONS)}")
         if self.crossover not in CROSSOVER_KINDS:
             raise ConfigError(f"unknown crossover {self.crossover!r}; choose bin or exp")
 
@@ -139,7 +133,7 @@ class StrategyId:
     def parse(cls, name: str) -> "StrategyId":
         name = name.strip().lower().replace("-", "").replace("_", "").replace("/", "")
         for suffix in CROSSOVER_KINDS:
-            if name.endswith(suffix) and name[: -len(suffix)] in MUTATION_INDEX_COUNT:
+            if name.endswith(suffix) and name[: -len(suffix)] in MUTATIONS:
                 return cls(name[: -len(suffix)], suffix)
         raise ConfigError(f"cannot parse strategy id {name!r}")
 
@@ -149,11 +143,11 @@ class StrategyId:
 
     @property
     def uses_k(self) -> bool:
-        return self.mutation in _USES_K
+        return MUTATIONS[self.mutation][1]
 
     @property
     def index_count(self) -> int:
-        return MUTATION_INDEX_COUNT[self.mutation]
+        return MUTATIONS[self.mutation][0]
 
 
 def draw_distinct(rng: RngStream, pool: int, k: int, m: int, skip=None) -> np.ndarray:
@@ -193,27 +187,8 @@ def mutation_donors(strategy: StrategyId, pop, bases, best, f: float, k) -> np.n
     """
     x = np.asarray(pop, dtype=float)
     r = [x[bases[:, j]] for j in range(strategy.index_count)]
-    k = np.asarray(k, dtype=float)[:, None]
-    m = strategy.mutation
-    if m == "rand1":
-        return r[0] + f * (r[1] - r[2])
-    if m == "best1":
-        return best + f * (r[0] - r[1])
-    if m == "rand2":
-        return r[0] + f * (r[1] - r[2] + r[3] - r[4])
-    if m == "best2":
-        return best + f * (r[0] - r[1] + r[2] - r[3])
-    if m == "currenttorand1":
-        return x + k * (r[2] - x) + f * (r[0] - r[1])
-    if m == "currenttobest1":
-        return x + k * (best - x) + f * (r[0] - r[1])
-    if m == "randtobest1":
-        return r[0] + f * (best - r[0]) + f * (r[1] - r[2])
-    if m == "adedrand":
-        return x + f * (r[0] - x) + f * (r[1] - r[2])
-    if m == "adedneighbors":
-        return x + f * (r[0] - x) + f * (r[1] - x)
-    raise ConfigError(f"unhandled mutation {m!r}")  # pragma: no cover
+    donor = MUTATIONS[strategy.mutation][2]
+    return donor(x, r, best, f, np.asarray(k, dtype=float)[:, None])
 
 
 # ---------------------------------------------------------------------------

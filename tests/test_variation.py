@@ -26,8 +26,9 @@ from aded import (
 )
 from aded.benchmarks import CATALOG, lookup
 from aded.core import evaluate_rows
+from aded.harness import TOURNAMENT_PAIRS
 from aded.variation import (
-    CANONICAL_VARIANTS,
+    MUTATIONS,
     ScheduleParams,
     draw_crossover,
     draw_distinct,
@@ -91,8 +92,8 @@ class TestSchedules:
 
 class TestStrategyId:
     def test_parse_all_canonical_variants(self):
-        assert len(CANONICAL_VARIANTS) == 14
-        for name in CANONICAL_VARIANTS:
+        assert len(TOURNAMENT_PAIRS) == 14
+        for name, _, _ in TOURNAMENT_PAIRS:
             s = StrategyId.parse(name)
             assert s.name == name
 
@@ -111,6 +112,21 @@ def member_bases(strategy, n, seed):
     """Each member's distinct non-self base indices, drawn as the engine does
     with every other member as neighbor."""
     return draw_distinct(RngStream(seed), n, strategy.index_count, n, skip=np.arange(n))
+
+
+# each kind's donor for one member xi, from its picks r, the best point, F
+# and its own k, as Storn & Price (1997) and ADED write it
+DONOR_FORMULAS = {
+    "rand1": lambda xi, r, best, f, ki: r[0] + f * (r[1] - r[2]),
+    "best1": lambda xi, r, best, f, ki: best + f * (r[0] - r[1]),
+    "rand2": lambda xi, r, best, f, ki: r[0] + f * (r[1] - r[2] + r[3] - r[4]),
+    "best2": lambda xi, r, best, f, ki: best + f * (r[0] - r[1] + r[2] - r[3]),
+    "currenttorand1": lambda xi, r, best, f, ki: xi + ki * (r[2] - xi) + f * (r[0] - r[1]),
+    "currenttobest1": lambda xi, r, best, f, ki: xi + ki * (best - xi) + f * (r[0] - r[1]),
+    "randtobest1": lambda xi, r, best, f, ki: r[0] + f * (best - r[0]) + f * (r[1] - r[2]),
+    "adedrand": lambda xi, r, best, f, ki: xi + f * (r[0] - xi) + f * (r[1] - r[2]),
+    "adedneighbors": lambda xi, r, best, f, ki: xi + f * (r[0] - xi) + f * (r[1] - xi),
+}
 
 
 class TestMutate:
@@ -157,20 +173,21 @@ class TestMutate:
         donor_b = mutation_donors(strategy, x + shift, bases, x[0] + shift, 0.6, k)
         assert np.allclose(donor_a + shift, donor_b, atol=1e-12)
 
-    def test_current_to_rand_formula(self):
-        x = np.array([[1.0, 1.0], [2.0, 2.0], [4.0, 0.0], [0.0, 4.0], [3.0, 3.0], [5.0, 5.0]])
-        strategy = StrategyId.parse("currenttorand1bin")
-        bases = member_bases(strategy, 6, 2)
-        k = np.linspace(0.0, 1.0, 6)
-        donors = mutation_donors(strategy, x, bases, None, 0.5, k)
-        for i, (r1, r2, r3) in enumerate(bases):
-            expected = x[i] + k[i] * (x[r3] - x[i]) + 0.5 * (x[r1] - x[r2])
+    @pytest.mark.parametrize("kind", sorted(MUTATIONS))
+    def test_donor_formula(self, kind):
+        x = np.random.default_rng(9).normal(size=(8, 3))
+        best, f, k = np.array([0.5, -1.5, 2.0]), 0.7, np.linspace(0.0, 1.0, 8)
+        strategy = StrategyId(kind, "bin")
+        bases = member_bases(strategy, 8, 2)
+        donors = mutation_donors(strategy, x, bases, best, f, k)
+        for i, picks in enumerate(bases):
+            expected = DONOR_FORMULAS[kind](x[i], x[picks], best, f, k[i])
             assert donors[i].tolist() == expected.tolist()
 
     def test_all_strategies_produce_finite_donors(self):
         x = np.random.default_rng(0).uniform(-1, 1, size=(10, 4))
         best = x[3]
-        for name in (*CANONICAL_VARIANTS, "adedrandbin", "adedneighborsexp"):
+        for name in (*(v for v, _, _ in TOURNAMENT_PAIRS), "adedrandbin", "adedneighborsexp"):
             strategy = StrategyId.parse(name)
             donors = mutation_donors(strategy, x, member_bases(strategy, 10, 5), best, 0.8,
                                      np.full(10, 0.4))

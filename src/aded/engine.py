@@ -140,7 +140,8 @@ def _generations(cfg: EngineConfig, fixed, step):
     history: list = []
     for gen in range(cfg.max_generations):
         history.append(step(gen, *cfg.schedule.rates_at(gen, cfg.max_generations, fixed)))
-        if has_converged(history, cfg.stagnation_limit, cfg.stagnation_tol):
+        if has_converged(history[-cfg.stagnation_limit:], cfg.stagnation_limit,
+                         cfg.stagnation_tol):
             return np.asarray(history, dtype=float), "stagnation"
     return np.asarray(history, dtype=float), "max-generations"
 

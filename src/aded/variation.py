@@ -398,12 +398,21 @@ def _descend(evaluate, x, raw, space: SearchSpace, budget: LocalSearchBudget, sc
     trial is the projected point, and each further one is the minimizer of
     the quadratic through f, its slope along the segment and the last
     trial's value, within [0.1, 0.5] of the last step, until the Armijo
-    condition holds. A row stops on its own: after ``budget.max_iterations``
-    iterations; when a step lowers f by at most ``FTOL`` relative; when its
-    projected gradient is at most ``GTOL``; or when a line search fails on a
-    steepest-descent step (a failed L-BFGS step drops the row's pairs and
-    retries). Row arithmetic is elementwise or a reduction along the row,
-    so each row's result is the same whichever rows it is refined with.
+    condition holds. An Armijo demand of at most ``FTOL * max(|f|, 1)``
+    counts as zero, since the ``FTOL`` stop below counts a decrease that
+    small as no progress: such a row takes its first trial no worse than f,
+    and stops unless that trial lowered f by more (a trial the full demand
+    takes too). At a floor of the objective's rounding (f = 0.0 exactly near
+    the minimum of rastrigin or ackley) no trial can lower f, and the full
+    demand would only run the line search out of trials; the approximate
+    Wolfe conditions of Hager & Zhang (2005) relax sufficient decrease at
+    the objective's resolution for the same reason. A row stops on its own:
+    after ``budget.max_iterations`` iterations; when a step lowers f by at
+    most ``FTOL`` relative; when its projected gradient is at most
+    ``GTOL``; or when a line search fails on a steepest-descent step (a
+    failed L-BFGS step drops the row's pairs and retries). Row arithmetic is
+    elementwise or a reduction along the row, so each row's result is the
+    same whichever rows it is refined with.
 
     Returns the refined rows and the objective's values there.
     """
@@ -452,7 +461,9 @@ def _descend(evaluate, x, raw, space: SearchSpace, budget: LocalSearchBudget, sc
             points = xs + ts[:, None] * steps_to
             np.clip(points, space.lows, space.highs, out=points)
             trial_raw, trial_f = values(points, rows)
-            ok = trial_f <= f_base + ARMIJO * ts * slopes
+            demand = ARMIJO * ts * slopes
+            demand[-demand <= FTOL * np.maximum(np.abs(f_base), 1.0)] = 0.0
+            ok = trial_f <= f_base + demand
             done = rows[ok]
             x[done], f[done] = points[ok], trial_f[ok]
             if scalar is not None:

@@ -1047,11 +1047,11 @@ class TestPinnedOutputs:
         assert _digest(_drop_column(table, *by_q, sort_rows=True)) == \
             "58a608593fcc422f77684773d062c5ce7ef12f141e5ae6c1fe7d6779650fbea0"
         assert _digest(repr(_columns(table, "variant", *by_q)).encode()) == \
-            "f5d3ea285a0135462f32752f182464abb7f7b713d37063a8f05cf7ede83ebf86"
+            "72661a835e597f7e0f9375483297a269e76f906d07bfbecfc54426f15c7c179b"
         assert _digest(_drop_column(detail, "q_measure")) == \
             "b66115b7dff163f83d3e2faf75a09083b68f5801df417d5935dba228a7ea4f4e"
         assert _digest(repr(_columns(detail, "q_measure")).encode()) == \
-            "cf5202635e8793c97ceef71a1c1fad701e92a12d0584d34cca91e79116aa82ee"
+            "1286232ffe200db9c8b7496e07c05000c510d1670de7ab67c2923c6e78fc9c10"
         report = tmp_path / "tournament.json"
         assert _report_digest(report, drop=("wall_seconds", "config", "config_hash", "q",
                                             "q_rank", "average_rank"), sort_by="variant") == \
@@ -1059,7 +1059,7 @@ class TestPinnedOutputs:
         payload = json.loads(report.read_text())
         by_q = [[e["variant"], e["q"], e["q_rank"], e["average_rank"]] for e in payload["table"]]
         assert _digest(repr(by_q + [e["q"] for e in payload["detail"]]).encode()) == \
-            "7896d45c019f4877fae0f9a8905c46ae34f4fd2f49ba0fe76757206770441998"
+            "1dc24595704154baa2abf2200b21a4e3433fa5815fc60615952d701063bd5172"
         assert payload["config_hash"] == "830c492607b40691"
 
     def test_run_report(self, jobs, tmp_path):

@@ -609,3 +609,39 @@ class TestLockstepRefine:
         assert evals.tolist() == evals_s.tolist()
         assert objs.tobytes() == spec.evaluate(x).tobytes()
         assert scalar(objs).tobytes() == f_s.tobytes()
+
+    def test_rows_on_the_rounding_floor_stop_after_a_step_no_worse(self):
+        # rastrigin rounds to exactly 0.0 near its minimum, where no trial can
+        # meet a positive Armijo demand: each row takes its first trial that
+        # is no worse, where 26 evaluations (the start, 4 probes and 21
+        # failed trials) ran its line search out
+        spec = lookup("rastrigin")
+        space = spec.space(2)
+        x0 = np.array([[1e-9, -1e-9], [-1e-9, 1e-9], [1e-12, 3e-10]])
+        assert spec.evaluate(x0).tolist() == [0.0, 0.0, 0.0]
+        calls = []
+
+        def evaluate(points, rows):
+            calls.append(len(points))
+            return spec.evaluate(points)
+
+        evaluate, evals = self.counted(evaluate, len(x0))
+        x, f = lockstep_refine(evaluate, x0, space, LocalSearchBudget())
+        assert f.tolist() == [0.0, 0.0, 0.0]
+        assert all(space.contains(row) for row in x)
+        assert (evals < 26).all()
+        assert evals.tolist() == [9, 9, 8]
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("benchmark_id, start, f_pin, evals_pin", [
+        ("sphere", (0.5, -0.5), 3.8518598887744717e-22, 11),
+        ("rastrigin", (0.3, -0.2), 1.9899181141865832, 46),
+    ])
+    def test_demands_above_the_ftol_floor_are_kept(self, benchmark_id, start, f_pin, evals_pin):
+        # values taken with the full Armijo demand: sphere's descent meets no
+        # demand at or below FTOL * max(|f|, 1), and rastrigin's meets two,
+        # where each trial passes or fails under both demands alike
+        spec = lookup(benchmark_id)
+        _, f, evals = local_refine(spec.evaluate, start, spec.space(2), LocalSearchBudget())
+        assert repr(f) == repr(f_pin)
+        assert evals == evals_pin

@@ -1,6 +1,6 @@
-"""The single-objective engine and the parts every engine shares: the
-generation loop (scheduled F/CR and the stagnation stop) and the one call
-that repairs, refines and evaluates a generation's trials. The adaptive
+"""The single-objective engine and the run skeleton ``_Run`` of both
+engines: a run's random stream, evaluation ledger, clock, generation loop
+(scheduled F/CR and the stagnation stop) and result record. The adaptive
 engine has uniform random mutation bases, crowding selection and optional
 local refinement; classic DE is a preset of it.
 """
@@ -17,6 +17,8 @@ from .variation import (
     LocalSearchBudget,
     ScheduleParams,
     StrategyId,
+    adaptive_crossover_rate,
+    adaptive_mutation_rate,
     draw_crossover,
     draw_distinct,
     lockstep_refine,
@@ -122,28 +124,48 @@ def _draw_trials(cfg: EngineConfig, n: int, d: int, cr: float, rng: RngStream):
     return bases, k_coeff, masks, cfg.local_search.refines(rng, n)
 
 
-def _evaluate_trials(counting, trials, refine, gen, space, budget, scalar=None):
-    """A generation's trials, clipped and those flagged in ``refine`` refined,
-    and their values (objective vectors with ``scalar``): one call of
-    ``lockstep_refine``, whose errors name the generation and individual."""
-    def evaluate(points, rows):
-        return counting.batch(points, lambda r: f"generation {gen}, individual {rows[r]}")
+class _Run:
+    """One seeded run of either engine: its random stream, evaluation ledger,
+    clock, generation loop and result record. The engine appends the value
+    the stagnation stop watches to ``history`` once per generation."""
 
-    return lockstep_refine(evaluate, trials, space, budget, scalar, refine)
+    def __init__(self, objective, space: SearchSpace, cfg: EngineConfig, multi: bool = False):
+        self.t0 = time.perf_counter()
+        self.space, self.cfg = space, cfg
+        self.rng = RngStream(cfg.seed)
+        self.counting = _CountingObjective(objective, multi)
+        self.history: list = []
+        self.terminated_by = "max-generations"
 
+    def generations(self, fixed):
+        """Yield ``(gen, F, CR)`` per generation (Storn & Price, 1997), the
+        rates ``fixed`` or, when None, scheduled, until the generation budget
+        or until ``history`` stagnates."""
+        cfg, schedule = self.cfg, self.cfg.schedule
+        for gen in range(cfg.max_generations):
+            f, cr = fixed if fixed is not None else (
+                adaptive_mutation_rate(gen, cfg.max_generations, schedule.initial_f),
+                adaptive_crossover_rate(gen, cfg.max_generations, schedule.initial_cr),
+            )
+            yield gen, f, cr
+            if has_converged(self.history[-cfg.stagnation_limit:], cfg.stagnation_limit,
+                             cfg.stagnation_tol):
+                self.terminated_by = "stagnation"
+                return
 
-def _generations(cfg: EngineConfig, fixed, step):
-    """The generation loop of both engines (Storn & Price, 1997):
-    ``step(gen, f, cr)`` runs a generation at its (F, CR), scheduled or
-    ``fixed``, and returns the value the stagnation stop watches. Returns
-    those values, one per generation, and "stagnation" or "max-generations"."""
-    history: list = []
-    for gen in range(cfg.max_generations):
-        history.append(step(gen, *cfg.schedule.rates_at(gen, cfg.max_generations, fixed)))
-        if has_converged(history[-cfg.stagnation_limit:], cfg.stagnation_limit,
-                         cfg.stagnation_tol):
-            return np.asarray(history, dtype=float), "stagnation"
-    return np.asarray(history, dtype=float), "max-generations"
+    def evaluate(self, trials, refine, gen, scalar=None):
+        """A generation's trials, clipped and those flagged in ``refine``
+        refined, and their values (objective vectors with ``scalar``): one
+        ``lockstep_refine`` call, whose errors name generation and individual."""
+        def evaluate(points, rows):
+            return self.counting.batch(points, lambda r: f"generation {gen}, individual {rows[r]}")
+
+        return lockstep_refine(evaluate, trials, self.space, self.cfg.local_search, scalar, refine)
+
+    def record(self) -> dict:
+        """The fields that ``RunResult`` and ``MoResult`` share."""
+        return dict(n_evaluations=self.counting.count, wall_seconds=time.perf_counter() - self.t0,
+                    terminated_by=self.terminated_by, seed=self.cfg.seed)
 
 
 def run_aded(objective, space: SearchSpace, cfg: EngineConfig, on_generation=None) -> RunResult:
@@ -159,7 +181,7 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig, on_generation=Non
     that needs more bases than ``neighborhood_size``.
 
     Each generation is built from the previous one as a whole, and its trials
-    are bound-repaired, refined and evaluated by ``_evaluate_trials``.
+    are bound-repaired, refined and evaluated by ``_Run.evaluate``.
 
     The engine records only the best fitness of each generation. A caller
     that wants more (diversity, FDC) passes ``on_generation``, which is
@@ -167,38 +189,27 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig, on_generation=Non
     selection, with the ``(n, d)`` population and its ``(n,)`` fitness; it
     must not modify them.
     """
-    t0 = time.perf_counter()
-    rng = RngStream(cfg.seed)
-    n = cfg.population_size
-    fixed = cfg.schedule.resolve_fixed(rng) if cfg.schedule.mode == "fixed" else None
-
-    counting = _CountingObjective(objective)
+    run = _Run(objective, space, cfg)
+    n, rng = cfg.population_size, run.rng
+    fixed = cfg.schedule.resolve_fixed(rng)
     x = init_population(space, n, rng)
-    fit = counting.batch(x, lambda r: f"initial member {r}")
-
-    def step(gen, f_rate, cr_rate):
-        nonlocal x, fit
+    fit = run.counting.batch(x, lambda r: f"initial member {r}")
+    for gen, f_rate, cr_rate in run.generations(fixed):
         bases, k_coeff, masks, refine = _draw_trials(cfg, n, space.dim, cr_rate, rng)
         donors = mutation_donors(cfg.strategy, x, bases, x[int(np.argmin(fit))], f_rate, k_coeff)
-        trials, trial_f = _evaluate_trials(counting, np.where(masks, donors, x), refine, gen,
-                                           space, cfg.local_search)
+        trials, trial_f = run.evaluate(np.where(masks, donors, x), refine, gen)
         improved = trial_f < fit                   # crowding: incumbent wins ties
         x = np.where(improved[:, None], trials, x)
         fit = np.where(improved, trial_f, fit)
         if on_generation is not None:
             on_generation(gen, x, fit)
-        return float(fit.min())
-
-    history, terminated_by = _generations(cfg, fixed, step)
+        run.history.append(float(fit.min()))
     best_idx = int(np.argmin(fit))
     return RunResult(
         best_x=x[best_idx].copy(),
         best_f=float(fit[best_idx]),
-        best_f_history=history,
-        n_evaluations=counting.count,
-        wall_seconds=time.perf_counter() - t0,
-        terminated_by=terminated_by,
-        seed=cfg.seed,
+        best_f_history=np.asarray(run.history, dtype=float),
+        **run.record(),
     )
 
 

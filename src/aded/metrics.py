@@ -186,10 +186,11 @@ class FrontPair:
 
 def generational_distance(pair: FrontPair) -> float:
     """Root-mean-square distance from each reference point to its nearest
-    obtained point. Distances are computed a block of reference points at a
-    time against the whole obtained front, one objective at a time (see
-    ``_squared_distances``), with the bits of a per-point
-    ``np.sum((obtained - p) ** 2, axis=1)``."""
+    obtained point: the inverted GD of Coello Coello & Reyes Sierra (2004),
+    not Van Veldhuizen's GD over the obtained points. Distances are
+    computed a block of reference points at a time against the whole
+    obtained front, one objective at a time (see ``_squared_distances``),
+    with the bits of a per-point ``np.sum((obtained - p) ** 2, axis=1)``."""
     obtained, reference = pair.obtained, pair.reference
     rows = max(1, _DISTANCE_BLOCK // obtained.size)
     sq = np.concatenate([

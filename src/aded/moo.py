@@ -11,13 +11,12 @@ every pair of trials, and between trials and archive, in each generation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, RngStream, SearchSpace, ShapeError, _CountingObjective, init_population
-from .engine import EngineConfig, _evaluate_trials, _generations
+from .core import ConfigError, SearchSpace, ShapeError, init_population
+from .engine import EngineConfig, _Run
 from .variation import StrategyId, draw_distinct, mutation_donors
 
 # each trial is its donor, with no crossover: x + F (x_a - x) + F (x_b - x), x_a, x_b members
@@ -151,31 +150,27 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
     trial admitted early stays even when a later trial dominates it. The
     archive does prune such a trial: it holds the points admitted so far
     that no admitted point dominates, and it is the reported front. Random
-    points fill the population back up. The loop is ``run_aded``'s: it stops
-    on generation budget or when the scalarized best stagnates.
+    points fill the population back up. The generations are those of
+    ``run_aded``, from the same ``_Run``: the run stops on generation budget
+    or when the scalarized best stagnates.
     """
-    t0 = time.perf_counter()
     weights = np.asarray(weights, dtype=float)
     _check_weights(weights)
-    rng = RngStream(cfg.seed)
-    counting = _CountingObjective(objectives, multi=True)
+    run = _Run(objectives, space, cfg, multi=True)
 
     def scalar(objs):
         return _weighted(objs, weights)
 
-    n = cfg.population_size
+    n, rng = cfg.population_size, run.rng
     x = init_population(space, n, rng)
-    fixed = cfg.schedule.resolve_fixed(rng) if cfg.schedule.mode == "fixed" else None
+    fixed = cfg.schedule.resolve_fixed(rng)
     arch_x = arch_obj = best_obj = None
     front_size_hist: list = []
-
-    def step(gen, f_rate, _cr):
-        nonlocal x, arch_x, arch_obj, best_obj
+    for gen, f_rate, _cr in run.generations(fixed):
         pulls = draw_distinct(rng, n, 2, n)
         refine = cfg.local_search.refines(rng, n)
         donors = mutation_donors(_PULL, x, pulls, None, f_rate, np.zeros(n))
-        trials, trial_objs = _evaluate_trials(counting, donors, refine, gen, space,
-                                              cfg.local_search, scalar)
+        trials, trial_objs = run.evaluate(donors, refine, gen, scalar)
         admitted = _admit(trial_objs)
         if arch_obj is None:                   # the objective count is known now
             arch_x, arch_obj = trials[:0], trial_objs[:0]
@@ -186,17 +181,12 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
         if len(x) < n:
             fill = rng.uniform(space.lows, space.highs, size=(n - len(x), space.dim))
             x = np.vstack([x, fill])
-        return float(scalar(best_obj))
-
-    _, terminated_by = _generations(cfg, fixed, step)
+        run.history.append(float(scalar(best_obj)))
     scal_values = scalar(arch_obj)
     best_idx = int(np.argmin(scal_values))
     return MoResult(
         front=list(zip(arch_x, arch_obj)),
         best_scalarized=(arch_x[best_idx], float(scal_values[best_idx])),
         front_size_history=front_size_hist,
-        n_evaluations=counting.count,
-        wall_seconds=time.perf_counter() - t0,
-        terminated_by=terminated_by,
-        seed=cfg.seed,
+        **run.record(),
     )

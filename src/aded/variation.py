@@ -75,21 +75,14 @@ class ScheduleParams:
             if cr is not None and not 0.0 <= cr <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {cr}")
 
-    def resolve_fixed(self, rng: RngStream) -> tuple:
-        """Constant (F, CR) pair for a fixed-mode run, drawing if unspecified."""
+    def resolve_fixed(self, rng: RngStream) -> tuple | None:
+        """Constant (F, CR) pair for a fixed-mode run, drawing if unspecified;
+        None for a scheduled run, which draws nothing."""
+        if self.mode == "scheduled":
+            return None
         f = self.fixed_f if self.fixed_f is not None else float(rng.uniform(*FIXED_F_RANGE))
         cr = self.fixed_cr if self.fixed_cr is not None else float(rng.uniform(*FIXED_CR_RANGE))
         return f, cr
-
-    def rates_at(self, generation: int, max_generations: int, fixed: tuple | None = None) -> tuple:
-        if self.mode == "fixed":
-            if fixed is None:
-                raise ConfigError("fixed-mode rates need the per-run (F, CR) pair")
-            return fixed
-        return (
-            adaptive_mutation_rate(generation, max_generations, self.initial_f),
-            adaptive_crossover_rate(generation, max_generations, self.initial_cr),
-        )
 
 
 # ---------------------------------------------------------------------------

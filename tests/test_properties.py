@@ -111,6 +111,8 @@ def test_run_aded_invariants(cfg, benchmark_id, dim, batched):
     assert result.best_f == result.best_f_history[-1]
     check_count(result.n_evaluations, objective, cfg, cfg.population_size * (generations + 1))
     check_generations(result.terminated_by, cfg, generations)
+    assert result.seed == cfg.seed
+    assert result.wall_seconds > 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -127,6 +129,8 @@ def test_run_aded_mo_invariants(cfg, dim, batched, weight):
     assert space.contains(result.best_scalarized[0])
     check_count(result.n_evaluations, objective, cfg, cfg.population_size * generations)
     check_generations(result.terminated_by, cfg, generations)
+    assert result.seed == cfg.seed
+    assert result.wall_seconds > 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -89,6 +89,11 @@ class TestSchedules:
         params = ScheduleParams(mode="fixed", fixed_f=0.9, fixed_cr=0.0)
         assert params.resolve_fixed(RngStream(0)) == (0.9, 0.0)
 
+    def test_scheduled_mode_resolves_to_none_without_drawing(self):
+        rng = RngStream(11)
+        assert ScheduleParams().resolve_fixed(rng) is None
+        assert rng.random() == RngStream(11).random()
+
 
 class TestStrategyId:
     def test_parse_all_canonical_variants(self):

@@ -120,7 +120,7 @@ def clip_to_bounds(x, space: SearchSpace) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != space.dim:
         raise ShapeError(f"array of shape {x.shape} does not match space dim {space.dim}")
-    return np.clip(x, space.lows, space.highs)
+    return x.clip(space.lows, space.highs)
 
 
 def evaluate_rows(objective, points) -> np.ndarray:

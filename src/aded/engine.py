@@ -75,14 +75,14 @@ class EngineConfig:
 
 
 def has_converged(history, stagnation_limit: int, tol: float = 0.0) -> bool:
-    """True when the last ``stagnation_limit`` best-fitness entries all lie
-    within ``tol`` of the most recent entry."""
+    """True when the last ``stagnation_limit`` best-fitness entries of the
+    sequence ``history`` all lie within ``tol`` of the most recent entry.
+    Only those entries are converted to an array."""
     if stagnation_limit < 2:
         raise ConfigError("stagnation_limit must be >= 2")
-    h = np.asarray(history, dtype=float)
-    if h.size < stagnation_limit:
+    if len(history) < stagnation_limit:
         return False
-    window = h[-stagnation_limit:]
+    window = np.asarray(history[-stagnation_limit:], dtype=float)
     return bool(np.all(np.abs(window - window[-1]) <= tol))
 
 
@@ -148,8 +148,7 @@ class _Run:
                 adaptive_crossover_rate(gen, cfg.max_generations, schedule.initial_cr),
             )
             yield gen, f, cr
-            if has_converged(self.history[-cfg.stagnation_limit:], cfg.stagnation_limit,
-                             cfg.stagnation_tol):
+            if has_converged(self.history, cfg.stagnation_limit, cfg.stagnation_tol):
                 self.terminated_by = "stagnation"
                 return
 

@@ -8,6 +8,7 @@ central-difference probes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -148,16 +149,20 @@ def draw_distinct(rng: RngStream, pool: int, k: int, m: int, skip=None) -> np.nd
     row a uniformly random ordered pick; row r never holds ``skip[r]`` when an
     ``(m,)`` index array ``skip`` is given.
 
-    Every row is first drawn with replacement; the rows that hold a repeat are
-    drawn again without replacement, a column at a time. A row is a uniform
+    Every row is first drawn with replacement; the rows that hold a repeat,
+    found by comparing each pair of its k columns (k(k - 1)/2 compares of
+    ``(m,)`` columns, about a third of the cost of a row sort at k = 3), are drawn
+    again without replacement, a column at a time. A row is a uniform
     ordered pick either way, so the result is exact, in two RNG calls.
     """
     s = 0 if skip is None else 1        # indices each row leaves out
     picks = rng.integers(0, pool - s, size=(m, k))
     if s:
         picks += picks >= skip[:, None]
-    ordered = np.sort(picks, axis=1)
-    redo = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    repeats = np.zeros(m, dtype=bool)
+    for i, j in combinations(range(k), 2):
+        repeats |= picks[:, i] == picks[:, j]
+    redo = repeats.nonzero()[0]
     # a redo row is [skip | ranks], rank j among the indices still free;
     # decoded last column first, each later entry steps over each earlier one
     codes = np.empty((redo.size, s + k), dtype=np.intp)
@@ -179,7 +184,7 @@ def mutation_donors(strategy: StrategyId, pop, bases, best, f: float, k) -> np.n
     strategies start from, and ``k[i]`` is its current-to-* coefficient.
     """
     x = np.asarray(pop, dtype=float)
-    r = [x[bases[:, j]] for j in range(strategy.index_count)]
+    r = x.take(bases.T, axis=0)         # r[j][i] is member i's j-th base
     donor = MUTATIONS[strategy.mutation][2]
     return donor(x, r, best, f, np.asarray(k, dtype=float)[:, None])
 
@@ -201,7 +206,7 @@ def draw_crossover(kind: str, d: int, cr: float, rng: RngStream, m: int) -> np.n
     firsts = rng.integers(d, size=m)
     if kind == "bin":
         take = rng.random((m, d)) < cr
-        take[np.arange(m), firsts] = True      # at least one donor component
+        take.put(np.arange(0, m * d, d) + firsts, True)   # at least one donor component
         return take
     extend = rng.random((m, d - 1)) < cr
     lengths = 1 + np.logical_and.accumulate(extend, axis=1).sum(axis=1)
@@ -329,7 +334,7 @@ def _rowdot(a, b) -> np.ndarray:
 
 def _projected_gradient(x, g, space: SearchSpace) -> np.ndarray:
     """Largest component of each row's projected gradient x - P(x - g)."""
-    return np.abs(x - np.clip(x - g, space.lows, space.highs)).max(axis=1)
+    return np.abs(x - (x - g).clip(space.lows, space.highs)).max(axis=1)
 
 
 def _two_loop(g, s, y, rho, gamma, used: int) -> np.ndarray:
@@ -364,10 +369,11 @@ def lockstep_refine(evaluate, x0, space: SearchSpace, budget: LocalSearchBudget,
     """
     x = clip_to_bounds(x0, space)
     raw = evaluate(x, np.arange(len(x)))
-    flagged = np.arange(len(x)) if refine is None else np.flatnonzero(refine)
+    flagged = np.arange(len(x)) if refine is None else refine.nonzero()[0]
     if flagged.size:         # the descent's state is sized to the flagged rows
         x[flagged], raw[flagged] = _descend(lambda points, rows: evaluate(points, flagged[rows]),
-                                            x[flagged], raw[flagged], space, budget, scalar)
+                                            x.take(flagged, axis=0), raw.take(flagged, axis=0),
+                                            space, budget, scalar)
     return x, raw
 
 
@@ -418,8 +424,8 @@ def _descend(evaluate, x, raw, space: SearchSpace, budget: LocalSearchBudget, sc
 
     def gradient(rows):
         return finite_difference_gradient(lambda points, owners: values(points, rows[owners])[1],
-                                          x[rows], budget.gradient_step, space.lows, space.highs,
-                                          fx=f[rows])
+                                          x.take(rows, axis=0), budget.gradient_step, space.lows,
+                                          space.highs, fx=f[rows])
 
     f = raw if scalar is None else scalar(raw)
     g = gradient(np.arange(m))
@@ -432,41 +438,45 @@ def _descend(evaluate, x, raw, space: SearchSpace, budget: LocalSearchBudget, sc
     going = _projected_gradient(x, g, space) > GTOL
 
     while going.any():
-        a = np.flatnonzero(going)
-        xa, fa, ga = x[a], f[a], g[a]
+        # rows are gathered by take and compress: at m <= 300, fancy
+        # indexing of rows costs 2-3.5 times as much
+        a = going.nonzero()[0]
+        xa, fa, ga = x.take(a, axis=0), f[a], g.take(a, axis=0)
         held = ((xa <= space.lows) & (ga > 0.0)) | ((xa >= space.highs) & (ga < 0.0))
         free_g = np.where(held, 0.0, ga)
-        quasi_newton = -_two_loop(free_g, s_pairs[a], y_pairs[a], rho[a], gamma[a],
-                                  pairs[a].max())
-        direction = np.clip(xa + np.where(held, 0.0, quasi_newton), space.lows, space.highs) - xa
+        quasi_newton = -_two_loop(free_g, s_pairs.take(a, axis=0), y_pairs.take(a, axis=0),
+                                  rho.take(a, axis=0), gamma[a], pairs[a].max())
+        direction = (xa + np.where(held, 0.0, quasi_newton)).clip(space.lows, space.highs) - xa
         slope = _rowdot(ga, direction)
         steepest = (pairs[a] == 0) | (slope >= 0.0)
-        direction[steepest] = (np.clip(xa[steepest] - ga[steepest], space.lows, space.highs)
-                               - xa[steepest])
-        slope[steepest] = _rowdot(ga[steepest], direction[steepest])
+        direction = np.where(steepest[:, None], (xa - ga).clip(space.lows, space.highs) - xa,
+                             direction)
+        slope = np.where(steepest, _rowdot(ga, direction), slope)
 
         # backtrack along the segment from x to x + direction, inside the box
         # the searching rows' state, shrunk to the rows still searching
         moved = np.zeros(a.size, dtype=bool)
         searching, rows, ts = np.arange(a.size), a, np.ones(a.size)
         xs, steps_to, slopes, f_base = xa, direction, slope, fa
+        floor = FTOL * np.maximum(np.abs(fa), 1.0)      # an Armijo demand this small is zero
         for _ in range(MAX_BACKTRACKS + 1):
             points = xs + ts[:, None] * steps_to
-            np.clip(points, space.lows, space.highs, out=points)
+            points.clip(space.lows, space.highs, out=points)
             trial_raw, trial_f = values(points, rows)
             demand = ARMIJO * ts * slopes
-            demand[-demand <= FTOL * np.maximum(np.abs(f_base), 1.0)] = 0.0
+            demand[-demand <= floor] = 0.0
             ok = trial_f <= f_base + demand
             done = rows[ok]
-            x[done], f[done] = points[ok], trial_f[ok]
+            x[done], f[done] = points.compress(ok, axis=0), trial_f[ok]
             if scalar is not None:
-                raw[done] = trial_raw[ok]
+                raw[done] = trial_raw.compress(ok, axis=0)
             moved[searching[ok]] = True
             if ok.all():
                 break
             keep = ~ok
-            searching, rows, xs, steps_to = searching[keep], rows[keep], xs[keep], steps_to[keep]
-            ts, slopes, f_base, trial_f = ts[keep], slopes[keep], f_base[keep], trial_f[keep]
+            searching, rows, ts, slopes = searching[keep], rows[keep], ts[keep], slopes[keep]
+            xs, steps_to = xs.compress(keep, axis=0), steps_to.compress(keep, axis=0)
+            f_base, trial_f, floor = f_base[keep], trial_f[keep], floor[keep]
             # minimizer of the quadratic through f(x), the slope and f(trial),
             # kept within [0.1, 0.5] of the step (0.5 when f(trial) is not finite)
             ts = np.fmax(0.1 * ts, np.fmin(0.5 * ts, -slopes * ts * ts / (
@@ -485,17 +495,20 @@ def _descend(evaluate, x, raw, space: SearchSpace, budget: LocalSearchBudget, sc
         c = a[go_on]
         if c.size:
             g_new = gradient(c)
-            s, y = x[c] - xa[go_on], g_new - ga[go_on]
+            xc = x.take(c, axis=0)
+            s = xc - xa.compress(go_on, axis=0)
+            y = g_new - ga.compress(go_on, axis=0)
             sy, yy = _rowdot(s, y), _rowdot(y, y)
             keep = sy > EPS * yy     # curvature condition
             k = c[keep]
-            for buf, new in ((s_pairs, s[keep]), (y_pairs, y[keep]), (rho, 1.0 / sy[keep])):
+            for buf, new in ((s_pairs, s.compress(keep, axis=0)),
+                             (y_pairs, y.compress(keep, axis=0)), (rho, 1.0 / sy[keep])):
                 buf[k, :-1] = buf[k, 1:]    # drop the oldest pair, newest last
                 buf[k, -1] = new
             gamma[k] = sy[keep] / yy[keep]
             pairs[k] = np.minimum(pairs[k] + 1, LBFGS_MEMORY)
             g[c] = g_new
-            going[c] = _projected_gradient(x[c], g_new, space) > GTOL
+            going[c] = _projected_gradient(xc, g_new, space) > GTOL
 
     return x, raw
 

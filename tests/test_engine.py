@@ -168,6 +168,9 @@ class TestHasConverged:
 
     def test_short_history_does_not(self):
         assert not has_converged([5.0, 3.0], 3, 0.0)
+        for history in ([], [2.0], [2.0] * 9):
+            assert not has_converged(history, 10, 0.0)
+            assert not has_converged(np.asarray(history), 10, np.inf)
 
     def test_tolerance_band(self):
         assert has_converged([5.0, 3.0, 3.0, 2.9999], 3, 1e-2)
@@ -176,6 +179,31 @@ class TestHasConverged:
     def test_limit_validation(self):
         with pytest.raises(ConfigError):
             has_converged([1.0, 1.0], 1, 0.0)
+
+    def test_matches_the_whole_history_formula(self):
+        # the formula over the whole history converted to an array; the
+        # function converts only the window
+        def reference(history, limit, tol):
+            h = np.asarray(history, dtype=float)
+            if h.size < limit:
+                return False
+            window = h[-limit:]
+            return bool(np.all(np.abs(window - window[-1]) <= tol))
+
+        data = np.random.default_rng(0)
+        answers = set()
+        for _ in range(400):
+            # few distinct values, so that flat windows are common
+            history = data.choice([1.0, 1.0, 1.0, 1.5, 1.0 + 1e-13], size=data.integers(0, 16))
+            if data.random() < 0.2 and history.size:
+                history[data.integers(history.size)] = np.nan
+            limit = int(data.integers(2, 12))
+            for tol in (0.0, 1e-12, 0.5):
+                expected = reference(history, limit, tol)
+                answers.add(expected)
+                for given in (history.tolist(), tuple(history.tolist()), history):
+                    assert has_converged(given, limit, tol) is expected
+        assert answers == {False, True}
 
 
 class TestRunAded:

@@ -6,6 +6,7 @@ generation, the size of the benchmark's untimed warm-up. A unit that raised
 "raised"; a failed quality check at one generation is expected and allowed.
 """
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -35,3 +36,29 @@ def test_every_unit_runs_at_one_generation(workload, tmp_path):
         outcome = unit(0, work_dir, max_generations=1)
         assert outcome.problem is None or not outcome.problem.startswith("raised"), (
             f"{workload} unit {i}: {outcome.problem}")
+
+
+# Each unit's run at three generations on seed 0: its evaluations and the
+# first 16 hex digits of the SHA-256 of ``repr(Outcome.fingerprint)``. A
+# change that moves one value or one evaluation of the benchmark's own runs
+# moves one of these.
+PINNED_RUNS = {
+    "aded-refine": [(36556, "8c5964f13164a4bd"), (45293, "7e077f8530e8819e"),
+                    (36745, "c93ae32e9a5e38f6")],
+    "generation-loop": [(1200, "9c5a3b83a94c7383"), (1200, "9bb9d6691bd488d5"),
+                        (1200, "a942666c36870524")],
+    "moo-zdt1": [(4640, "7ba6f25b6f0b74a8"), (5408, "babd488fcce3c928"),
+                 (6434, "0b3f6a17f1d8df45")],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_every_unit_repeats_its_pinned_run(workload, tmp_path):
+    runs = []
+    for i, unit in enumerate(WORKLOADS[workload]):
+        work_dir = tmp_path / str(i)
+        work_dir.mkdir()
+        outcome = unit(0, work_dir, max_generations=3)
+        digest = hashlib.sha256(repr(outcome.fingerprint).encode()).hexdigest()[:16]
+        runs.append((outcome.evals, digest))
+    assert runs == PINNED_RUNS[workload]

@@ -314,6 +314,93 @@ class TestExponentialCrossover:
         assert stat < chi2.ppf(0.999, d - 1)
 
 
+# Reference versions of the per-generation kernels, with a row sort and
+# fancy indexing: the kernels gather rows with take/put and find repeats by
+# column compares, and must give the same arrays from the same draws.
+
+def sorted_draw_distinct(rng, pool, k, m, skip=None):
+    """``draw_distinct`` finding repeated rows with a row sort."""
+    s = 0 if skip is None else 1
+    picks = rng.integers(0, pool - s, size=(m, k))
+    if s:
+        picks += picks >= skip[:, None]
+    ordered = np.sort(picks, axis=1)
+    redo = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    codes = np.empty((redo.size, s + k), dtype=np.intp)
+    if s:
+        codes[:, 0] = skip[redo]
+    codes[:, s:] = rng.integers(0, pool - s - np.arange(k), size=(redo.size, k))
+    for i in range(s + k - 2, -1, -1):
+        tail = codes[:, i + 1:]
+        tail += tail >= codes[:, i:i + 1]
+    picks[redo] = codes[:, s:]
+    return picks
+
+
+def fancy_draw_crossover(kind, d, cr, rng, m):
+    """``draw_crossover`` forcing each bin row's start by a 2-D fancy assignment."""
+    firsts = rng.integers(d, size=m)
+    if kind == "bin":
+        take = rng.random((m, d)) < cr
+        take[np.arange(m), firsts] = True
+        return take
+    extend = rng.random((m, d - 1)) < cr
+    lengths = 1 + np.logical_and.accumulate(extend, axis=1).sum(axis=1)
+    return (np.arange(d) - firsts[:, None]) % d < lengths[:, None]
+
+
+def fancy_mutation_donors(strategy, pop, bases, best, f, k):
+    """``mutation_donors`` gathering each base with its own fancy index."""
+    x = np.asarray(pop, dtype=float)
+    r = [x[bases[:, j]] for j in range(strategy.index_count)]
+    return MUTATIONS[strategy.mutation][2](x, r, best, f, np.asarray(k, dtype=float)[:, None])
+
+
+class TestKernelsMatchTheirReferences:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("with_skip", [False, True])
+    @pytest.mark.parametrize("m", [1, 7, 300])
+    def test_draw_distinct(self, k, with_skip, m):
+        # small pools make most rows repeat, so most rows are drawn again
+        for pool in sorted({k + with_skip, k + 1 + with_skip, 2 * k + 3, 40, 300}):
+            for seed in range(5):
+                skip = (np.random.default_rng(seed).integers(0, pool, m) if with_skip
+                        else None)
+                ours, theirs = RngStream(seed), RngStream(seed)
+                drawn = draw_distinct(ours, pool, k, m, skip=skip)
+                expected = sorted_draw_distinct(theirs, pool, k, m, skip=skip)
+                assert drawn.dtype == expected.dtype
+                assert np.array_equal(drawn, expected), (pool, seed)
+                assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("kind", ["bin", "exp"])
+    @pytest.mark.parametrize("m", [1, 7, 300])
+    @pytest.mark.parametrize("d", [1, 2, 30])
+    def test_draw_crossover(self, kind, m, d):
+        for cr in (0.0, 0.3, 0.9, 1.0):
+            for seed in range(3):
+                ours, theirs = RngStream(seed), RngStream(seed)
+                masks = draw_crossover(kind, d, cr, ours, m)
+                assert np.array_equal(masks, fancy_draw_crossover(kind, d, cr, theirs, m))
+                assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    @pytest.mark.parametrize("m", [1, 7, 300])
+    @pytest.mark.parametrize("d", [1, 2, 30])
+    def test_mutation_donors(self, mutation, m, d):
+        strategy = StrategyId(mutation, "bin")
+        for seed in range(3):
+            data = np.random.default_rng(seed)
+            x = data.normal(size=(m, d))
+            bases = data.integers(0, m, size=(m, strategy.index_count))
+            k = data.random(m)
+            best = x[data.integers(m)]
+            donors = mutation_donors(strategy, x, bases, best, 0.7, k)
+            expected = fancy_mutation_donors(strategy, x, bases, best, 0.7, k)
+            assert donors.tobytes() == expected.tobytes()
+            assert donors.shape == expected.shape
+
+
 class TestAtLeastOneDonorComponent:
     @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=999))
     @settings(max_examples=120)

@@ -13,7 +13,6 @@ the tabulated optimum is used (see the per-function notes).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -318,11 +317,23 @@ def _zdt2_front(k: int) -> np.ndarray:
 
 
 def _dltz1_front(k: int) -> np.ndarray:
-    # deterministic grid over the simplex parameters; every row sums to 0.5
-    m = max(2, math.ceil(math.sqrt(k)))
-    us, vs = np.meshgrid(np.linspace(0.0, 1.0, m), np.linspace(0.0, 1.0, m))
-    u, v = us.ravel()[:k], vs.ravel()[:k]
-    return np.column_stack([0.5 * u * v, 0.5 * u * (1.0 - v), 0.5 * (1.0 - u)])
+    """k distinct points of the triangle f1 + f2 + f3 = 0.5, f >= 0: its three
+    vertices, then k - 3 points of the lattice 0.5 * (i, j, n - i - j) / n of
+    the smallest order n with at least k points. Of the lattice's m other
+    points, in (i, j) order, those at positions floor(t * m / (k - 3)),
+    t = 0 .. k - 4, are kept, so the dropped ones are spread evenly. Below
+    k = 3, the first k vertices."""
+    vertices = 0.5 * np.eye(3)
+    if k <= 3:
+        return vertices[:k]
+    n = 2
+    while (n + 1) * (n + 2) // 2 < k:
+        n += 1
+    i, j = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
+    rest = np.flatnonzero((i < n) & (j < n) & (i + j > 0))
+    kept = rest[np.arange(k - 3) * len(rest) // (k - 3)]
+    lattice = np.column_stack([i[kept], j[kept], n - i[kept] - j[kept]])
+    return np.concatenate([vertices, 0.5 * lattice / n])
 
 
 _HALF_PI = float(PI / 2.0)

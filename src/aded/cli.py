@@ -45,16 +45,15 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
                                 help=argparse.SUPPRESS if key in refused else help_text)
 
 
-# Options a command, or the classic_de algorithm of `run`, refuses rather
-# than ignores: compare runs both engines, each tournament variant sets these
-# itself, the multi-objective engine draws no neighborhood, builds its own
-# donor and reads F only, and classic DE replaces these (engine.classic_config).
+# Options a command, or `run`'s classic_de algorithm, refuses rather than ignores: compare
+# runs both engines, each tournament variant sets these itself, the multi-objective engine
+# builds its own donor and reads F only, and classic DE replaces these (engine.classic_config).
 _NOT_TAKEN = {
     "compare": ("algorithm",),
     "tournament": ("algorithm", "strategy", "mode", "f0", "cr0", "fixed_f", "fixed_cr"),
-    "moo": ("strategy", "neighborhood", "neighborhood_size", "algorithm", "cr0", "fixed_cr"),
-    "classic_de": ("strategy", "neighborhood", "neighborhood_size", "local_search",
-                   "ls_iterations", "ls_probability", "ls_step", "mode", "f0", "cr0"),
+    "moo": ("strategy", "algorithm", "cr0", "fixed_cr"),
+    "classic_de": ("strategy", "local_search", "ls_iterations", "ls_probability", "ls_step",
+                   "mode", "f0", "cr0"),
 }
 
 # The tournament's lowest layer, under its preset, config file and flags.

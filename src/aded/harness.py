@@ -64,15 +64,9 @@ TOURNAMENT_BENCHMARKS = ("sphere", "sinusoidal")
 # Named experiment presets. Values are option overrides in the same flat
 # vocabulary the CLI and config files use.
 PRESETS = {
-    # sinusoidal demo under both neighborhood settings, which draw alike
-    "sinusoidal-dynamic": {
-        "benchmark": "sinusoidal", "algorithm": "aded",
-        "pop": 50, "gens": 100, "runs": 10, "neighborhood": "dynamic",
-    },
-    "sinusoidal-global": {
-        "benchmark": "sinusoidal", "algorithm": "aded",
-        "pop": 50, "gens": 100, "runs": 10, "neighborhood": "all",
-    },
+    # sinusoidal demo
+    "sinusoidal": {"benchmark": "sinusoidal", "algorithm": "aded",
+                   "pop": 50, "gens": 100, "runs": 10},
     # full 2-D battery settings used by the comparison tables
     "battery-2d": {"pop": 300, "gens": 200, "runs": 30},
     # classic DE on the convex demo objective, run to full depth
@@ -111,9 +105,6 @@ OPTIONS = {
     "runs": (int, "number of seeded runs", None),
     "seed": (int, "base seed (run i uses seed + i)", "seed"),
     "strategy": (str, "strategy id, e.g. rand1bin, best1exp, adedrandbin", "strategy"),
-    "neighborhood": (str, "'dynamic' or 'all' (same draw)", "neighborhood"),
-    "neighborhood_size": (int, "most bases a strategy may take under 'dynamic'",
-                          "neighborhood_size"),
     "local_search": (str, "'on' or 'off'", "local_search.enabled"),
     "ls_iterations": (int, "refinement steps per trial", "local_search.max_iterations"),
     "ls_probability": (float, "chance that a trial is refined", "local_search.probability"),

@@ -18,8 +18,9 @@ from aded.harness import cmd_list_benchmarks
 from aded.moo import pareto_dominates
 
 # test_catalog_digest, recorded before single- and multi-objective functions
-# shared one spec class
-CATALOG_DIGEST = "e2aef3a1d5239000cd941a1370db78210781bb81e179ec8cf7a6a26024433ada"
+# shared one spec class; re-recorded when the dltz1 front became a triangular
+# lattice of distinct points
+CATALOG_DIGEST = "0ba788ba3893781e7c920344e9b1cbc091e3fa94887a8df37aaa63979ae09fdf"
 
 
 def grid_min(spec, points_per_axis=101):
@@ -166,6 +167,22 @@ class TestMultiObjective:
         front = analytic_front("dltz1", 210)
         assert front.shape == (210, 3)
         assert np.allclose(front.sum(axis=1), 0.5, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [7, 210, 1000])
+    def test_dltz1_front_distinct_with_its_vertices_and_no_gap(self, k):
+        front = analytic_front("dltz1", k)
+        assert front.shape == (k, 3)
+        assert len(np.unique(front, axis=0)) == k
+        assert (front >= 0.0).all()
+        assert np.allclose(front.sum(axis=1), 0.5, atol=1e-12)
+        assert {tuple(v) for v in 0.5 * np.eye(3)} <= {tuple(p) for p in front}
+        # every point of the smallest triangular lattice of order n with k
+        # points lies within one lattice spacing of the front
+        n = next(n for n in range(1, k) if (n + 1) * (n + 2) // 2 >= k)
+        i, j = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
+        lattice = 0.5 * np.column_stack([i, j, n - i - j]) / n
+        gaps = np.sqrt(((lattice[:, None, :] - front[None]) ** 2).sum(axis=-1)).min(axis=1)
+        assert gaps.max() <= 0.5 * np.sqrt(2.0) / n * (1 + 1e-9)
 
     def test_dltz1_optimum_surface(self):
         # tail variables at 0.5 zero out the distance term

@@ -46,9 +46,8 @@ def tiny_options(**kwargs):
 class TestOptionResolution:
     def test_preset_known_values(self):
         # frozen snapshot of the experiment presets
-        assert PRESETS["sinusoidal-dynamic"] == {
-            "benchmark": "sinusoidal", "algorithm": "aded",
-            "pop": 50, "gens": 100, "runs": 10, "neighborhood": "dynamic",
+        assert PRESETS["sinusoidal"] == {
+            "benchmark": "sinusoidal", "algorithm": "aded", "pop": 50, "gens": 100, "runs": 10,
         }
         assert PRESETS["battery-2d"] == {"pop": 300, "gens": 200, "runs": 30}
         assert PRESETS["classic-convex"]["algorithm"] == "classic_de"
@@ -61,9 +60,17 @@ class TestOptionResolution:
         with pytest.raises(ConfigError):
             resolve_options(preset="nope")
 
+    def test_no_two_presets_give_the_same_plan(self):
+        plans = {}
+        for name in PRESETS:
+            plan = build_plan({"benchmark": "sphere", **resolve_options(preset=name)})
+            key = (config_hash(plan.config), tuple(plan.benchmarks), plan.algorithm, plan.n_runs)
+            assert key not in plans, f"{name} runs the plan of {plans.get(key)}"
+            plans[key] = name
+
     def test_precedence_flags_over_file_over_preset(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("preset = sinusoidal-dynamic\npop = 20\n# comment\ngens=33\n")
+        cfg.write_text("preset = sinusoidal\npop = 20\n# comment\ngens=33\n")
         options = resolve_options(config_file=cfg, overrides={"pop": 11})
         assert options["pop"] == 11          # flag wins
         assert options["gens"] == 33         # file wins over preset
@@ -71,7 +78,7 @@ class TestOptionResolution:
 
     def test_preset_flag_wins_over_file_preset(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("preset = sinusoidal-dynamic\npop = 20\n")
+        cfg.write_text("preset = sinusoidal\npop = 20\n")
         options = resolve_options(preset="battery-2d", config_file=cfg)
         assert options == {**PRESETS["battery-2d"], "pop": 20}
 
@@ -131,8 +138,7 @@ class TestOptionResolution:
         # engine does not read
         recorded = {
             None: "dfcd716bce3c1569",
-            "sinusoidal-dynamic": "3a0a30154814b56f",
-            "sinusoidal-global": "17139f24cf8d5b11",
+            "sinusoidal": "3a0a30154814b56f",
             "battery-2d": "ac4177e839f5be09",
             "classic-convex": "a2e6a1f8c2185f10",
             "tournament-desk": "a758484386bb5686",
@@ -226,7 +232,8 @@ class TestCmdRun:
     # the engine still computed diversity and FDC in every generation of
     # every run, "all-neighbors" re-recorded when himmelblau's powers became
     # NumPy array powers, which moved its values (and its rows only) in the
-    # last bit
+    # last bit; "local-search-off" ran as "all-neighbors" under the retired
+    # neighborhood = all, which drew as the default does
     PINNED_ARTIFACTS = {
         "refine-0.3": (
             {"ls_probability": 0.3, "ls_iterations": 4},
@@ -234,8 +241,8 @@ class TestCmdRun:
             "0b021c627560573930caf240e80c9391770ae32893d604d0babe7e4666e0ffe8",
             [["886"], ["688"], ["720"], ["834"], ["639"], ["660"]],
         ),
-        "all-neighbors": (
-            {"neighborhood": "all", "local_search": "off"},
+        "local-search-off": (
+            {"local_search": "off"},
             "a98182e5d84dee44c2f8a9888a0ae7e0a740f6d96b1060521b3fc8ed2c9db497",
             "d38b4d8ca55612a054cc371ad5e4d1eaf409588c7928593d7df862abb0feebd1",
             [["108"]] * 6,
@@ -488,12 +495,6 @@ class TestCli:
         (["tournament", "--benchmark", ","], "no benchmark selected"),
         (["moo", "--benchmark", ","], "no benchmark selected"),
         (["moo", "--benchmark", "zdt1", "--strategy", "best1bin"], "moo does not take strategy"),
-        (["moo", "--benchmark", "zdt1", "--neighborhood", "all"],
-         "moo does not take neighborhood"),
-        (["moo", "--benchmark", "zdt1", "--neighborhood-size", "3"],
-         "moo does not take neighborhood_size"),
-        (["tournament", "--benchmark", "sphere", "--neighborhood-size", "4"],
-         "strategy rand2bin needs 5 neighbors, but the neighborhood supplies only 4"),
         (["run", "--benchmark", "sphere", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["run", "--preset", "classic-convex", "--strategy", "best2bin", "--f0", "0.7"],
          "classic_de does not take strategy, f0"),
@@ -505,8 +506,7 @@ class TestCli:
             "stagnation-tol-nan", "run-zdt1", "compare-zdt1", "tournament-zdt1",
             "compare-one-run", "repeated-benchmark", "run-no-benchmark",
             "compare-no-benchmark", "tournament-no-benchmark", "moo-no-benchmark",
-            "moo-strategy", "moo-neighborhood", "moo-neighborhood-size",
-            "tournament-neighborhood-size", "negative-seed", "classic-preset",
+            "moo-strategy", "negative-seed", "classic-preset",
             "moo-weights-not-numbers", "moo-weights-empty"])
     def test_config_error_exit_two_before_any_run(self, argv, error, tmp_path, capsys,
                                                   monkeypatch):
@@ -530,6 +530,33 @@ class TestCli:
         code = main(["run", "--preset", "missing", "--out", str(tmp_path)])
         assert code == 2
 
+    # the neighborhood settings drew as the default does, so they are no option
+    @pytest.mark.parametrize("command", ["run", "compare", "tournament", "moo"])
+    @pytest.mark.parametrize("flag", [["--neighborhood", "all"], ["--neighborhood-size", "3"]])
+    def test_neighborhood_flag_exit_two_before_any_run(self, command, flag, tmp_path, capsys,
+                                                        monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "_execute_batches", lambda *args: runs.append(args))
+        with pytest.raises(SystemExit) as info:
+            main([command, "--benchmark", "sphere", "--out", str(tmp_path / "out")] + flag)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert runs == [] and not (tmp_path / "out").exists()
+
+    def test_neighborhood_file_line_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("benchmark = sphere\nneighborhood = all\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "c.cfg:2: unknown key 'neighborhood'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("preset", ["sinusoidal-global", "sinusoidal-dynamic"])
+    def test_retired_sinusoidal_preset_exit_two(self, preset, tmp_path, capsys):
+        assert main(["run", "--preset", preset, "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown preset {preset!r}; available: {', '.join(PRESETS)}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_objective_failure_exit_three(self, tmp_path, capsys, monkeypatch):
         from aded import benchmarks
 
@@ -542,12 +569,6 @@ class TestCli:
                      "--runs", "1", "--out", str(tmp_path)])
         assert code == 3
         assert "runtime failure" in capsys.readouterr().err
-
-    def test_out_of_range_neighborhood_size_exit_two(self, tmp_path, capsys):
-        code = main(["run", "--benchmark", "sphere", "--pop", "8", "--gens", "2",
-                     "--runs", "1", "--neighborhood-size", "20", "--out", str(tmp_path)])
-        assert code == 2
-        assert "neighborhood_size" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,key", [(command, key)
                                              for command, keys in aded.cli._NOT_TAKEN.items()
@@ -575,8 +596,7 @@ class TestCli:
         assert runs == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,preset,key", [
-        ("tournament", "sinusoidal-dynamic", "algorithm"),
-        ("moo", "sinusoidal-global", "neighborhood"),
+        ("tournament", "sinusoidal", "algorithm"),
         ("compare", "classic-convex", "algorithm"),
     ])
     def test_refused_key_from_a_preset_exit_two(self, command, preset, key, tmp_path, capsys):
@@ -679,9 +699,8 @@ class TestCli:
 
 # A value other than the default for every option that sets a config field.
 NON_DEFAULT_VALUES = {
-    "pop": "24", "gens": "7", "seed": "3", "strategy": "best1exp", "neighborhood": "all",
-    "neighborhood_size": "5", "local_search": "off", "ls_iterations": "9",
-    "ls_probability": "0.5", "ls_step": "1e-7", "stagnation_limit": "4",
+    "pop": "24", "gens": "7", "seed": "3", "strategy": "best1exp", "local_search": "off",
+    "ls_iterations": "9", "ls_probability": "0.5", "ls_step": "1e-7", "stagnation_limit": "4",
     "stagnation_tol": "0.001", "mode": "fixed", "f0": "0.7", "cr0": "0.3", "fixed_f": "0.8",
     "fixed_cr": "0.2",
 }
@@ -724,13 +743,13 @@ class TestOptionTable:
 
     def test_preset_flag_with_a_file_preset_runs_the_flag_preset(self, tmp_path, monkeypatch):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("preset = sinusoidal-dynamic\n")
+        cfg.write_text("preset = sinusoidal\n")
         config = self.engine_config_of(["--preset", "battery-2d", "--config", str(cfg)],
                                        tmp_path, monkeypatch)
         assert config == build_engine_config(PRESETS["battery-2d"])
 
     @pytest.mark.parametrize("key,value,error", [
-        ("neighborhood", "foo", "neighborhood must be 'dynamic' or 'all', got 'foo'"),
+        ("stagnation_limit", "1", "stagnation_limit must be >= 2, got 1"),
         ("mode", "x", "unknown schedule mode 'x'"),
         ("local_search", "offf", "local_search must be 'on' or 'off', got 'offf'"),
         ("strategy", "zz", "cannot parse strategy id 'zz'"),
@@ -1100,8 +1119,10 @@ class TestPinnedOutputs:
         # padding, the bytes are those pinned before rows were padded
         assert _digest("\n".join(line.rstrip(",") for line in front.split("\n")).encode()) == \
             "a6e3efda0821b724c653982e9916d032ccf7b67b4766a262b661521ae288d477"
+        # dltz1's gd and spread re-recorded when its reference front became a
+        # triangular lattice of distinct points
         assert _digest(_drop_column(tmp_path / "moo_metrics.csv", "n_evaluations")) == \
-            "73e26a3234217236e17957510a3a90dbf87734856d0dc39d7a6356c6a1f5e088"
+            "b65b0c5eced3795737b14bbb6fa452d9dd93f8fa6d3eccaf9ab529005b195fed"
         assert _report_digest(tmp_path / "moo_report.json",
                               drop=("wall_seconds", "n_evaluations")) == \
-            "91f4972e25a5cb8a778d5bc47b1061745ccac852c5169222587bdb88b38e1449"
+            "5c693bc1acc3092052f877f3e028d34e34ec91a8d2be7e6fedd4d6623f71cf48"

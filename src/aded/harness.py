@@ -155,6 +155,8 @@ def resolve_options(preset: str | None = None, config_file=None, overrides: dict
     merged.update(file_options)
     merged.update((key, value) for key, value in (overrides or {}).items() if value is not None)
     for key, value in merged.items():
+        if key not in OPTIONS:
+            raise ConfigError(f"unknown option {key!r}")
         kind = OPTIONS[key][0]
         try:
             merged[key] = kind(value)
@@ -164,7 +166,11 @@ def resolve_options(preset: str | None = None, config_file=None, overrides: dict
 
 
 def build_engine_config(options: dict) -> EngineConfig:
-    """The config the options set; a field no option sets keeps its default."""
+    """The config the options set; a field no option sets keeps its default.
+    A key outside OPTIONS is an error, not a silent no-op."""
+    for key in options:
+        if key not in OPTIONS:
+            raise ConfigError(f"unknown option {key!r}")
     kwargs = {"schedule": {}, "local_search": {}, "": {}}
     for key, (_, _, path) in OPTIONS.items():
         if path is None or key not in options:

@@ -60,6 +60,15 @@ class TestOptionResolution:
         with pytest.raises(ConfigError):
             resolve_options(preset="nope")
 
+    # a retired key or a typo from a library caller is refused, not ignored
+    @pytest.mark.parametrize("key", ["neighborhood", "neighborhood_size", "popp"])
+    @pytest.mark.parametrize("build", [
+        build_plan, build_engine_config, lambda options: resolve_options(overrides=options),
+    ], ids=["build_plan", "build_engine_config", "resolve_options"])
+    def test_unknown_option_rejected(self, build, key):
+        with pytest.raises(ConfigError, match=f"unknown option '{key}'"):
+            build({"benchmark": "sphere", key: "3"})
+
     def test_no_two_presets_give_the_same_plan(self):
         plans = {}
         for name in PRESETS:
@@ -785,6 +794,13 @@ class TestOptionTable:
             assert flags - {"--help", "--preset", "--config", "--weights"} == {
                 "--" + key.replace("_", "-") for key in OPTIONS
                 if key not in aded.cli._NOT_TAKEN.get(command, ())}
+
+    @pytest.mark.parametrize("argv", [[], ["list-benchmarks"], ["run"], ["compare"],
+                                      ["tournament"], ["moo"]])
+    def test_help_names_no_neighborhood(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv + ["--help"])
+        assert "neighbo" not in capsys.readouterr().out.lower()
 
 
 class _Stop(Exception):

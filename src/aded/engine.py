@@ -19,7 +19,8 @@ from .variation import (
     StrategyId,
     adaptive_crossover_rate,
     adaptive_mutation_rate,
-    draw_crossover,
+    crossover_draws,
+    crossover_masks,
     draw_distinct,
     lockstep_refine,
     mutation_donors,
@@ -27,6 +28,7 @@ from .variation import (
 
 CLASSIC_F = 0.8
 CLASSIC_CR = 0.9
+DRAW_BLOCK = 16          # generations whose randomness one set of RNG calls draws
 
 
 @dataclass(frozen=True)
@@ -106,22 +108,31 @@ class RunResult:
         return int(self.best_f_history.size)
 
 
-def _draw_trials(cfg: EngineConfig, n: int, d: int, cr: float, rng: RngStream):
-    """Draw one generation's randomness, one array per kind, in a fixed order:
-    k coefficients, bases, crossover, refinement coins.
+def _draw_trials(cfg: EngineConfig, n: int, d: int, rng: RngStream):
+    """Yield each generation's randomness as views of a block of generations
+    drawn at once, each kind once per block and in this order: the ``(n,)``
+    k coefficients, the ``(n, index_count)`` base indices, the ``(n,)``
+    crossover start indices and their uniforms (which ``crossover_masks``
+    thresholds at the generation's CR), and the ``(n,)`` refinement flags.
 
     Member i's bases are a uniform ordered pick of ``index_count`` distinct
     members other than i, whatever ``cfg.neighborhood`` says.
 
-    Returns the ``(n, index_count)`` base indices, the ``(n,)`` k
-    coefficients, the ``(n, d)`` crossover masks and the ``(n,)`` refinement
-    flags.
+    A block is ``DRAW_BLOCK`` generations, fewer once n * d passes 2**12, so
+    that it holds at most about 2**16 crossover uniforms; it is freed once
+    the views of its last generation are dropped. Whole blocks are drawn, so
+    a run's draws do not depend on its generation budget.
     """
     strategy = cfg.strategy
-    k_coeff = rng.random(n) if strategy.uses_k else np.zeros(n)
-    bases = draw_distinct(rng, n, strategy.index_count, n, skip=np.arange(n))
-    masks = draw_crossover(strategy.crossover, d, cr, rng, n)
-    return bases, k_coeff, masks, cfg.local_search.refines(rng, n)
+    g = max(1, min(DRAW_BLOCK, 2 ** 16 // (n * d)))
+    m, skip = g * n, np.tile(np.arange(n), g)
+    while True:
+        yield from zip(*(a.reshape(g, n, *a.shape[1:]) for a in (
+            rng.random(m) if strategy.uses_k else np.zeros(m),
+            draw_distinct(rng, n, strategy.index_count, m, skip=skip),
+            *crossover_draws(strategy.crossover, d, rng, m),
+            cfg.local_search.refines(rng, m),
+        )))
 
 
 class _Run:
@@ -180,7 +191,11 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig, on_generation=Non
     that needs more bases than ``neighborhood_size``.
 
     Each generation is built from the previous one as a whole, and its trials
-    are bound-repaired, refined and evaluated by ``_Run.evaluate``.
+    are bound-repaired, refined and evaluated by ``_Run.evaluate``. Nothing
+    that a generation draws depends on the population, so ``_draw_trials``
+    draws it ahead, for a block of up to ``DRAW_BLOCK`` generations at a
+    time; each generation takes its slice and thresholds its crossover
+    uniforms at its own CR.
 
     The engine records only the best fitness of each generation. A caller
     that wants more (diversity, FDC) passes ``on_generation``, which is
@@ -193,10 +208,15 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig, on_generation=Non
     fixed = cfg.schedule.resolve_fixed(rng)
     x = init_population(space, n, rng)
     fit = run.counting.batch(x, lambda r: f"initial member {r}")
+    draws = _draw_trials(cfg, n, space.dim, rng)
     for gen, f_rate, cr_rate in run.generations(fixed):
-        bases, k_coeff, masks, refine = _draw_trials(cfg, n, space.dim, cr_rate, rng)
+        k_coeff, bases, firsts, uniforms, refine = next(draws)
+        masks = crossover_masks(cfg.strategy.crossover, firsts, uniforms, cr_rate)
         donors = mutation_donors(cfg.strategy, x, bases, x[int(np.argmin(fit))], f_rate, k_coeff)
         trials, trial_f = run.evaluate(np.where(masks, donors, x), refine, gen)
+        # drop the views into the block, so that a spent block is freed
+        # before the next one is drawn
+        del k_coeff, bases, firsts, uniforms, refine
         improved = trial_f < fit                   # crowding: incumbent wins ties
         x = np.where(improved[:, None], trials, x)
         fit = np.where(improved, trial_f, fit)

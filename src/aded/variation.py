@@ -193,24 +193,37 @@ def mutation_donors(strategy: StrategyId, pop, bases, best, f: float, k) -> np.n
 # Crossover
 # ---------------------------------------------------------------------------
 
-def draw_crossover(kind: str, d: int, cr: float, rng: RngStream, m: int) -> np.ndarray:
-    """``(m, d)`` masks of the components m trials take from their donors.
+def crossover_draws(kind: str, d: int, rng: RngStream, m: int) -> tuple:
+    """The randomness of m trials' crossover, which no CR enters: ``(m,)``
+    start indices, then ``(m, d)`` uniforms for ``bin`` or ``(m, d - 1)``
+    for ``exp``, in two RNG calls."""
+    return rng.integers(d, size=m), rng.random((m, d if kind == "bin" else d - 1))
 
-    Each trial draws a start index; ``bin`` then takes each component on a
-    uniform below CR, and the start one always; ``exp`` takes a circular run
-    from the start whose length is 1 plus the number of leading uniforms
-    below CR among d - 1.
+
+def crossover_masks(kind: str, firsts, uniforms, cr: float) -> np.ndarray:
+    """``(m, d)`` masks of the components m trials take from their donors,
+    from their ``crossover_draws`` thresholded at ``cr``.
+
+    ``bin`` takes each component on a uniform below CR, and the start one
+    always; ``exp`` takes a circular run from the start whose length is 1
+    plus the number of leading uniforms below CR among d - 1.
     """
     if not 0.0 <= cr <= 1.0:
         raise ConfigError(f"CR must lie in [0, 1], got {cr}")
-    firsts = rng.integers(d, size=m)
+    take = uniforms < cr
     if kind == "bin":
-        take = rng.random((m, d)) < cr
-        take.put(np.arange(0, m * d, d) + firsts, True)   # at least one donor component
+        # at least one donor component
+        take.put(np.arange(0, take.size, take.shape[1]) + firsts, True)
         return take
-    extend = rng.random((m, d - 1)) < cr
-    lengths = 1 + np.logical_and.accumulate(extend, axis=1).sum(axis=1)
+    d = take.shape[1] + 1
+    lengths = 1 + np.logical_and.accumulate(take, axis=1).sum(axis=1)
     return (np.arange(d) - firsts[:, None]) % d < lengths[:, None]
+
+
+def draw_crossover(kind: str, d: int, cr: float, rng: RngStream, m: int) -> np.ndarray:
+    """``(m, d)`` crossover masks of m trials: ``crossover_masks`` of fresh
+    ``crossover_draws``."""
+    return crossover_masks(kind, *crossover_draws(kind, d, rng, m), cr)
 
 
 def _crossover(kind: str, target, donor, cr: float, rng: RngStream) -> np.ndarray:

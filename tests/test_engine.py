@@ -58,16 +58,17 @@ def chi_square_uniform(counts) -> bool:
 
 
 class TestGenerationDraws:
-    """One generation's random draws, made as whole-generation arrays."""
+    """Each generation's random draws, made as arrays for a block of
+    generations at a time."""
 
     @pytest.mark.parametrize("strategy", ["adedrandbin", "rand2exp", "currenttobest1bin"])
     def test_bases_distinct_and_non_self(self, strategy):
         n = 40
         cfg = small_cfg(population_size=n, neighborhood_size=7,
                         strategy=StrategyId.parse(strategy))
-        rng = RngStream(11)
+        draws = engine._draw_trials(cfg, n, 3, RngStream(11))
         for _ in range(20):
-            bases = engine._draw_trials(cfg, n, 3, 0.5, rng)[0]
+            bases = next(draws)[1]
             assert bases.shape == (n, cfg.strategy.index_count)
             for i in range(n):
                 assert len(set(bases[i].tolist())) == bases.shape[1]
@@ -101,10 +102,10 @@ class TestGenerationDraws:
         n, reps = 30, 300
         cfg = small_cfg(population_size=n, neighborhood=neighborhood, neighborhood_size=6,
                         strategy=StrategyId.parse("adedrandbin"))
-        rng = RngStream(23)
+        draws = engine._draw_trials(cfg, n, 2, RngStream(23))
         counts = np.zeros((3, n))
         for _ in range(reps):
-            bases = engine._draw_trials(cfg, n, 2, 0.5, rng)[0]
+            bases = next(draws)[1]
             offsets = (bases - np.arange(n)[:, None]) % n
             for j in range(3):
                 counts[j] += np.bincount(offsets[:, j], minlength=n)
@@ -144,9 +145,61 @@ class TestGenerationDraws:
     def test_k_coefficients_only_for_current_to_strategies(self):
         for name, drawn in (("currenttorand1bin", True), ("rand1bin", False)):
             cfg = small_cfg(strategy=StrategyId.parse(name))
-            k = engine._draw_trials(cfg, 16, 2, 0.5, RngStream(3))[1]
-            assert bool(k.any()) == drawn
-            assert ((k >= 0.0) & (k < 1.0)).all()
+            draws = engine._draw_trials(cfg, 16, 2, RngStream(3))
+            for _ in range(20):
+                k = next(draws)[0]
+                assert bool(k.any()) == drawn
+                assert ((k >= 0.0) & (k < 1.0)).all()
+
+    def test_rng_calls_come_per_block(self, monkeypatch):
+        calls = []
+
+        class Counted(RngStream):
+            def random(self, size=None):
+                calls.append("random")
+                return super().random(size)
+
+            def integers(self, low, high=None, size=None):
+                calls.append("integers")
+                return super().integers(low, high, size)
+
+            def uniform(self, low=0.0, high=1.0, size=None):
+                calls.append("uniform")
+                return super().uniform(low, high, size)
+
+        monkeypatch.setattr(engine, "RngStream", Counted)
+        spec = lookup("rastrigin")
+        lists = {}
+        for generations in (1, engine.DRAW_BLOCK, engine.DRAW_BLOCK + 1):
+            calls.clear()
+            cfg = small_cfg(population_size=10, max_generations=generations, stagnation_limit=50,
+                            strategy=StrategyId.parse("currenttobest1exp"), neighborhood_size=6,
+                            local_search=LocalSearchBudget(max_iterations=1, probability=0.5))
+            run_aded(spec.evaluate, spec.space(), cfg)
+            lists[generations] = list(calls)
+        one, block, more = lists.values()
+        # a block: k coefficients, bases (2 calls), crossover (2), refinement coins
+        block_calls = ["random", "integers", "integers", "integers", "random", "random"]
+        assert one == block and one[-6:] == block_calls
+        assert more == one + block_calls
+
+    @pytest.mark.parametrize("n, d, generations", [(300, 2, 16), (300, 20, 10), (100, 700, 1)])
+    def test_block_holds_at_most_2_16_uniforms(self, n, d, generations):
+        cfg = small_cfg(population_size=n, local_search=LocalSearchBudget(enabled=False))
+        uniforms = next(engine._draw_trials(cfg, n, d, RngStream(0)))[3]
+        assert uniforms.shape == (n, d)
+        assert uniforms.base.shape == (generations * n, d)
+
+    def test_draws_independent_of_generation_budget(self):
+        spec = lookup("rastrigin")
+        short, long = (
+            run_classic_de(spec.evaluate, spec.space(),
+                           small_cfg(population_size=12, max_generations=generations,
+                                     stagnation_limit=100, seed=5))
+            for generations in (20, 45)
+        )
+        assert short.generations_executed == 20 and long.generations_executed == 45
+        assert short.best_f_history.tobytes() == long.best_f_history[:20].tobytes()
 
 
 class TestCrowdingSelect:

@@ -237,23 +237,18 @@ class TestCmdRun:
             (parallel / "raw_history.csv").read_bytes()
 
     # sha256 of raw_history.csv and of run_summary.csv without its
-    # n_evaluations column, and that column; the raw history recorded when
-    # the engine still computed diversity and FDC in every generation of
-    # every run, "all-neighbors" re-recorded when himmelblau's powers became
-    # NumPy array powers, which moved its values (and its rows only) in the
-    # last bit; "local-search-off" ran as "all-neighbors" under the retired
-    # neighborhood = all, which drew as the default does
+    # n_evaluations column, and that column
     PINNED_ARTIFACTS = {
         "refine-0.3": (
             {"ls_probability": 0.3, "ls_iterations": 4},
-            "abaa8709bc5cce2dfa1f08b1e9719258ebe4d38eec3d687a2c72694530812c52",
-            "0b021c627560573930caf240e80c9391770ae32893d604d0babe7e4666e0ffe8",
-            [["886"], ["688"], ["720"], ["834"], ["639"], ["660"]],
+            "0b945cc9b98d621086e223859d823ea2c3043634636bf29ddcaf0523c62da8f0",
+            "feac40d746771875cfeb3aedccf50d1b3df22e52a811247cb7058481c119e3ec",
+            [["709"], ["872"], ["815"], ["653"], ["818"], ["736"]],
         ),
         "local-search-off": (
             {"local_search": "off"},
-            "a98182e5d84dee44c2f8a9888a0ae7e0a740f6d96b1060521b3fc8ed2c9db497",
-            "d38b4d8ca55612a054cc371ad5e4d1eaf409588c7928593d7df862abb0feebd1",
+            "9746f148c902a1d5c618eb6c97ffc38e6f981f3ca097affcfdc2000fa4ebd2d3",
+            "707d282ab74c4df98b0271c38b2cee247aaacee6bd9442d865e4784f0cdea55e",
             [["108"]] * 6,
         ),
     }
@@ -306,9 +301,9 @@ class TestCmdCompare:
             assert row["evals_b"] == np.mean([r.n_evaluations for r in results_b])
             assert f"{row['evals_a']:.1f}" in text[2 + 2 * i].split()
             assert f"{row['evals_b']:.1f}" in text[3 + 2 * i].split()
-        # recorded before the evaluations were reported; the CSV keeps its columns
+        # the CSV keeps its columns: the evaluations go to the JSON and text reports
         assert hashlib.sha256((tmp_path / "comparison.csv").read_bytes()).hexdigest() == \
-            "3fdba5fe6925256710e4a2cc9deaf88f39b3c7669a43775c4207d5489ecd212c"
+            "6dab16c680dc9758b99374cef7401a0b1c5df18a4bc87711af1b2871e127b6ce"
 
     def test_records_the_config_each_arm_ran(self, tmp_path):
         plan = build_plan(tiny_options(runs=2, out=str(tmp_path)))
@@ -1080,21 +1075,21 @@ class TestPinnedOutputs:
         table, detail = tmp_path / "tournament.csv", tmp_path / "tournament_detail.csv"
         by_q = ("q_measure", "q_rank", "average_rank")
         assert _digest(_drop_column(table, *by_q, sort_rows=True)) == \
-            "58a608593fcc422f77684773d062c5ce7ef12f141e5ae6c1fe7d6779650fbea0"
+            "c64e857c9ed2ca168f57cf40047fa73cdb13396c79f392f77ad877851d798df6"
         assert _digest(repr(_columns(table, "variant", *by_q)).encode()) == \
-            "72661a835e597f7e0f9375483297a269e76f906d07bfbecfc54426f15c7c179b"
+            "6a69a03d67e1095b288397dba60a0c55fb7c8bb170e07aaba8aa21aa3aa9fce3"
         assert _digest(_drop_column(detail, "q_measure")) == \
-            "b66115b7dff163f83d3e2faf75a09083b68f5801df417d5935dba228a7ea4f4e"
+            "821eb246308b7844af88743d3cb121fdcd5c9f88cef36b2145e30087081264c1"
         assert _digest(repr(_columns(detail, "q_measure")).encode()) == \
-            "1286232ffe200db9c8b7496e07c05000c510d1670de7ab67c2923c6e78fc9c10"
+            "38dfadf331dc67f0b9df00108337dcd9ba147c86c0e0443cc622ae3fa8e9549e"
         report = tmp_path / "tournament.json"
         assert _report_digest(report, drop=("wall_seconds", "config", "config_hash", "q",
                                             "q_rank", "average_rank"), sort_by="variant") == \
-            "caf6fe67ff7ffd74208e952307a53a85627a6166deeef5d5d1d5d01a44180ee9"
+            "92ff42fa02beb70494312390d844299cd6f566ef99e22b305cf4dfa0e28cb4de"
         payload = json.loads(report.read_text())
         by_q = [[e["variant"], e["q"], e["q_rank"], e["average_rank"]] for e in payload["table"]]
         assert _digest(repr(by_q + [e["q"] for e in payload["detail"]]).encode()) == \
-            "1dc24595704154baa2abf2200b21a4e3433fa5815fc60615952d701063bd5172"
+            "552ec146bc78fbd7d281162ec8843bd53837bb14f1e475a52117bfebab8ec76f"
         assert payload["config_hash"] == "830c492607b40691"
 
     def test_run_report(self, jobs, tmp_path):
@@ -1103,10 +1098,10 @@ class TestPinnedOutputs:
                             "ls_probability": 0.3, "ls_iterations": 4}))
         report = tmp_path / "report.json"
         assert _report_digest(report, drop=("wall_seconds", "mean_evaluations")) == \
-            "7dbe8faf927b50b451e0949c318393ff683c8dec40fff9069c700829769a0c8c"
+            "8cd638137123f64742956c2b97a28b9e6bebe9578c42110ac3c540c9353f1310"
         benchmarks = json.loads(report.read_text())["benchmarks"]
         assert {b: stats["mean_evaluations"] for b, stats in benchmarks.items()} == \
-            {"himmelblau": 711.0, "rastrigin": 764.6666666666666}
+            {"himmelblau": 735.6666666666666, "rastrigin": 798.6666666666666}
 
     def test_compare(self, jobs, tmp_path):
         options = {"benchmark": "sphere,rastrigin", "pop": 12, "gens": 8, "runs": 3,
@@ -1114,16 +1109,16 @@ class TestPinnedOutputs:
                    "ls_iterations": 4}
         cmd_compare(build_plan(options))
         assert _digest((tmp_path / "comparison.csv").read_bytes()) == \
-            "676c2e6381438b4a56748369350ca9385c16c9ec9576006ee99ba4001b089d68"
+            "b2098cd33e2d2378d69881dfbd91782d36c0862d4dd93021c0f17baeb29302e9"
         text, evals = _drop_text_column(tmp_path / "comparison.txt", "evals")
-        assert _digest(text) == "7e5b2cb3e162e896848ee805fe9cc0dd77d9cbefe512a908cb0dfe869f2067e7"
-        assert evals == ["332.7", "108.0", "737.3", "108.0"]
+        assert _digest(text) == "5722ca1aa667c64d0a5c7471bb1b09b3869af68df8a7d3878343cd662397af85"
+        assert evals == ["348.0", "108.0", "814.7", "108.0"]
         report = tmp_path / "comparison.json"
         assert _report_digest(report, drop=("wall_seconds", "evals_a", "evals_b")) == \
-            "b4a4c45ef66adf202315d6900334bfeb8e64c02035702bbc9454a7ae1913bd54"
+            "0aaad48194e416cf89a349bab286c4d9bc83693f603a9ee2983b6d58e642e494"
         rows = json.loads(report.read_text())["rows"]
         assert [[row["evals_a"], row["evals_b"]] for row in rows] == \
-            [[332.6666666666667, 108.0], [737.3333333333334, 108.0]]
+            [[348.0, 108.0], [814.6666666666666, 108.0]]
 
     def test_moo(self, jobs, tmp_path):
         cmd_moo(build_plan(moo_options(benchmark="zdt1,dltz1", runs=2, jobs=jobs,

@@ -44,9 +44,9 @@ def test_classic_de_default_rates():
     cfg = EngineConfig(population_size=20, max_generations=30, seed=3,
                        stagnation_limit=30, stagnation_tol=0.0)
     assert fingerprint(run_classic_de(spec.evaluate, spec.space(), cfg)) == (
-        "2.251213027056668", 620,
-        "9b60b1835f4a927425c27dddaa3ba8e996708ab9a5785cbcd85164cd8ec698a0",
-        "c59a6ad6ad76121c121f7b32bc34634e908f9f28de3d4c4c10ee593397ca0fe5",
+        "0.10727692863653004", 620,
+        "a1b83d05ede7a9755f5ff13dc563a46d7ec73f7a25523804120f07b08d16f0f6",
+        "6b7fb41a277197eb56ca230cf09f56bd16453dabfd85f98e0b9d92791f065719",
         "max-generations",
     )
 
@@ -56,9 +56,9 @@ def test_classic_de_explicit_rates():
     cfg = EngineConfig(population_size=20, max_generations=30, seed=3,
                        schedule=ScheduleParams(mode="fixed", fixed_f=0.6, fixed_cr=0.3))
     assert fingerprint(run_classic_de(spec.evaluate, spec.space(), cfg)) == (
-        "1.0213976606676738", 440,
-        "c46994ed1117c38a66224cf3cb04e8b85e1167819eb1e468ec88bceb8d007417",
-        "f0065925049726119675a6d1771ef351d8e4ef35137842669f6ef300331c8080",
+        "1.1637981847585195", 320,
+        "95772967f8ce67d0e84e2bdbe8dca604c4bf578585233b91ef1d0fb8a4a7ad94",
+        "d80ed888530014141358d1256befd15b4bad4fbb646df07c712f5ad756f96ee9",
         "stagnation",
     )
 
@@ -71,9 +71,9 @@ def test_aded_dynamic_neighborhood_with_local_search():
         local_search=LocalSearchBudget(enabled=True, max_iterations=5, probability=0.3),
     )
     assert fingerprint(run_aded(spec.evaluate, spec.space(), cfg)) == (
-        "0.16880659984179802", 1330,
-        "6d2145b7355b7aad7b0309d491c5507af436d976b7f950813277af7f4198a781",
-        "15f6520c6a99cff2ccc91f7c5d9bd404f02f4fbc82656861a1e6e83e5420c7dd",
+        "2.6186588231169594e-07", 1953,
+        "bda9abd77f263a024d23f30cab2b64b72241d19f5712690f906d76a2bd5a5580",
+        "5554315abc14c2f47decf5ac0adb0b549b09a50327969e51f9a28f8897f7df5c",
         "max-generations",
     )
 
@@ -225,19 +225,19 @@ GRID_REFINEMENTS = {
     "p0.3": LocalSearchBudget(max_iterations=3, probability=0.3),
     "p1": LocalSearchBudget(max_iterations=2, probability=1.0),
 }
-GRID_DIGEST = "0fd8b0b5ed7d70d8d5f820952b65699d634cece90eb4f38d6bc01ebec17eaefa"
+GRID_DIGEST = "bc87041eb1c7598fe9e3f562da45cb6b184b48bf6a9d52eb46988f8710012473"
 # (run_aded, run_classic_de, run_aded_mo) evaluation counts per (schedule,
 # refinement), the same with batched and per-row objectives
 GRID_EVALUATIONS = {
     ("scheduled", "off"): (104, 104, 56),
-    ("scheduled", "p0.3"): (545, 104, 281),
-    ("scheduled", "p1"): (869, 104, 280),
-    ("fixed-explicit", "off"): (104, 88, 96),
-    ("fixed-explicit", "p0.3"): (475, 88, 224),
-    ("fixed-explicit", "p1"): (1274, 88, 275),
-    ("fixed-drawn", "off"): (96, 104, 56),
-    ("fixed-drawn", "p0.3"): (429, 104, 176),
-    ("fixed-drawn", "p1"): (802, 104, 266),
+    ("scheduled", "p0.3"): (631, 104, 281),
+    ("scheduled", "p1"): (1304, 104, 280),
+    ("fixed-explicit", "off"): (104, 104, 96),
+    ("fixed-explicit", "p0.3"): (640, 104, 224),
+    ("fixed-explicit", "p1"): (1323, 104, 275),
+    ("fixed-drawn", "off"): (104, 104, 56),
+    ("fixed-drawn", "p0.3"): (528, 104, 176),
+    ("fixed-drawn", "p1"): (1123, 104, 266),
 }
 
 

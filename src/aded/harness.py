@@ -10,7 +10,9 @@ JSON reports.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +24,7 @@ import numpy as np
 from . import __version__, metrics
 from .benchmarks import CATALOG, analytic_front, lookup
 from .core import ConfigError, ShapeError
-from .engine import EngineConfig, classic_config, run_aded, run_classic_de
+from .engine import EngineConfig, classic_config, run_aded
 from .metrics import (
     FrontPair,
     aov,
@@ -203,6 +205,8 @@ class ExperimentPlan:
     fmt: str = "csv"       # not read: the commands always write CSV and JSON
 
     def __post_init__(self):
+        if not self.benchmarks:
+            raise ConfigError("no benchmark selected (use --benchmark or a preset)")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.n_runs < 1:
@@ -224,8 +228,6 @@ def build_plan(options: dict) -> ExperimentPlan:
     """The plan the options set; an option that is not set keeps its default.
     ``benchmark`` is a comma-separated list of at least one id."""
     benchmarks = [b.strip() for b in str(options.get("benchmark") or "").split(",") if b.strip()]
-    if not benchmarks:
-        raise ConfigError("no benchmark selected (use --benchmark or a preset)")
     names = {"algorithm": "algorithm", "runs": "n_runs", "seed": "base_seed", "dim": "dim",
              "jobs": "jobs"}
     return ExperimentPlan(
@@ -240,18 +242,15 @@ def build_plan(options: dict) -> ExperimentPlan:
 # Batch execution
 # ---------------------------------------------------------------------------
 
-def _execute_run(benchmark_id: str, algorithm: str, cfg: EngineConfig, dim, weights,
-                 on_generation=None):
+def _execute_run(benchmark_id: str, cfg: EngineConfig, dim, weights, on_generation=None):
+    """One run of ``cfg``; the benchmark's objective count picks the engine."""
     spec = lookup(benchmark_id)
-    space = spec.space(dim)
-    if algorithm == "aded_mo":
-        return run_aded_mo(spec.evaluate, space, cfg, weights)
-    if algorithm == "classic_de":
-        return run_classic_de(spec.evaluate, space, cfg, on_generation)
-    return run_aded(spec.evaluate, space, cfg, on_generation)
+    if spec.n_objectives > 1:
+        return run_aded_mo(spec.evaluate, spec.space(dim), cfg, weights)
+    return run_aded(spec.evaluate, spec.space(dim), cfg, on_generation)
 
 
-def _execute_recorded_run(benchmark_id: str, algorithm: str, cfg: EngineConfig, dim, weights):
+def _execute_recorded_run(benchmark_id: str, cfg: EngineConfig, dim, weights):
     """``_execute_run`` of a single-objective run that also records, after
     each generation, the population's diversity and its FDC to the
     generation's best member (NaN where FDC is undefined). Returns the result
@@ -266,16 +265,23 @@ def _execute_recorded_run(benchmark_id: str, algorithm: str, cfg: EngineConfig, 
             correlation = float("nan")
         history.append((metrics.diversity(x, space), correlation))
 
-    return _execute_run(benchmark_id, algorithm, cfg, dim, weights, record), history
+    return _execute_run(benchmark_id, cfg, dim, weights, record), history
+
+
+def _ran_config(plan: ExperimentPlan) -> EngineConfig:
+    """The config the plan's runs run: ``classic_config`` of it for classic DE."""
+    return classic_config(plan.config) if plan.algorithm == "classic_de" else plan.config
 
 
 def _seeded_runs(plan: ExperimentPlan, benchmark_id: str, weights=None) -> list:
     """``_execute_run`` arguments of the plan's runs on one benchmark, run i
-    on seed base_seed + i."""
-    if plan.algorithm != "aded_mo" and lookup(benchmark_id).n_objectives > 1:
+    on seed base_seed + i. Only `moo` gives weights, and only it takes a
+    multi-objective benchmark."""
+    if weights is None and lookup(benchmark_id).n_objectives > 1:
         raise ConfigError(f"{benchmark_id!r} is multi-objective; use `moo` instead")
-    return [(benchmark_id, plan.algorithm, replace(plan.config, seed=plan.base_seed + i),
-             plan.dim, weights) for i in range(plan.n_runs)]
+    cfg = _ran_config(plan)
+    return [(benchmark_id, replace(cfg, seed=plan.base_seed + i), plan.dim, weights)
+            for i in range(plan.n_runs)]
 
 
 def _execute_batches(batches: list, jobs: int, execute=_execute_run) -> list:
@@ -319,23 +325,13 @@ def _vector_cell(x) -> str:
     return ";".join(map(repr, np.asarray(x, dtype=float).tolist()))
 
 
-def _cell(value) -> str:
-    """A value as one CSV cell, quoted as RFC 4180 asks when it holds a
-    comma or a double quote."""
-    if value is None:
-        return ""
-    text = repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _csv(header: list, rows: list) -> str:
-    """A CSV table; a row shorter than the header is padded with empty cells."""
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(cell) for cell in row) + "," * (len(header) - len(row))
-                 for row in rows)
-    return "\n".join(lines) + "\n"
+    """A CSV table, quoted as RFC 4180 asks; None is an empty cell, and a row
+    shorter than the header is padded with empty cells."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [header, *(row + [None] * (len(header) - len(row)) for row in rows)])
+    return out.getvalue()
 
 
 def _json(payload: dict) -> str:
@@ -397,8 +393,7 @@ def cmd_run(plan: ExperimentPlan) -> dict:
         raise ConfigError("multi-objective plans go through the `moo` command")
     recorded = dict(zip(plan.benchmarks, _execute_batches(
         [_seeded_runs(plan, b) for b in plan.benchmarks], plan.jobs, _execute_recorded_run)))
-    ran = classic_config(plan.config) if plan.algorithm == "classic_de" else plan.config
-    report = {**_header(plan, ran), "algorithm": plan.algorithm, "benchmarks": {}}
+    report = {**_header(plan, _ran_config(plan)), "algorithm": plan.algorithm, "benchmarks": {}}
     batches, history_rows, summary_rows = {}, [], []
     for benchmark_id, runs in recorded.items():
         results = batches[benchmark_id] = [r for r, _ in runs]
@@ -458,7 +453,7 @@ def cmd_compare(plan: ExperimentPlan) -> dict:
     report = {
         "version": __version__,
         "labels": list(labels),
-        "config_hash": [config_hash(plan.config), config_hash(classic_config(plan.config))],
+        "config_hash": [config_hash(_ran_config(arm)) for arm in arms],
         "rows": [asdict(r) | {"stars": r.stars} for r in rows],
     }
     _write(plan.out_dir, {
@@ -539,9 +534,10 @@ def cmd_tournament(plan: ExperimentPlan) -> dict:
 def cmd_moo(plan: ExperimentPlan, weights=None, reference_size: int = 1000) -> dict:
     """Seeded multi-objective runs with front export and GD / spread scoring.
 
-    Every run uses the multi-objective engine, whatever ``plan.algorithm``
-    says, and the weights are checked for every benchmark before any run
-    starts."""
+    Every run uses the multi-objective engine; a classic DE plan is refused.
+    The weights are checked for every benchmark before any run starts."""
+    if plan.algorithm == "classic_de":
+        raise ConfigError("classic_de is single-objective; `moo` runs the adaptive engine")
     report = {**_header(plan, plan.config), "benchmarks": {}}
     batches = []
     for benchmark_id in plan.benchmarks:
@@ -553,7 +549,7 @@ def cmd_moo(plan: ExperimentPlan, weights=None, reference_size: int = 1000) -> d
         if w.shape != (spec.n_objectives,):
             raise ShapeError(f"{benchmark_id} has {spec.n_objectives} objectives, weights {w.shape}")
         _check_weights(w)
-        batches.append(_seeded_runs(replace(plan, algorithm="aded_mo"), benchmark_id, w))
+        batches.append(_seeded_runs(plan, benchmark_id, w))
     all_results, front_rows, metric_rows = {}, [], []
     for benchmark_id, results in zip(plan.benchmarks, _execute_batches(batches, plan.jobs)):
         try:

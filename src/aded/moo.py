@@ -152,13 +152,16 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
     that no admitted point dominates, and it is the reported front. Random
     points fill the population back up. The generations are those of
     ``run_aded``, from the same ``_Run``: the run stops on generation budget
-    or when the scalarized best stagnates.
+    or when the scalarized best stagnates. Weights of another count than the
+    objectives raise ``ShapeError`` before any objective vector is weighted.
     """
     weights = np.asarray(weights, dtype=float)
     _check_weights(weights)
     run = _Run(objectives, space, cfg, multi=True)
 
     def scalar(objs):
+        if weights.shape != objs.shape[-1:]:
+            raise ShapeError(f"{objs.shape[-1]} objectives, but weights of shape {weights.shape}")
         return _weighted(objs, weights)
 
     n, rng = cfg.population_size, run.rng

@@ -128,14 +128,11 @@ class VariantScore:
 
 def _midranks(values) -> np.ndarray:
     """Ascending ranks starting at 1; tied values share the mean of their positions."""
-    v = np.asarray(values, dtype=float)
-    order = np.argsort(v, kind="stable")
-    ordered = v[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    sizes = np.diff(np.r_[starts, v.size])
-    ranks = np.empty(v.size)
-    ranks[order] = np.repeat(starts + (sizes + 1) / 2.0, sizes)
-    return ranks
+    # a stable sort (asking for the indices picks it) and no tie among NaNs
+    # rank NaNs last, each on its own, in input order
+    _, _, inverse, counts = np.unique(np.asarray(values, dtype=float), return_index=True,
+                                      return_inverse=True, return_counts=True, equal_nan=False)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def rank_variants(scores) -> list:

@@ -309,6 +309,8 @@ def finite_difference_gradient(objective, x, step: float = 1e-6, lows=None, high
     if (lows is None) != (highs is None):
         missing = "lows" if lows is None else "highs"
         raise ConfigError(f"probe bounds need both lows and highs; {missing} is missing")
+    if not 0.0 < step < np.inf:
+        raise ConfigError(f"step must be finite and > 0, got {step}")
     x = np.asarray(x, dtype=float)
     rows = np.atleast_2d(x)
     m, d = rows.shape

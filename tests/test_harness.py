@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import io
 import re
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 import aded.cli
 from aded import ConfigError, EngineConfig, harness
-from aded.benchmarks import BATTERY_IDS, UnknownBenchmarkError
+from aded.benchmarks import BATTERY_IDS, UnknownBenchmarkError, lookup
 from aded.cli import main
 from aded.engine import classic_config
 from aded.harness import (
@@ -285,8 +286,8 @@ class TestCmdCompare:
         assert (tmp_path / "comparison.txt").exists()
 
     def test_self_comparison_gives_zero_t(self, tmp_path, monkeypatch):
-        # both arms run classic DE
-        monkeypatch.setattr(harness, "run_aded", harness.run_classic_de)
+        # both arms run classic DE: classic_config of a classic config is itself
+        monkeypatch.setattr(harness, "run_aded", aded.engine.run_classic_de)
         report = cmd_compare(build_plan(tiny_options(runs=3, out=str(tmp_path))))
         assert report["rows"][0]["t"] == 0.0
 
@@ -370,6 +371,19 @@ class TestCmdMoo:
         with pytest.raises(ConfigError):
             cmd_moo(plan)
 
+    def test_aded_plan_writes_the_aded_mo_plan_front(self, tmp_path):
+        """The benchmark's objective count picks the engine, not the plan's
+        algorithm name."""
+        for algorithm in ("aded", "aded_mo"):
+            cmd_moo(build_plan(moo_options(algorithm=algorithm, out=str(tmp_path / algorithm))))
+        assert (tmp_path / "aded" / "front.csv").read_bytes() == \
+            (tmp_path / "aded_mo" / "front.csv").read_bytes()
+
+    def test_classic_de_plan_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="classic_de is single-objective"):
+            cmd_moo(build_plan(moo_options(algorithm="classic_de", out=str(tmp_path))))
+        assert list(tmp_path.iterdir()) == []
+
     def test_gd_of_reference_against_itself_is_zero(self):
         from aded import FrontPair, analytic_front, generational_distance
 
@@ -417,11 +431,23 @@ class TestReports:
 
 
     def test_csv_cells(self):
-        """A float, NumPy's included, is its Python repr; a cell with a
-        comma or a double quote is quoted, its quotes doubled."""
+        """A float, NumPy's included, is its Python repr; None is an empty
+        cell; a cell with a comma or a double quote is quoted, its quotes
+        doubled; a short row is padded with empty cells. A CSV reader reads
+        the cells back."""
         cells = [None, 3, 0.1, np.float64(0.1), np.float32(0.5), "a,b", 'say "hi"']
-        assert [harness._cell(v) for v in cells] == \
-            ["", "3", "0.1", "0.1", "0.5", '"a,b"', '"say ""hi"""']
+        header = [f"c{i}" for i in range(len(cells) + 1)]
+        text = harness._csv(header, [cells])
+        assert text.splitlines() == [",".join(header), ',3,0.1,0.1,0.5,"a,b","say ""hi""",']
+        assert text.endswith("\n") and "\r" not in text
+        assert list(csv.reader(io.StringIO(text))) == \
+            [header, ["", "3", "0.1", "0.1", "0.5", "a,b", 'say "hi"', ""]]
+
+    @pytest.mark.parametrize("command", [cmd_run, cmd_compare, cmd_tournament, cmd_moo])
+    def test_empty_benchmark_list_refused(self, command, tmp_path):
+        with pytest.raises(ConfigError, match=r"no benchmark selected \(use --benchmark"):
+            command(ExperimentPlan(benchmarks=[], n_runs=2, out_dir=tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCli:
@@ -832,7 +858,7 @@ class TestCommandPlan:
 
     ARGV = {"compare": ["compare", "--benchmark", "sphere,booth", "--runs", "2"],
             "moo": ["moo", "--benchmark", "zdt1", "--runs", "2"]}
-    ALGORITHMS = {"compare": ("aded", "classic_de"), "moo": ("aded_mo",)}
+    ARMS = {"compare": 2, "moo": 1}
 
     @pytest.mark.parametrize("command,key", [(command, key) for command in ("compare", "moo")
                                              for key in NON_DEFAULT_VALUES
@@ -842,13 +868,17 @@ class TestCommandPlan:
                                                   monkeypatch):
         argv = self.ARGV[command] + option_argv(key, given, tmp_path)
         runs = captured_runs(argv, tmp_path, monkeypatch)
-        algorithms = self.ALGORITHMS[command]
-        assert len(runs) == len(algorithms) * len(argv[2].split(",")) * 2
+        arms = self.ARMS[command]
+        assert len(runs) == arms * len(argv[2].split(",")) * 2
         path = OPTIONS[key][2]
         expected = build_engine_config(resolve_options(overrides={key: NON_DEFAULT_VALUES[key]}))
-        for i, (_, algorithm, cfg, _, _) in enumerate(runs):
-            assert algorithm == algorithms[i // 2 % len(algorithms)]
-            if key == "seed":
+        for i, (benchmark_id, cfg, _, weights) in enumerate(runs):
+            # the benchmark's objective count picks the engine
+            assert (lookup(benchmark_id).n_objectives > 1) == (command == "moo") == \
+                (weights is not None)
+            if i // 2 % arms:  # classic DE arm: runs i - 2 and i form one compare pair
+                assert cfg == classic_config(runs[i - 2][1])
+            elif key == "seed":
                 assert cfg.seed == int(NON_DEFAULT_VALUES[key]) + i % 2
             else:
                 assert _field(cfg, path) == _field(expected, path) != \
@@ -878,9 +908,9 @@ class TestTournamentPlan:
         path = OPTIONS[key][2]
         expected = build_engine_config(resolve_options(overrides={key: value}))
         default = build_engine_config(PRESETS["tournament-desk"])
-        for i, (_, algorithm, cfg, _, _) in enumerate(runs):
+        for i, (benchmark_id, cfg, _, weights) in enumerate(runs):
             variant, fixed_f, fixed_cr = TOURNAMENT_PAIRS[i // (n_runs * 2)]
-            assert algorithm == "aded"
+            assert lookup(benchmark_id).n_objectives == 1 and weights is None  # run_aded
             assert cfg.strategy == StrategyId.parse(variant)
             assert cfg.schedule == ScheduleParams(mode="fixed", fixed_f=fixed_f,
                                                   fixed_cr=fixed_cr)

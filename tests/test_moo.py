@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -347,6 +349,17 @@ class TestRunAdedMo:
         for weights in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
             with pytest.raises(ConfigError):
                 run_aded_mo(spec.evaluate, spec.space(), mo_cfg(), weights)
+
+    @pytest.mark.parametrize("weights", [[1.0], 1.0, [1.0, 1.0, 1.0], [[0.5, 0.5]]])
+    def test_weights_of_another_count_rejected_before_scalarizing(self, weights, monkeypatch):
+        scalarized = []
+        weighted = moo._weighted
+        monkeypatch.setattr(moo, "_weighted", lambda *args: scalarized.append(1) or weighted(*args))
+        spec = lookup("zdt1")
+        message = f"2 objectives, but weights of shape {np.shape(weights)}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            run_aded_mo(spec.evaluate, spec.space(4), mo_cfg(), weights)
+        assert scalarized == []
 
     def test_mo_demo_runs(self):
         spec = lookup("mo_demo")

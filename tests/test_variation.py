@@ -467,6 +467,11 @@ class TestFiniteDifferenceGradient:
             finite_difference_gradient(lambda z: float(z @ z), np.zeros(2),
                                        **{given: np.ones(2)})
 
+    @pytest.mark.parametrize("step", [0.0, -1e-6, np.nan, np.inf])
+    def test_step_not_finite_and_positive_is_refused(self, step):
+        with pytest.raises(ConfigError, match="step must be finite and > 0"):
+            finite_difference_gradient(lambda z: float(z @ z), np.ones(2), step)
+
     @pytest.mark.parametrize("placement", ["faces", "interior"])
     @pytest.mark.parametrize("benchmark_id", sorted(CATALOG))
     def test_held_values_spare_exactly_the_clamped_probes(self, benchmark_id, placement):

@@ -90,10 +90,10 @@ def has_converged(history, stagnation_limit: int, tol: float = 0.0) -> bool:
 
 @dataclass
 class RunResult:
-    """Outcome of one seeded run. ``best_f_history`` holds the population's
-    best fitness after each generation, which the stagnation stop reads; the
-    engine computes no other per-generation diagnostic (see ``run_aded``'s
-    ``on_generation``)."""
+    """Outcome of one seeded run of either engine. ``best_f_history`` holds,
+    after each generation, the value the stagnation stop read: the
+    population's best fitness for ``run_aded``. The engine computes no other
+    per-generation diagnostic (see ``run_aded``'s ``on_generation``)."""
 
     best_x: np.ndarray
     best_f: float
@@ -172,10 +172,11 @@ class _Run:
 
         return lockstep_refine(evaluate, trials, self.space, self.cfg.local_search, scalar, refine)
 
-    def record(self) -> dict:
-        """The fields that ``RunResult`` and ``MoResult`` share."""
-        return dict(n_evaluations=self.counting.count, wall_seconds=time.perf_counter() - self.t0,
-                    terminated_by=self.terminated_by, seed=self.cfg.seed)
+    def result(self, best_x, best_f, kind=RunResult, **fields) -> RunResult:
+        """The run's record: a ``kind``, ``RunResult`` or a subclass given its own ``fields``."""
+        return kind(best_x=best_x, best_f=float(best_f), best_f_history=np.asarray(self.history),
+                    n_evaluations=self.counting.count, wall_seconds=time.perf_counter() - self.t0,
+                    terminated_by=self.terminated_by, seed=self.cfg.seed, **fields)
 
 
 def run_aded(objective, space: SearchSpace, cfg: EngineConfig, on_generation=None) -> RunResult:
@@ -224,12 +225,7 @@ def run_aded(objective, space: SearchSpace, cfg: EngineConfig, on_generation=Non
             on_generation(gen, x, fit)
         run.history.append(float(fit.min()))
     best_idx = int(np.argmin(fit))
-    return RunResult(
-        best_x=x[best_idx].copy(),
-        best_f=float(fit[best_idx]),
-        best_f_history=np.asarray(run.history, dtype=float),
-        **run.record(),
-    )
+    return run.result(x[best_idx].copy(), fit[best_idx])
 
 
 def classic_config(cfg: EngineConfig) -> EngineConfig:

@@ -15,7 +15,6 @@ import hashlib
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -296,6 +295,7 @@ def _execute_batches(batches: list, jobs: int, execute=_execute_run) -> list:
     runs = [run for batch in batches for run in batch]
     workers = min(jobs, len(runs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # loaded only for a pool
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(execute, *zip(*runs)))
     else:
@@ -437,7 +437,10 @@ def _comparison_text(rows: list) -> str:
 def cmd_compare(plan: ExperimentPlan) -> dict:
     """Run the plan under the adaptive engine and under classic DE, and emit
     a Welch comparison per benchmark. Both arms' runs share one runner; the
-    report gives each arm's config hash, classic DE's of ``classic_config``."""
+    report gives each arm's config hash, classic DE's of ``classic_config``.
+    Only an ``aded`` plan is taken."""
+    if plan.algorithm != "aded":
+        raise ConfigError(f"compare does not take algorithm {plan.algorithm!r}")
     labels = ("aded", "classic_de")
     arms = [replace(plan, algorithm=algorithm) for algorithm in labels]
     batches = [_seeded_runs(arm, b) for b in plan.benchmarks for arm in arms]
@@ -474,7 +477,9 @@ def cmd_tournament(plan: ExperimentPlan) -> dict:
     benchmarks, score AOV / convergence speed / Q, and rank by average rank.
 
     Each variant runs the plan with its own strategy and F/CR; every other
-    setting comes from the plan."""
+    setting comes from the plan. Only an ``aded`` plan is taken."""
+    if plan.algorithm != "aded":
+        raise ConfigError(f"tournament does not take algorithm {plan.algorithm!r}")
     variants = [replace(plan, algorithm="aded", config=replace(
         plan.config, strategy=StrategyId.parse(name),
         schedule=ScheduleParams(mode="fixed", fixed_f=fixed_f, fixed_cr=fixed_cr),
@@ -565,7 +570,7 @@ def cmd_moo(plan: ExperimentPlan, weights=None, reference_size: int = 1000) -> d
                 "n_evaluations": result.n_evaluations,
                 "terminated_by": result.terminated_by,
                 "wall_seconds": result.wall_seconds,
-                "best_scalarized": float(result.best_scalarized[1]),
+                "best_scalarized": result.best_f,
             }
             if reference is not None:
                 pair = FrontPair(obtained=front, reference=reference)

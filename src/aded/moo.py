@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, SearchSpace, ShapeError, init_population
-from .engine import EngineConfig, _Run
+from .engine import EngineConfig, RunResult, _Run
 from .variation import StrategyId, draw_distinct, mutation_donors
 
 # each trial is its donor, with no crossover: x + F (x_a - x) + F (x_b - x), x_a, x_b members
@@ -86,17 +86,16 @@ def nondominated_filter(points) -> np.ndarray:
     return np.flatnonzero([not _dominates(pts, p).any() for p in pts])
 
 
-@dataclass
-class MoResult:
-    """Outcome of a multi-objective run."""
+@dataclass(kw_only=True)
+class MoResult(RunResult):
+    """Outcome of a multi-objective run: ``best_x`` and ``best_f`` are the front
+    member with the least weighted sum and that sum, ``best_f_history`` the
+    weighted sum of the best-so-far objective vector that the stop read. That
+    vector moves only to a trial that dominates it, so the history can end
+    above ``best_f``, never below."""
 
     front: list                        # [(x, objective_vector), ...] mutually non-dominated
-    best_scalarized: tuple             # (x, weighted objective value)
-    front_size_history: list
-    n_evaluations: int
-    wall_seconds: float
-    terminated_by: str
-    seed: int = 0
+    front_size_history: np.ndarray     # archive size after each generation
 
 
 def _admit(trial_objs) -> np.ndarray:
@@ -187,9 +186,6 @@ def run_aded_mo(objectives, space: SearchSpace, cfg: EngineConfig, weights) -> M
         run.history.append(float(scalar(best_obj)))
     scal_values = scalar(arch_obj)
     best_idx = int(np.argmin(scal_values))
-    return MoResult(
-        front=list(zip(arch_x, arch_obj)),
-        best_scalarized=(arch_x[best_idx], float(scal_values[best_idx])),
-        front_size_history=front_size_hist,
-        **run.record(),
-    )
+    return run.result(arch_x[best_idx], scal_values[best_idx], MoResult,
+                      front=list(zip(arch_x, arch_obj)),
+                      front_size_history=np.asarray(front_size_hist))

@@ -56,8 +56,8 @@ def run_fields(runner, objective, space, cfg):
 
 def mo_fields(result):
     return ([(x.tobytes(), objs.tobytes()) for x, objs in result.front],
-            result.best_scalarized[0].tobytes(), repr(float(result.best_scalarized[1])),
-            result.front_size_history, result.n_evaluations, result.terminated_by)
+            result.best_x.tobytes(), repr(result.best_f),
+            result.front_size_history.tolist(), result.n_evaluations, result.terminated_by)
 
 
 REFINE = LocalSearchBudget(enabled=True, max_iterations=4, probability=0.3)

@@ -4,7 +4,10 @@ import hashlib
 import json
 import multiprocessing
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +278,19 @@ class TestCmdRun:
         plan = build_plan(tiny_options(benchmark="zdt1", algorithm="aded_mo"))
         with pytest.raises(ConfigError):
             cmd_run(plan)
+
+
+@pytest.mark.parametrize("algorithm", ["classic_de", "aded_mo"])
+@pytest.mark.parametrize("name", ["compare", "tournament"])
+def test_command_refuses_a_plan_of_another_algorithm(name, algorithm, tmp_path, monkeypatch):
+    """compare and tournament pick their own engines: a plan of another
+    algorithm is a ConfigError naming the command, before any run or file."""
+    batches = []
+    monkeypatch.setattr(harness, "_execute_batches", lambda *args: batches.append(args))
+    plan = build_plan(tiny_options(algorithm=algorithm, out=str(tmp_path / "out")))
+    with pytest.raises(ConfigError, match=f"^{name} does not take algorithm '{algorithm}'"):
+        getattr(harness, f"cmd_{name}")(plan)
+    assert batches == [] and list(tmp_path.iterdir()) == []
 
 
 class TestCmdCompare:
@@ -1030,13 +1046,13 @@ class TestRunner:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
         assert main([*COMMANDS[command], "--jobs", str(jobs), "--out", str(tmp_path)]) == 0
         assert pools == ([jobs] if jobs > 1 else [])
 
     def test_no_more_workers_than_runs(self, tmp_path, monkeypatch, capsys):
         pools = []
-        monkeypatch.setattr(harness, "ProcessPoolExecutor",
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             lambda max_workers: pools.append(max_workers))
         assert main(["run", "--benchmark", "sphere", "--pop", "12", "--gens", "2",
                      "--runs", "1", "--jobs", "4", "--out", str(tmp_path)]) == 0
@@ -1167,3 +1183,22 @@ class TestPinnedOutputs:
         assert _report_digest(tmp_path / "moo_report.json",
                               drop=("wall_seconds", "n_evaluations")) == \
             "5c693bc1acc3092052f877f3e028d34e34ec91a8d2be7e6fedd4d6623f71cf48"
+
+
+# Modules an import must leave unloaded: `import aded` is what a fresh
+# interpreter pays before its first run, and the process pool is loaded only
+# when a command runs with more than one worker.
+UNLOADED = {
+    "aded": ("scipy", "aded.harness", "aded.cli", "multiprocessing", "concurrent.futures",
+             "hashlib", "json", "csv", "subprocess"),
+    "aded.harness": ("multiprocessing", "concurrent.futures.process"),
+}
+
+
+@pytest.mark.parametrize("module", UNLOADED)
+def test_import_leaves_unused_modules_unloaded(module):
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import sys, {module}; print(*[m for m in {UNLOADED[module]!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.split() == []

@@ -316,12 +316,12 @@ class TestRunAdedMo:
             assert (pulls[:, 0] != pulls[:, 1]).all()
             assert ((pulls >= 0) & (pulls < cfg.population_size)).all()
 
-    def test_best_scalarized_is_front_minimum(self):
+    def test_best_f_is_front_minimum(self):
         spec = lookup("zdt1")
         weights = [0.4, 0.6]
         result = run_aded_mo(spec.evaluate, spec.space(), mo_cfg(seed=2), weights)
         values = [scalarize(objs, weights) for _, objs in result.front]
-        assert result.best_scalarized[1] == pytest.approx(min(values))
+        assert result.best_f == min(values)
 
     def test_convex_quadratic_pair_front_on_segment(self):
         # f1 = |x|^2, f2 = |x - c|^2: the Pareto set is the segment [0, c]

@@ -20,6 +20,7 @@ from aded import (
     local_refine,
     run_aded,
     run_aded_mo,
+    scalarize,
 )
 from aded import variation
 from aded.benchmarks import lookup
@@ -122,11 +123,21 @@ def test_run_aded_mo_invariants(cfg, dim, batched, weight):
     spec = lookup("zdt1")
     space = spec.space(dim)
     objective = counted(spec.evaluate, batched)
+    weights = [weight, 1.0 - weight]
     with probes_checked():
-        result = run_aded_mo(objective, space, cfg, [weight, 1.0 - weight])
-    generations = len(result.front_size_history)
+        result = run_aded_mo(objective, space, cfg, weights)
+    generations = result.generations_executed
+    assert generations == len(result.front_size_history)
     assert all(space.contains(x) for x, _ in result.front)
-    assert space.contains(result.best_scalarized[0])
+    assert space.contains(result.best_x)
+    # the scalarized best is a front member with the least weighted sum, and
+    # no worse than the best-so-far the stop read: a point that dominates
+    # another never has a larger weighted sum under non-negative weights
+    values = [scalarize(objs, weights) for _, objs in result.front]
+    assert result.best_f == min(values)
+    assert any((x == result.best_x).all() and value == result.best_f
+               for (x, _), value in zip(result.front, values))
+    assert result.best_f <= result.best_f_history[-1]
     check_count(result.n_evaluations, objective, cfg, cfg.population_size * generations)
     check_generations(result.terminated_by, cfg, generations)
     assert result.seed == cfg.seed

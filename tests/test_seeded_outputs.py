@@ -110,13 +110,13 @@ def test_aded_mo_front():
         "473c546f0bf860ddc122715f8c503f3592904cb2d7609c48efc6ce348478cd5a")
     assert sha(*[objs for _, objs in result.front]) == (
         "b2627d746db42c62ab68b29f6a860399fd6ab2c9d5a744950be81ba9e13535f4")
-    assert repr(float(result.best_scalarized[1])) == "0.375"
+    assert repr(result.best_f) == "0.375"
 
 
 def mo_fingerprint(result):
     return (len(result.front), sha(*[x for x, _ in result.front]),
-            sha(*[objs for _, objs in result.front]), repr(float(result.best_scalarized[1])),
-            result.front_size_history, result.terminated_by)
+            sha(*[objs for _, objs in result.front]), repr(result.best_f),
+            result.front_size_history.tolist(), result.terminated_by)
 
 
 def test_aded_mo_three_objectives_refining_every_trial():
@@ -191,7 +191,7 @@ spec = lookup("zdt1")
 r = run_aded_mo(spec.evaluate, spec.space(), cfg, [0.5, 0.5])
 for x, objs in r.front:
     digest.update(x.tobytes() + objs.tobytes())
-digest.update(np.asarray(r.front_size_history + [r.n_evaluations], dtype=float).tobytes())
+digest.update(np.asarray(r.front_size_history.tolist() + [r.n_evaluations], dtype=float).tobytes())
 print(digest.hexdigest())
 """
 
@@ -262,8 +262,8 @@ def test_engine_grid_digest():
                     evaluations.append(r.n_evaluations)
                 mo = zdt1.evaluate if batched else _per_row(zdt1.evaluate)
                 r = run_aded_mo(mo, zdt1.space(3), cfg, [0.3, 0.7])
-                digest.update(repr((float(r.best_scalarized[1]), r.terminated_by,
-                                    r.front_size_history)).encode())
+                digest.update(repr((r.best_f, r.terminated_by,
+                                    r.front_size_history.tolist())).encode())
                 for x, objs in r.front:
                     digest.update(x.tobytes() + objs.tobytes())
                 evaluations.append(r.n_evaluations)

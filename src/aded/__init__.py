@@ -46,7 +46,6 @@ from .engine import (
 )
 from .moo import MoResult, nondominated_filter, pareto_dominates, run_aded_mo, scalarize
 from .metrics import (
-    FrontPair,
     UndefinedMetricError,
     aov,
     convergence_rate,
@@ -76,7 +75,7 @@ __all__ = [
     "adaptive_mutation_rate", "crossover_binomial", "crossover_exponential",
     "finite_difference_gradient", "local_refine", "EngineConfig", "RunResult",
     "has_converged", "run_aded", "run_classic_de", "MoResult",
-    "nondominated_filter", "pareto_dominates", "run_aded_mo", "scalarize", "FrontPair",
+    "nondominated_filter", "pareto_dominates", "run_aded_mo", "scalarize",
     "UndefinedMetricError", "aov", "convergence_rate", "convergence_speed",
     "diversity", "fdc", "generational_distance", "q_measure", "spread", "success_rate",
     "ComparisonRow", "DegenerateSampleError", "TTestResult", "VariantScore", "compare_batches",

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DomainError, SearchSpace, ShapeError
+from .core import DomainError, SearchSpace, ShapeError, _integer
 
 PI = np.pi
 
@@ -256,7 +256,7 @@ class BenchmarkSpec:
     front_sampler: Callable | None = None
 
     def space(self, dim: int | None = None) -> SearchSpace:
-        d = self.dim if dim is None else int(dim)
+        d = self.dim if dim is None else _integer("dim", dim)
         self._check_width(d)
         if self.dim_rule == "any-n":
             lo, hi = self.bounds[0]

@@ -28,6 +28,14 @@ class DomainError(ValueError):
     """A value is non-finite where a finite one is required."""
 
 
+def _integer(name: str, value) -> int:
+    """``value``, a count or a seed, as an int. Unless it is a Python or NumPy
+    integer, a ConfigError names ``name``: a float is refused, not truncated."""
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class RngStream:
     """Deterministic random stream backed by the counter-based Philox generator.
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ConfigError, RngStream, SearchSpace, _CountingObjective, init_population
+from .core import ConfigError, RngStream, SearchSpace, _CountingObjective, _integer, init_population
 from .variation import (
     LocalSearchBudget,
     ScheduleParams,
@@ -50,17 +50,17 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 6:
+        if _integer("population_size", self.population_size) < 6:
             raise ConfigError(f"population_size must be >= 6, got {self.population_size}")
-        if self.max_generations < 1:
+        if _integer("max_generations", self.max_generations) < 1:
             raise ConfigError(f"max_generations must be >= 1, got {self.max_generations}")
-        if self.stagnation_limit < 2:
+        if _integer("stagnation_limit", self.stagnation_limit) < 2:
             raise ConfigError(f"stagnation_limit must be >= 2, got {self.stagnation_limit}")
         if not self.stagnation_tol >= 0.0:
             raise ConfigError(f"stagnation_tol must be >= 0, got {self.stagnation_tol}")
         if self.neighborhood_size is None:
             object.__setattr__(self, "neighborhood_size", min(10, self.population_size - 1))
-        if not 1 <= self.neighborhood_size <= self.population_size - 1:
+        if not 1 <= _integer("neighborhood_size", self.neighborhood_size) < self.population_size:
             raise ConfigError(
                 f"neighborhood_size must lie in [1, {self.population_size - 1}], "
                 f"got {self.neighborhood_size}"
@@ -72,7 +72,7 @@ class EngineConfig:
                 f"strategy {self.strategy.name} needs {self.strategy.index_count} neighbors, "
                 f"but the neighborhood supplies only {self.neighborhood_size}"
             )
-        if self.seed < 0:
+        if _integer("seed", self.seed) < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 

@@ -22,10 +22,9 @@ import numpy as np
 
 from . import __version__, metrics
 from .benchmarks import CATALOG, analytic_front, lookup
-from .core import ConfigError, ShapeError
+from .core import ConfigError, ShapeError, _integer
 from .engine import EngineConfig, classic_config, run_aded
 from .metrics import (
-    FrontPair,
     aov,
     convergence_speed,
     generational_distance,
@@ -159,6 +158,8 @@ def resolve_options(preset: str | None = None, config_file=None, overrides: dict
         if key not in OPTIONS:
             raise ConfigError(f"unknown option {key!r}")
         kind = OPTIONS[key][0]
+        if kind is int and not isinstance(value, str):
+            _integer(key, value)                # int() would truncate 37.9
         try:
             merged[key] = kind(value)
         except ValueError:
@@ -191,7 +192,8 @@ def build_engine_config(options: dict) -> EngineConfig:
 
 @dataclass
 class ExperimentPlan:
-    """A resolved batch of seeded runs for one or more benchmarks."""
+    """A resolved batch of seeded runs for one or more benchmarks, whose runs
+    run ``config``: a classic DE plan holds ``classic_config`` of the one given."""
 
     benchmarks: list
     config: EngineConfig = field(default_factory=EngineConfig)
@@ -208,14 +210,16 @@ class ExperimentPlan:
             raise ConfigError("no benchmark selected (use --benchmark or a preset)")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.n_runs < 1:
-            raise ConfigError("n_runs must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        for name in ("n_runs", "jobs"):
+            if _integer(name, getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        _integer("base_seed", self.base_seed)
         for i, benchmark_id in enumerate(self.benchmarks):
             if benchmark_id in self.benchmarks[:i]:
                 raise ConfigError(f"benchmark {benchmark_id!r} is listed more than once")
             lookup(benchmark_id).space(self.dim)
+        if self.algorithm == "classic_de":     # idempotent, so dataclasses.replace keeps it
+            self.config = classic_config(self.config)
 
 
 def resolve_out_dir(options: dict) -> str:
@@ -267,19 +271,13 @@ def _execute_recorded_run(benchmark_id: str, cfg: EngineConfig, dim, weights):
     return _execute_run(benchmark_id, cfg, dim, weights, record), history
 
 
-def _ran_config(plan: ExperimentPlan) -> EngineConfig:
-    """The config the plan's runs run: ``classic_config`` of it for classic DE."""
-    return classic_config(plan.config) if plan.algorithm == "classic_de" else plan.config
-
-
 def _seeded_runs(plan: ExperimentPlan, benchmark_id: str, weights=None) -> list:
     """``_execute_run`` arguments of the plan's runs on one benchmark, run i
     on seed base_seed + i. Only `moo` gives weights, and only it takes a
     multi-objective benchmark."""
     if weights is None and lookup(benchmark_id).n_objectives > 1:
         raise ConfigError(f"{benchmark_id!r} is multi-objective; use `moo` instead")
-    cfg = _ran_config(plan)
-    return [(benchmark_id, replace(cfg, seed=plan.base_seed + i), plan.dim, weights)
+    return [(benchmark_id, replace(plan.config, seed=plan.base_seed + i), plan.dim, weights)
             for i in range(plan.n_runs)]
 
 
@@ -309,11 +307,11 @@ def config_hash(cfg: EngineConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _header(plan: ExperimentPlan, cfg: EngineConfig) -> dict:
+def _header(plan: ExperimentPlan) -> dict:
     """The run record that opens the reports of `run`, `tournament` and `moo`:
     the version, the config that ran and its hash, the run count and base seed."""
-    return {"version": __version__, "config": asdict(cfg), "config_hash": config_hash(cfg),
-            "n_runs": plan.n_runs, "base_seed": plan.base_seed}
+    return {"version": __version__, "config": asdict(plan.config),
+            "config_hash": config_hash(plan.config), "n_runs": plan.n_runs, "base_seed": plan.base_seed}
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +391,7 @@ def cmd_run(plan: ExperimentPlan) -> dict:
         raise ConfigError("multi-objective plans go through the `moo` command")
     recorded = dict(zip(plan.benchmarks, _execute_batches(
         [_seeded_runs(plan, b) for b in plan.benchmarks], plan.jobs, _execute_recorded_run)))
-    report = {**_header(plan, _ran_config(plan)), "algorithm": plan.algorithm, "benchmarks": {}}
+    report = {**_header(plan), "algorithm": plan.algorithm, "benchmarks": {}}
     batches, history_rows, summary_rows = {}, [], []
     for benchmark_id, runs in recorded.items():
         results = batches[benchmark_id] = [r for r, _ in runs]
@@ -456,7 +454,7 @@ def cmd_compare(plan: ExperimentPlan) -> dict:
     report = {
         "version": __version__,
         "labels": list(labels),
-        "config_hash": [config_hash(_ran_config(arm)) for arm in arms],
+        "config_hash": [config_hash(arm.config) for arm in arms],
         "rows": [asdict(r) | {"stars": r.stars} for r in rows],
     }
     _write(plan.out_dir, {
@@ -480,7 +478,7 @@ def cmd_tournament(plan: ExperimentPlan) -> dict:
     setting comes from the plan. Only an ``aded`` plan is taken."""
     if plan.algorithm != "aded":
         raise ConfigError(f"tournament does not take algorithm {plan.algorithm!r}")
-    variants = [replace(plan, algorithm="aded", config=replace(
+    variants = [replace(plan, config=replace(
         plan.config, strategy=StrategyId.parse(name),
         schedule=ScheduleParams(mode="fixed", fixed_f=fixed_f, fixed_cr=fixed_cr),
     )) for name, fixed_f, fixed_cr in TOURNAMENT_PAIRS]
@@ -512,7 +510,7 @@ def cmd_tournament(plan: ExperimentPlan) -> dict:
     ranked = rank_variants(scores)
     pairs = {v: (f, cr) for v, f, cr in TOURNAMENT_PAIRS}
     report = {
-        **_header(plan, plan.config),
+        **_header(plan),
         "benchmarks": list(plan.benchmarks),
         "pop": plan.config.population_size,
         "gens": plan.config.max_generations,
@@ -543,7 +541,7 @@ def cmd_moo(plan: ExperimentPlan, weights=None, reference_size: int = 1000) -> d
     The weights are checked for every benchmark before any run starts."""
     if plan.algorithm == "classic_de":
         raise ConfigError("classic_de is single-objective; `moo` runs the adaptive engine")
-    report = {**_header(plan, plan.config), "benchmarks": {}}
+    report = {**_header(plan), "benchmarks": {}}
     batches = []
     for benchmark_id in plan.benchmarks:
         spec = lookup(benchmark_id)
@@ -573,9 +571,8 @@ def cmd_moo(plan: ExperimentPlan, weights=None, reference_size: int = 1000) -> d
                 "best_scalarized": result.best_f,
             }
             if reference is not None:
-                pair = FrontPair(obtained=front, reference=reference)
-                entry["gd"] = generational_distance(pair)
-                entry["spread"] = spread(pair) if front.shape[0] >= 2 else None
+                entry["gd"] = generational_distance(front, reference)
+                entry["spread"] = spread(front, reference) if front.shape[0] >= 2 else None
             runs.append((result, entry))
             front_rows.extend([benchmark_id, run_idx, result.seed, _vector_cell(x), *objs.tolist()]
                               for x, objs in result.front)

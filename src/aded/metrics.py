@@ -166,32 +166,26 @@ def aov(results) -> float:
 # Front indicators
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FrontPair:
-    """Obtained non-dominated front plus the reference front it is scored against."""
-
-    obtained: np.ndarray
-    reference: np.ndarray
-
-    def __post_init__(self):
-        self.obtained = np.atleast_2d(np.asarray(self.obtained, dtype=float))
-        self.reference = np.atleast_2d(np.asarray(self.reference, dtype=float))
-        if self.obtained.size == 0 or self.reference.size == 0:
-            raise ConfigError("both fronts must be non-empty")
-        if self.obtained.shape[1] != self.reference.shape[1]:
-            raise ShapeError(
-                f"objective counts differ: {self.obtained.shape[1]} vs {self.reference.shape[1]}"
-            )
+def _fronts(obtained, reference) -> tuple:
+    """The obtained front and the reference front it is scored against, as
+    2-D float arrays: both non-empty, with one objective count."""
+    obtained = np.atleast_2d(np.asarray(obtained, dtype=float))
+    reference = np.atleast_2d(np.asarray(reference, dtype=float))
+    if obtained.size == 0 or reference.size == 0:
+        raise ConfigError("both fronts must be non-empty")
+    if obtained.shape[1] != reference.shape[1]:
+        raise ShapeError(f"objective counts differ: {obtained.shape[1]} vs {reference.shape[1]}")
+    return obtained, reference
 
 
-def generational_distance(pair: FrontPair) -> float:
+def generational_distance(obtained, reference) -> float:
     """Root-mean-square distance from each reference point to its nearest
     obtained point: the inverted GD of Coello Coello & Reyes Sierra (2004),
     not Van Veldhuizen's GD over the obtained points. Distances are
     computed a block of reference points at a time against the whole
     obtained front, one objective at a time (see ``_squared_distances``),
     with the bits of a per-point ``np.sum((obtained - p) ** 2, axis=1)``."""
-    obtained, reference = pair.obtained, pair.reference
+    obtained, reference = _fronts(obtained, reference)
     rows = max(1, _DISTANCE_BLOCK // obtained.size)
     sq = np.concatenate([
         _squared_distances(reference[a:a + rows], obtained).min(axis=1)
@@ -200,15 +194,15 @@ def generational_distance(pair: FrontPair) -> float:
     return float(np.sqrt(sq.mean()))
 
 
-def spread(pair: FrontPair) -> float:
+def spread(obtained, reference) -> float:
     """Dispersion of the obtained front: consecutive-gap deviation plus the
     distances from the reference extremes to the obtained boundary points."""
-    q = pair.obtained
+    q, reference = _fronts(obtained, reference)
     if q.shape[0] < 2:
         raise UndefinedMetricError("spread needs at least 2 obtained points")
     order = np.lexsort(q.T[::-1])          # sort by f1, then f2, ...
     q = q[order]
-    ref = pair.reference[np.lexsort(pair.reference.T[::-1])]
+    ref = reference[np.lexsort(reference.T[::-1])]
     d_f = float(np.linalg.norm(ref[0] - q[0]))
     d_l = float(np.linalg.norm(ref[-1] - q[-1]))
     gaps = np.linalg.norm(np.diff(q, axis=0), axis=1)

@@ -18,6 +18,7 @@ from .core import (
     SearchSpace,
     ShapeError,
     _CountingObjective,
+    _integer,
     clip_to_bounds,
     evaluate_rows,
 )
@@ -272,7 +273,7 @@ class LocalSearchBudget:
     probability: float = 1.0
 
     def __post_init__(self):
-        if self.enabled and self.max_iterations < 1:
+        if _integer("max_iterations", self.max_iterations) < 1 and self.enabled:
             raise ConfigError("local search needs max_iterations >= 1 when enabled")
         if not 0.0 < self.gradient_step < 1.0:
             raise ConfigError(f"gradient_step must lie in (0, 1), got {self.gradient_step}")
@@ -468,34 +469,33 @@ def _descend(evaluate, x, raw, space: SearchSpace, budget: LocalSearchBudget, sc
                              direction)
         slope = np.where(steepest, _rowdot(ga, direction), slope)
 
-        # backtrack along the segment from x to x + direction, inside the box
-        # the searching rows' state, shrunk to the rows still searching
+        # backtrack along the segment from x to x + direction, inside the box;
+        # s indexes the rows of a still searching, and ts holds their steps
         moved = np.zeros(a.size, dtype=bool)
-        searching, rows, ts = np.arange(a.size), a, np.ones(a.size)
-        xs, steps_to, slopes, f_base = xa, direction, slope, fa
         floor = FTOL * np.maximum(np.abs(fa), 1.0)      # an Armijo demand this small is zero
+        s, ts, slopes = np.arange(a.size), np.ones(a.size), slope
         for _ in range(MAX_BACKTRACKS + 1):
-            points = xs + ts[:, None] * steps_to
+            rows = a[s]
+            points = xa.take(s, axis=0) + ts[:, None] * direction.take(s, axis=0)
             points.clip(space.lows, space.highs, out=points)
             trial_raw, trial_f = values(points, rows)
             demand = ARMIJO * ts * slopes
-            demand[-demand <= floor] = 0.0
-            ok = trial_f <= f_base + demand
+            demand[-demand <= floor[s]] = 0.0
+            ok = trial_f <= fa[s] + demand
             done = rows[ok]
             x[done], f[done] = points.compress(ok, axis=0), trial_f[ok]
             if scalar is not None:
                 raw[done] = trial_raw.compress(ok, axis=0)
-            moved[searching[ok]] = True
+            moved[s[ok]] = True
             if ok.all():
                 break
             keep = ~ok
-            searching, rows, ts, slopes = searching[keep], rows[keep], ts[keep], slopes[keep]
-            xs, steps_to = xs.compress(keep, axis=0), steps_to.compress(keep, axis=0)
-            f_base, trial_f, floor = f_base[keep], trial_f[keep], floor[keep]
+            s, ts, trial_f = s[keep], ts[keep], trial_f[keep]
+            slopes = slope[s]
             # minimizer of the quadratic through f(x), the slope and f(trial),
             # kept within [0.1, 0.5] of the step (0.5 when f(trial) is not finite)
             ts = np.fmax(0.1 * ts, np.fmin(0.5 * ts, -slopes * ts * ts / (
-                2.0 * (trial_f - f_base - slopes * ts))))
+                2.0 * (trial_f - fa[s] - slopes * ts))))
 
         steps[a] += 1
         budget_left = steps[a] < budget.max_iterations

@@ -14,7 +14,6 @@ from scipy.spatial.distance import cdist, pdist
 
 from aded import (
     EngineConfig,
-    FrontPair,
     LocalSearchBudget,
     RngStream,
     ScheduleParams,
@@ -162,7 +161,7 @@ def test_criterion_06_metric_oracles():
         obtained = rng.uniform(0, 1, size=(n_q, 2))
         reference = rng.uniform(0, 1, size=(n_ref, 2))
         expected = float(np.sqrt((cdist(reference, obtained).min(axis=1) ** 2).mean()))
-        got = generational_distance(FrontPair(obtained, reference))
+        got = generational_distance(obtained, reference)
         assert abs(got - expected) <= 1e-12
         checks += 1
 
@@ -178,7 +177,7 @@ def test_criterion_06_metric_oracles():
         d_l = np.linalg.norm(ref[-1] - q[-1])
         expected = (d_f + d_l + np.abs(gaps - d_bar).sum()) / (
             d_f + d_l + (len(q) - 1) * d_bar)
-        assert abs(spread(FrontPair(obtained, reference)) - expected) <= 1e-12
+        assert abs(spread(obtained, reference) - expected) <= 1e-12
         checks += 1
 
     for _ in range(1000):
@@ -288,7 +287,7 @@ def test_criterion_10_zdt1_generational_distance():
         front = np.array([objs for _, objs in result.front])
         keep = nondominated_filter(front)
         assert keep.size == front.shape[0], "emitted front must be mutually non-dominated"
-        worst_gd = max(worst_gd, generational_distance(FrontPair(front, reference)))
+        worst_gd = max(worst_gd, generational_distance(front, reference))
     elapsed = time.monotonic() - t0
     report(10, worst_gd <= 0.25 and elapsed < 180.0,
            f"worst GD over 2 seeds = {worst_gd:.4f} (<= 0.25) in {elapsed:.0f}s (< 180s)")

@@ -177,6 +177,58 @@ class TestOptionResolution:
         with pytest.raises(UnknownBenchmarkError):
             build_plan({"benchmark": "zdt99"})
 
+    def test_classic_plan_holds_classic_config_of_the_default(self):
+        plan = build_plan({"benchmark": "sphere", "algorithm": "classic_de"})
+        assert plan.config == classic_config(EngineConfig())
+
+    def test_classic_plan_holds_classic_config_and_replace_keeps_it(self):
+        given = EngineConfig(population_size=12, schedule=ScheduleParams(fixed_f=0.6))
+        plan = ExperimentPlan(["sphere"], config=given, algorithm="classic_de")
+        assert plan.config == classic_config(given) != given
+        assert dataclasses.replace(plan, n_runs=3).config == plan.config
+
+
+# A count or a seed that is not an integer is refused by name, not truncated
+@pytest.mark.parametrize("name,build", [
+    ("seed", lambda: EngineConfig(seed=1.5)),
+    ("population_size", lambda: EngineConfig(population_size=10.5)),
+    ("max_generations", lambda: EngineConfig(max_generations=2.5)),
+    ("stagnation_limit", lambda: EngineConfig(stagnation_limit=2.5)),
+    ("neighborhood_size", lambda: EngineConfig(neighborhood_size=3.0)),
+    ("max_iterations", lambda: LocalSearchBudget(max_iterations=1.5)),
+    ("dim", lambda: lookup("sphere").space(2.7)),
+    ("pop", lambda: resolve_options(overrides={"pop": 37.9})),
+    ("n_runs", lambda: ExperimentPlan(["sphere"], n_runs=2.5)),
+    ("jobs", lambda: ExperimentPlan(["sphere"], jobs=1.5)),
+    ("base_seed", lambda: ExperimentPlan(["sphere"], base_seed=np.float64(1.0))),
+    ("dim", lambda: ExperimentPlan(["rastrigin"], dim=3.9)),
+], ids=["seed", "population_size", "max_generations", "stagnation_limit",
+        "neighborhood_size", "max_iterations", "space-dim", "pop", "n_runs", "jobs",
+        "base_seed", "plan-dim"])
+def test_count_or_seed_that_is_not_an_integer_is_refused(name, build):
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+        build()
+
+
+def test_plan_with_a_seed_that_is_not_an_integer_writes_nothing(tmp_path):
+    with pytest.raises(ConfigError, match="^seed must be an integer, got 1.5$"):
+        cmd_run(build_plan(tiny_options(seed=1.5, out=str(tmp_path / "out"))))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_numpy_integers_are_taken_and_run_as_python_integers():
+    given = EngineConfig(population_size=np.int64(12), max_generations=np.int32(3),
+                         seed=np.int64(3), local_search=LocalSearchBudget(max_iterations=np.int64(2)))
+    plan = ExperimentPlan(["rastrigin"], config=given, n_runs=np.int64(2), dim=np.int64(3))
+    assert resolve_options(overrides={"pop": np.int64(12)})["pop"] == 12
+    spec = lookup("rastrigin")
+    got = aded.engine.run_aded(spec.evaluate, spec.space(plan.dim), plan.config)
+    want = aded.engine.run_aded(spec.evaluate, spec.space(3), EngineConfig(
+        population_size=12, max_generations=3, seed=3,
+        local_search=LocalSearchBudget(max_iterations=2)))
+    assert (got.best_f, got.n_evaluations) == (want.best_f, want.n_evaluations)
+    assert np.array_equal(got.best_x, want.best_x)
+
 
 class TestListBenchmarks:
     def test_contains_entire_catalog(self):
@@ -401,10 +453,10 @@ class TestCmdMoo:
         assert list(tmp_path.iterdir()) == []
 
     def test_gd_of_reference_against_itself_is_zero(self):
-        from aded import FrontPair, analytic_front, generational_distance
+        from aded import analytic_front, generational_distance
 
         ref = analytic_front("zdt2", 200)
-        assert generational_distance(FrontPair(obtained=ref, reference=ref)) == 0.0
+        assert generational_distance(obtained=ref, reference=ref) == 0.0
 
     def test_demo_benchmark_runs_without_reference(self, tmp_path):
         plan = build_plan(moo_options(benchmark="mo_demo", out=str(tmp_path)))
@@ -1190,7 +1242,7 @@ class TestPinnedOutputs:
 # when a command runs with more than one worker.
 UNLOADED = {
     "aded": ("scipy", "aded.harness", "aded.cli", "multiprocessing", "concurrent.futures",
-             "hashlib", "json", "csv", "subprocess"),
+             "hashlib", "json", "csv", "subprocess", "numpy.random"),
     "aded.harness": ("multiprocessing", "concurrent.futures.process"),
 }
 

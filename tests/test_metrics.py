@@ -5,7 +5,6 @@ from aded import metrics
 
 from aded import (
     ConfigError,
-    FrontPair,
     SearchSpace,
     ShapeError,
     UndefinedMetricError,
@@ -231,20 +230,20 @@ def spread_oracle(obtained, reference):
 class TestGenerationalDistance:
     def test_identical_fronts(self):
         front = np.array([[0.0, 1.0], [0.5, 0.3], [1.0, 0.0]])
-        assert generational_distance(FrontPair(front, front)) == 0.0
+        assert generational_distance(front, front) == 0.0
 
     def test_single_reference_point(self):
         # nearest obtained point to (3, 4) is (5, 5), at distance sqrt(5)
-        pair = FrontPair(obtained=[[0.0, 0.0], [5.0, 5.0]], reference=[[3.0, 4.0]])
-        assert generational_distance(pair) == pytest.approx(np.sqrt(5.0))
+        pair = ([[0.0, 0.0], [5.0, 5.0]], [[3.0, 4.0]])
+        assert generational_distance(*pair) == pytest.approx(np.sqrt(5.0))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
         for _ in range(25):
             obtained = rng.uniform(0, 1, size=(17, 2))
             reference = rng.uniform(0, 1, size=(11, 2))
-            pair = FrontPair(obtained=obtained, reference=reference)
-            assert generational_distance(pair) == pytest.approx(
+            pair = (obtained, reference)
+            assert generational_distance(*pair) == pytest.approx(
                 gd_oracle(obtained, reference), abs=1e-12
             )
 
@@ -252,8 +251,8 @@ class TestGenerationalDistance:
         rng = np.random.default_rng(7)
         obtained = rng.uniform(0, 1, size=(9, 2))
         reference = rng.uniform(0, 1, size=(7, 2))
-        base = generational_distance(FrontPair(obtained, reference))
-        scaled = generational_distance(FrontPair(3.0 * obtained, 3.0 * reference))
+        base = generational_distance(obtained, reference)
+        scaled = generational_distance(3.0 * obtained, 3.0 * reference)
         assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
 
@@ -276,8 +275,8 @@ class TestGenerationalDistanceBits:
         rng = np.random.default_rng(n_obtained)
         obtained = reference[rng.choice(len(reference), n_obtained)] \
             + rng.uniform(0.0, 0.2, size=(n_obtained, reference.shape[1]))
-        pair = FrontPair(obtained, reference)
-        assert repr(generational_distance(pair)) == repr(looped_gd(obtained, reference))
+        pair = (obtained, reference)
+        assert repr(generational_distance(*pair)) == repr(looped_gd(obtained, reference))
 
     @pytest.mark.parametrize("k", [2, 3, 8, 9])
     @pytest.mark.parametrize("block", [None, 64])
@@ -291,33 +290,45 @@ class TestGenerationalDistanceBits:
         for _ in range(30):
             obtained = rng.uniform(0, 1, size=(23, k)) * rng.choice([1e-3, 1.0, 1e3], size=(23, 1))
             reference = rng.uniform(0, 1, size=(37, k))
-            pair = FrontPair(obtained, reference)
-            assert repr(generational_distance(pair)) == repr(looped_gd(obtained, reference))
+            pair = (obtained, reference)
+            assert repr(generational_distance(*pair)) == repr(looped_gd(obtained, reference))
 
 
 class TestSpread:
     def test_equal_gaps_and_matched_extremes(self):
         q = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
         ref = np.array([[0.0, 3.0], [3.0, 0.0]])
-        assert spread(FrontPair(q, ref)) == 0.0
+        assert spread(q, ref) == 0.0
 
     def test_two_points_on_reference_extremes(self):
         q = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert spread(FrontPair(q, q.copy())) == 0.0
+        assert spread(q, q.copy()) == 0.0
 
     def test_matches_step_by_step_oracle(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
             obtained = rng.uniform(0, 1, size=(13, 2))
             reference = rng.uniform(0, 1, size=(9, 2))
-            pair = FrontPair(obtained, reference)
-            assert spread(pair) == pytest.approx(
+            pair = (obtained, reference)
+            assert spread(*pair) == pytest.approx(
                 spread_oracle(obtained, reference), abs=1e-12
             )
 
     def test_single_point_rejected(self):
         with pytest.raises(UndefinedMetricError):
-            spread(FrontPair([[0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]))
+            spread([[0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("measure", [generational_distance, spread])
+class TestFrontChecks:
+    def test_empty_front_rejected(self, measure):
+        for obtained, reference in (([], [[0.0, 1.0]]), ([[0.0, 1.0], [1.0, 0.0]], [])):
+            with pytest.raises(ConfigError, match="^both fronts must be non-empty$"):
+                measure(obtained, reference)
+
+    def test_objective_counts_must_match(self, measure):
+        with pytest.raises(ShapeError, match="^objective counts differ: 2 vs 3$"):
+            measure([[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
 
 
 class TestEmptyResults:

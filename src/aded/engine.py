@@ -50,17 +50,19 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if _integer("population_size", self.population_size) < 6:
-            raise ConfigError(f"population_size must be >= 6, got {self.population_size}")
-        if _integer("max_generations", self.max_generations) < 1:
-            raise ConfigError(f"max_generations must be >= 1, got {self.max_generations}")
-        if _integer("stagnation_limit", self.stagnation_limit) < 2:
-            raise ConfigError(f"stagnation_limit must be >= 2, got {self.stagnation_limit}")
+        # each count is stored as the int it was checked as, so a config of
+        # NumPy integers hashes and reports as the Python one
+        for name, minimum in (("population_size", 6), ("max_generations", 1),
+                              ("stagnation_limit", 2), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            if getattr(self, name) < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
         if not self.stagnation_tol >= 0.0:
             raise ConfigError(f"stagnation_tol must be >= 0, got {self.stagnation_tol}")
-        if self.neighborhood_size is None:
-            object.__setattr__(self, "neighborhood_size", min(10, self.population_size - 1))
-        if not 1 <= _integer("neighborhood_size", self.neighborhood_size) < self.population_size:
+        object.__setattr__(self, "neighborhood_size", min(10, self.population_size - 1)
+                           if self.neighborhood_size is None
+                           else _integer("neighborhood_size", self.neighborhood_size))
+        if not 1 <= self.neighborhood_size < self.population_size:
             raise ConfigError(
                 f"neighborhood_size must lie in [1, {self.population_size - 1}], "
                 f"got {self.neighborhood_size}"
@@ -72,8 +74,6 @@ class EngineConfig:
                 f"strategy {self.strategy.name} needs {self.strategy.index_count} neighbors, "
                 f"but the neighborhood supplies only {self.neighborhood_size}"
             )
-        if _integer("seed", self.seed) < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def has_converged(history, stagnation_limit: int, tol: float = 0.0) -> bool:

@@ -210,10 +210,11 @@ class ExperimentPlan:
             raise ConfigError("no benchmark selected (use --benchmark or a preset)")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        for name in ("n_runs", "jobs"):
-            if _integer(name, getattr(self, name)) < 1:
+        for name in ("n_runs", "jobs", "base_seed"):     # stored as the ints they are checked as
+            setattr(self, name, _integer(name, getattr(self, name)))
+            if name != "base_seed" and getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        _integer("base_seed", self.base_seed)
+        self.dim = None if self.dim is None else _integer("dim", self.dim)
         for i, benchmark_id in enumerate(self.benchmarks):
             if benchmark_id in self.benchmarks[:i]:
                 raise ConfigError(f"benchmark {benchmark_id!r} is listed more than once")
@@ -555,10 +556,8 @@ def cmd_moo(plan: ExperimentPlan, weights=None, reference_size: int = 1000) -> d
         batches.append(_seeded_runs(plan, benchmark_id, w))
     all_results, front_rows, metric_rows = {}, [], []
     for benchmark_id, results in zip(plan.benchmarks, _execute_batches(batches, plan.jobs)):
-        try:
-            reference = analytic_front(benchmark_id, reference_size)
-        except KeyError:
-            reference = None
+        reference = (analytic_front(benchmark_id, reference_size)
+                     if lookup(benchmark_id).front_sampler is not None else None)
         runs = []
         for run_idx, result in enumerate(results):
             front = np.array([objs for _, objs in result.front])

@@ -221,18 +221,13 @@ def crossover_masks(kind: str, firsts, uniforms, cr: float) -> np.ndarray:
     return (np.arange(d) - firsts[:, None]) % d < lengths[:, None]
 
 
-def draw_crossover(kind: str, d: int, cr: float, rng: RngStream, m: int) -> np.ndarray:
-    """``(m, d)`` crossover masks of m trials: ``crossover_masks`` of fresh
-    ``crossover_draws``."""
-    return crossover_masks(kind, *crossover_draws(kind, d, rng, m), cr)
-
-
 def _crossover(kind: str, target, donor, cr: float, rng: RngStream) -> np.ndarray:
     target = np.asarray(target, dtype=float)
     donor = np.asarray(donor, dtype=float)
     if target.shape != donor.shape:
         raise ShapeError(f"target {target.shape} vs donor {donor.shape}")
-    return np.where(draw_crossover(kind, target.size, cr, rng, 1)[0], donor, target)
+    take = crossover_masks(kind, *crossover_draws(kind, target.size, rng, 1), cr)[0]
+    return np.where(take, donor, target)
 
 
 def crossover_binomial(target, donor, cr: float, rng: RngStream) -> np.ndarray:
@@ -273,7 +268,8 @@ class LocalSearchBudget:
     probability: float = 1.0
 
     def __post_init__(self):
-        if _integer("max_iterations", self.max_iterations) < 1 and self.enabled:
+        object.__setattr__(self, "max_iterations", _integer("max_iterations", self.max_iterations))
+        if self.max_iterations < 1 and self.enabled:
             raise ConfigError("local search needs max_iterations >= 1 when enabled")
         if not 0.0 < self.gradient_step < 1.0:
             raise ConfigError(f"gradient_step must lie in (0, 1), got {self.gradient_step}")
@@ -450,10 +446,13 @@ def _descend(evaluate, x, raw, space: SearchSpace, budget: LocalSearchBudget, sc
     rho = np.zeros((m, LBFGS_MEMORY))
     gamma = np.ones(m)
     pairs = np.zeros(m, dtype=np.intp)
-    steps = np.zeros(m, dtype=np.intp)
     going = _projected_gradient(x, g, space) > GTOL
 
-    while going.any():
+    # every row still going has taken the same number of iterations: a row
+    # only leaves, and a retried row re-enters within its iteration
+    for iteration in range(1, budget.max_iterations + 1):
+        if not going.any():
+            break
         # rows are gathered by take and compress: at m <= 300, fancy
         # indexing of rows costs 2-3.5 times as much
         a = going.nonzero()[0]
@@ -497,8 +496,7 @@ def _descend(evaluate, x, raw, space: SearchSpace, budget: LocalSearchBudget, sc
             ts = np.fmax(0.1 * ts, np.fmin(0.5 * ts, -slopes * ts * ts / (
                 2.0 * (trial_f - fa[s] - slopes * ts))))
 
-        steps[a] += 1
-        budget_left = steps[a] < budget.max_iterations
+        budget_left = iteration < budget.max_iterations
         scale = np.maximum(np.maximum(np.abs(fa), np.abs(f[a])), 1.0)
         go_on = moved & budget_left & ((fa - f[a]) / scale > FTOL)
         retry = a[~moved & budget_left & (pairs[a] > 0)]

@@ -218,14 +218,25 @@ def test_plan_with_a_seed_that_is_not_an_integer_writes_nothing(tmp_path):
 
 def test_numpy_integers_are_taken_and_run_as_python_integers():
     given = EngineConfig(population_size=np.int64(12), max_generations=np.int32(3),
+                         stagnation_limit=np.int16(4), neighborhood_size=np.int64(5),
                          seed=np.int64(3), local_search=LocalSearchBudget(max_iterations=np.int64(2)))
-    plan = ExperimentPlan(["rastrigin"], config=given, n_runs=np.int64(2), dim=np.int64(3))
+    plan = ExperimentPlan(["rastrigin"], config=given, n_runs=np.int64(2), jobs=np.int8(1),
+                          base_seed=np.int64(7), dim=np.int64(3))
+    want_config = EngineConfig(population_size=12, max_generations=3, stagnation_limit=4,
+                               neighborhood_size=5, seed=3,
+                               local_search=LocalSearchBudget(max_iterations=2))
+    counts = [(given, "population_size"), (given, "max_generations"), (given, "stagnation_limit"),
+              (given, "neighborhood_size"), (given, "seed"), (given.local_search, "max_iterations"),
+              (plan, "n_runs"), (plan, "jobs"), (plan, "base_seed"), (plan, "dim")]
+    for holder, name in counts:
+        assert type(getattr(holder, name)) is int, name
+    assert given == want_config
+    assert config_hash(given) == config_hash(want_config)
+    assert '"base_seed": 7,' in harness._json(harness._header(plan))
     assert resolve_options(overrides={"pop": np.int64(12)})["pop"] == 12
     spec = lookup("rastrigin")
     got = aded.engine.run_aded(spec.evaluate, spec.space(plan.dim), plan.config)
-    want = aded.engine.run_aded(spec.evaluate, spec.space(3), EngineConfig(
-        population_size=12, max_generations=3, seed=3,
-        local_search=LocalSearchBudget(max_iterations=2)))
+    want = aded.engine.run_aded(spec.evaluate, spec.space(3), want_config)
     assert (got.best_f, got.n_evaluations) == (want.best_f, want.n_evaluations)
     assert np.array_equal(got.best_x, want.best_x)
 

@@ -30,7 +30,8 @@ from aded.harness import TOURNAMENT_PAIRS
 from aded.variation import (
     MUTATIONS,
     ScheduleParams,
-    draw_crossover,
+    crossover_draws,
+    crossover_masks,
     draw_distinct,
     lockstep_refine,
     mutation_donors,
@@ -306,7 +307,8 @@ class TestExponentialCrossover:
 
     def test_run_length_follows_truncated_geometric_law(self):
         d, cr, m = 6, 0.6, 60000
-        lengths = draw_crossover("exp", d, cr, RngStream(8), m).sum(axis=1)
+        masks = crossover_masks("exp", *crossover_draws("exp", d, RngStream(8), m), cr)
+        lengths = masks.sum(axis=1)
         counts = np.bincount(lengths, minlength=d + 1)[1:]
         law = np.array([cr ** (l - 1) * (1 - cr) for l in range(1, d)] + [cr ** (d - 1)])
         expected = m * law
@@ -338,7 +340,8 @@ def sorted_draw_distinct(rng, pool, k, m, skip=None):
 
 
 def fancy_draw_crossover(kind, d, cr, rng, m):
-    """``draw_crossover`` forcing each bin row's start by a 2-D fancy assignment."""
+    """``crossover_masks`` of ``crossover_draws``, forcing each bin row's start
+    by a 2-D fancy assignment."""
     firsts = rng.integers(d, size=m)
     if kind == "bin":
         take = rng.random((m, d)) < cr
@@ -380,7 +383,7 @@ class TestKernelsMatchTheirReferences:
         for cr in (0.0, 0.3, 0.9, 1.0):
             for seed in range(3):
                 ours, theirs = RngStream(seed), RngStream(seed)
-                masks = draw_crossover(kind, d, cr, ours, m)
+                masks = crossover_masks(kind, *crossover_draws(kind, d, ours, m), cr)
                 assert np.array_equal(masks, fancy_draw_crossover(kind, d, cr, theirs, m))
                 assert ours.random() == theirs.random()
 
@@ -575,6 +578,15 @@ class TestLocalRefine:
         local_refine(logged, [1.0, 2.0], space, LocalSearchBudget(max_iterations=3))
         assert points[0].tolist() == [1.0, 2.0]
         assert points[1].tolist() != [1.0, 2.0]
+
+    def test_zero_iteration_budget_leaves_the_start(self):
+        # a disabled budget may hold max_iterations = 0, and local_refine
+        # refines whatever ``enabled`` says: such a budget takes no step
+        space = SearchSpace.cube(-2.0, 10.0, 2)
+        budget = LocalSearchBudget(enabled=False, max_iterations=0)
+        x, f, _ = local_refine(lambda z: float(np.sum(z * z)), [-3.0, 4.0], space, budget)
+        assert x.tolist() == [-2.0, 4.0]
+        assert f == 20.0
 
     def test_import_leaves_scipy_optimize_out(self):
         code = "import sys, aded; print('scipy.optimize' in sys.modules)"

@@ -419,6 +419,7 @@ def analytic_front(benchmark_id: str, k: int) -> np.ndarray:
     spec = lookup(benchmark_id)
     if spec.front_sampler is None:
         raise UnknownBenchmarkError(f"no analytic front available for {benchmark_id!r}")
+    k = _integer("k", k)
     if k < 2:
         raise ShapeError("front sample needs k >= 2")
-    return spec.front_sampler(int(k))
+    return spec.front_sampler(k)

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .benchmarks import UnknownBenchmarkError
-from .core import ConfigError, DomainError, ShapeError, SpaceError
+from .core import ConfigError, DomainError
 from .harness import (
     ALGORITHMS,
     EXIT_CONFIG,
@@ -29,7 +29,7 @@ from .harness import (
     resolve_options,
 )
 
-_CONFIG_ERRORS = (ConfigError, SpaceError, ShapeError, UnknownBenchmarkError, ValueError)
+_CONFIG_ERRORS = (UnknownBenchmarkError, ValueError)
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
@@ -126,7 +126,7 @@ def _dispatch(args) -> int:
         for row in report["table"]:
             print(f"{row['variant']:<20} aov={row['aov']:.6g} cs={row['cs']:.6g} "
                   f"q={row['q']:.6g} avg_rank={row['average_rank']:.4f}")
-    elif args.command == "moo":
+    else:
         try:
             weights = None if args.weights is None else [float(w) for w in args.weights.split(",")]
         except ValueError:
@@ -138,8 +138,6 @@ def _dispatch(args) -> int:
                 gd_text = f"gd={gd:.6g} " if gd is not None else ""
                 print(f"{benchmark_id} seed {entry['seed']}: {gd_text}"
                       f"front size {entry['front_size']}")
-    else:
-        raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
     print(f"artifacts written to {plan.out_dir}")
     return EXIT_OK
 

@@ -45,7 +45,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = _integer("seed", seed)
         seq = np.random.SeedSequence(entropy=self.seed)
         self._gen = np.random.Generator(np.random.Philox(seq))
 

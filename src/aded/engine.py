@@ -59,6 +59,7 @@ class EngineConfig:
                 raise ConfigError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
         if not self.stagnation_tol >= 0.0:
             raise ConfigError(f"stagnation_tol must be >= 0, got {self.stagnation_tol}")
+        object.__setattr__(self, "stagnation_tol", float(self.stagnation_tol))
         object.__setattr__(self, "neighborhood_size", min(10, self.population_size - 1)
                            if self.neighborhood_size is None
                            else _integer("neighborhood_size", self.neighborhood_size))

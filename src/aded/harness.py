@@ -531,7 +531,6 @@ def cmd_tournament(plan: ExperimentPlan) -> dict:
              for e in detail_rows]),
         "tournament.json": _json(report),
     })
-    report["ranked"] = ranked
     return report
 
 

@@ -47,10 +47,7 @@ def welch_t(sample_a, sample_b) -> TTestResult:
     qb = vb / b.size
     se = np.sqrt(qa + qb)
     t = (ma - mb) / se
-    df = (qa + qb) ** 2 / (
-        (qa ** 2 / (a.size - 1) if qa > 0 else 0.0)
-        + (qb ** 2 / (b.size - 1) if qb > 0 else 0.0)
-    )
+    df = (qa + qb) ** 2 / (qa ** 2 / (a.size - 1) + qb ** 2 / (b.size - 1))
     from scipy.special import stdtr        # loaded on first use: import aded stays light
 
     p = 2.0 * float(stdtr(df, -abs(t)))        # the t survival function at |t|

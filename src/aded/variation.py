@@ -76,6 +76,10 @@ class ScheduleParams:
         for name, cr in (("initial_cr", self.initial_cr), ("fixed_cr", self.fixed_cr)):
             if cr is not None and not 0.0 <= cr <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {cr}")
+        # each rate is stored as the float it was checked as, so initial_f=1 hashes as 1.0
+        for name in ("initial_f", "initial_cr", "fixed_f", "fixed_cr"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
 
     def resolve_fixed(self, rng: RngStream) -> tuple | None:
         """Constant (F, CR) pair for a fixed-mode run, drawing if unspecified;
@@ -275,6 +279,8 @@ class LocalSearchBudget:
             raise ConfigError(f"gradient_step must lie in (0, 1), got {self.gradient_step}")
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigError(f"probability must lie in [0, 1], got {self.probability}")
+        for name in ("gradient_step", "probability"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def refines(self, rng: RngStream, m: int) -> np.ndarray:
         """Mask of which of m trials are refined: one uniform per trial when
@@ -284,18 +290,18 @@ class LocalSearchBudget:
         return rng.random(m) < self.probability
 
 
-def finite_difference_gradient(objective, x, step: float = 1e-6, lows=None, highs=None, *,
-                               fx=None) -> np.ndarray:
+def finite_difference_gradient(objective, x, step: float = 1e-6,
+                               space: SearchSpace | None = None, *, fx=None) -> np.ndarray:
     """Central-difference gradient with per-coordinate step h_j = step*max(1, |x_j|),
     of one point ``(d,)`` or of each row of an ``(m, d)`` array.
 
-    Bounds, both ``lows`` and ``highs`` or neither, clamp the probe points
-    inside them, which degrades gracefully to a one-sided difference at the
-    box boundary (some objectives are only defined inside the box). The 2d
-    probes of a point, x + h_j e_j then x - h_j e_j for each j, follow one
-    another, point after point; they go to the objective as one
-    ``(m * 2d, d)`` batch when it is ``batched``, else one at a time in that
-    order.
+    A ``space`` clamps the probe points inside its box, which degrades
+    gracefully to a one-sided difference at the box boundary (some
+    objectives are only defined inside the box); without one the probes go
+    unclamped. The 2d probes of a point, x + h_j e_j then x - h_j e_j for
+    each j, follow one another, point after point; they go to the objective
+    as one ``(m * 2d, d)`` batch when it is ``batched``, else one at a time
+    in that order.
 
     ``fx``, the objective's values at the rows of ``x``, spares the probes
     that the clamp leaves equal to their row (those of a coordinate at a
@@ -303,9 +309,6 @@ def finite_difference_gradient(objective, x, step: float = 1e-6, lows=None, high
     gets the other probes as one batch of at most ``m * 2d`` rows, in the
     same order, and ``owners[k]``, the row of ``x`` that probe k belongs to.
     """
-    if (lows is None) != (highs is None):
-        missing = "lows" if lows is None else "highs"
-        raise ConfigError(f"probe bounds need both lows and highs; {missing} is missing")
     if not 0.0 < step < np.inf:
         raise ConfigError(f"step must be finite and > 0, got {step}")
     x = np.asarray(x, dtype=float)
@@ -313,8 +316,8 @@ def finite_difference_gradient(objective, x, step: float = 1e-6, lows=None, high
     m, d = rows.shape
     h = step * np.maximum(1.0, np.abs(rows))
     up, down = rows + h, rows - h
-    if lows is not None:
-        up, down = np.minimum(up, highs), np.maximum(down, lows)
+    if space is not None:
+        up, down = np.minimum(up, space.highs), np.maximum(down, space.lows)
     probes = np.repeat(rows, 2 * d, axis=0)
     # a row's probes, flattened, hold x + h_j e_j's coordinate j at j(2d + 1)
     # and x - h_j e_j's at j(2d + 1) + d
@@ -436,8 +439,8 @@ def _descend(evaluate, x, raw, space: SearchSpace, budget: LocalSearchBudget, sc
 
     def gradient(rows):
         return finite_difference_gradient(lambda points, owners: values(points, rows[owners])[1],
-                                          x.take(rows, axis=0), budget.gradient_step, space.lows,
-                                          space.highs, fx=f[rows])
+                                          x.take(rows, axis=0), budget.gradient_step, space,
+                                          fx=f[rows])
 
     f = raw if scalar is None else scalar(raw)
     g = gradient(np.arange(m))

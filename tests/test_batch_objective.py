@@ -161,8 +161,8 @@ class TestOneCallPerBatch:
         spec = lookup("rosenbrock")
         x = np.array([0.3, -1.2, 2.0, 0.7])
         space = spec.space(4)
-        batched = finite_difference_gradient(spec.evaluate, x, lows=space.lows, highs=space.highs)
-        rows = finite_difference_gradient(per_row(spec), x, lows=space.lows, highs=space.highs)
+        batched = finite_difference_gradient(spec.evaluate, x, space=space)
+        rows = finite_difference_gradient(per_row(spec), x, space=space)
         assert batched.tobytes() == rows.tobytes()
 
 

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import aded.cli
-from aded import ConfigError, EngineConfig, harness
-from aded.benchmarks import BATTERY_IDS, UnknownBenchmarkError, lookup
+from aded import ConfigError, EngineConfig, RngStream, harness
+from aded.benchmarks import BATTERY_IDS, UnknownBenchmarkError, analytic_front, lookup
 from aded.cli import main
 from aded.engine import classic_config
 from aded.harness import (
@@ -202,9 +202,11 @@ class TestOptionResolution:
     ("jobs", lambda: ExperimentPlan(["sphere"], jobs=1.5)),
     ("base_seed", lambda: ExperimentPlan(["sphere"], base_seed=np.float64(1.0))),
     ("dim", lambda: ExperimentPlan(["rastrigin"], dim=3.9)),
+    ("seed", lambda: RngStream(1.5)),
+    ("k", lambda: analytic_front("zdt1", 2.5)),
 ], ids=["seed", "population_size", "max_generations", "stagnation_limit",
         "neighborhood_size", "max_iterations", "space-dim", "pop", "n_runs", "jobs",
-        "base_seed", "plan-dim"])
+        "base_seed", "plan-dim", "rng-seed", "front-k"])
 def test_count_or_seed_that_is_not_an_integer_is_refused(name, build):
     with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
         build()
@@ -239,6 +241,26 @@ def test_numpy_integers_are_taken_and_run_as_python_integers():
     want = aded.engine.run_aded(spec.evaluate, spec.space(3), want_config)
     assert (got.best_f, got.n_evaluations) == (want.best_f, want.n_evaluations)
     assert np.array_equal(got.best_x, want.best_x)
+
+
+def test_float_fields_given_as_integers_are_stored_as_floats():
+    def config(f, cr, probability, tol, step):
+        return EngineConfig(
+            schedule=ScheduleParams(initial_f=f, initial_cr=cr, fixed_f=f, fixed_cr=cr),
+            local_search=LocalSearchBudget(gradient_step=step, probability=probability),
+            stagnation_tol=tol)
+
+    from_ints = config(1, 1, 1, 0, 1e-6)
+    from_floats = config(1.0, 1.0, 1.0, 0.0, 1e-6)
+    from_float32 = config(*map(np.float32, (1, 1, 1, 0, 1e-6)))
+    for cfg in (from_ints, from_float32):
+        fields = [(cfg.schedule, name) for name in ("initial_f", "initial_cr", "fixed_f", "fixed_cr")]
+        fields += [(cfg.local_search, "gradient_step"), (cfg.local_search, "probability"),
+                   (cfg, "stagnation_tol")]
+        for holder, name in fields:
+            assert type(getattr(holder, name)) is float, name
+    assert from_ints == from_floats
+    assert config_hash(from_ints) == config_hash(from_floats)
 
 
 class TestListBenchmarks:

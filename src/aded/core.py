@@ -1,8 +1,9 @@
 """Core domain types shared by every other module.
 
-Provides box-bounded search spaces, the deterministic random stream, the
-sampling primitives (bounded initialization, bound repair) and the
-evaluation ledger. A population is a plain ``(n, dim)`` array.
+Provides box-bounded search spaces, the deterministic random stream (NumPy's
+Generator over a seeded Philox), the sampling primitives (bounded
+initialization, bound repair) and the evaluation ledger. A population is a
+plain ``(n, dim)`` array.
 """
 
 from __future__ import annotations
@@ -36,31 +37,16 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
-class RngStream:
-    """Deterministic random stream backed by the counter-based Philox generator.
+def RngStream(seed: int) -> np.random.Generator:
+    """NumPy's Generator over the counter-based Philox generator, seeded
+    with the integer ``seed``.
 
     Identical seeds reproduce identical draw sequences across platforms. A
     batch of seeded runs gives each run its own seed, so the runs can
     execute in any order, or in parallel, without perturbing each other.
     """
-
-    def __init__(self, seed: int):
-        self.seed = _integer("seed", seed)
-        seq = np.random.SeedSequence(entropy=self.seed)
-        self._gen = np.random.Generator(np.random.Philox(seq))
-
-    def random(self, size=None):
-        """Uniform draw(s) on [0, 1)."""
-        return self._gen.random(size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size=size)
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed})"
+    seq = np.random.SeedSequence(entropy=_integer("seed", seed))
+    return np.random.Generator(np.random.Philox(seq))
 
 
 @dataclass(frozen=True)
@@ -111,7 +97,7 @@ class SearchSpace:
         return [(float(lo), float(hi)) for lo, hi in zip(self.lows, self.highs)]
 
 
-def init_population(space: SearchSpace, n: int, rng: RngStream) -> np.ndarray:
+def init_population(space: SearchSpace, n: int, rng: np.random.Generator) -> np.ndarray:
     """Sample an ``(n, dim)`` matrix of points uniformly inside the box.
 
     Requires n >= 4, the smallest population that supports difference-based

@@ -109,7 +109,7 @@ class RunResult:
         return int(self.best_f_history.size)
 
 
-def _draw_trials(cfg: EngineConfig, n: int, d: int, rng: RngStream):
+def _draw_trials(cfg: EngineConfig, n: int, d: int, rng: np.random.Generator):
     """Yield each generation's randomness as views of a block of generations
     drawn at once, each kind once per block and in this order: the ``(n,)``
     k coefficients, the ``(n, index_count)`` base indices, the ``(n,)``

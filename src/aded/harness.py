@@ -367,6 +367,8 @@ def cmd_list_benchmarks(fmt: str = "csv") -> str:
     """Catalog listing: id, kind, dimension rule, default dim, bounds, known
     optimum. The bounds are the box at the default dim, one (low, high) pair
     per coordinate, for every function."""
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
     entries = []
     for spec in CATALOG.values():
         entries.append({

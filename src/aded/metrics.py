@@ -38,6 +38,8 @@ def fdc(population, fitnesses, reference) -> float:
     ref = np.asarray(reference, dtype=float)
     if x.shape[0] != f.size:
         raise ShapeError(f"{x.shape[0]} members but {f.size} fitness values")
+    if ref.shape != x.shape[1:]:
+        raise ShapeError(f"reference of shape {ref.shape} for members of width {x.shape[1]}")
     if x.shape[0] < 3:
         raise UndefinedMetricError("fitness-distance correlation needs at least 3 members")
     d = np.linalg.norm(x - ref, axis=1)
@@ -79,6 +81,8 @@ def diversity(population, space: SearchSpace) -> float:
     """
     x = _positions(population)
     n, d = x.shape
+    if d != space.dim:
+        raise ShapeError(f"members of width {d} in a space of dim {space.dim}")
     if n < 2:
         raise UndefinedMetricError("diversity needs at least 2 members")
     rows = max(1, _DISTANCE_BLOCK // (n * d))

@@ -5,6 +5,7 @@ ranking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,11 @@ def welch_t(sample_a, sample_b) -> TTestResult:
     qb = vb / b.size
     se = np.sqrt(qa + qb)
     t = (ma - mb) / se
+    if not 2.0 ** -500 <= qa + qb <= 2.0 ** 500:
+        # squaring would underflow or overflow: scale by a power of two,
+        # which moves df by at most its last bit
+        e = math.frexp(qa + qb)[1]
+        qa, qb = math.ldexp(qa, -e), math.ldexp(qb, -e)
     df = (qa + qb) ** 2 / (qa ** 2 / (a.size - 1) + qb ** 2 / (b.size - 1))
     from scipy.special import stdtr        # loaded on first use: import aded stays light
 

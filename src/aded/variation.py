@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import (
     ConfigError,
-    RngStream,
     SearchSpace,
     ShapeError,
     _CountingObjective,
@@ -81,7 +80,7 @@ class ScheduleParams:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, float(getattr(self, name)))
 
-    def resolve_fixed(self, rng: RngStream) -> tuple | None:
+    def resolve_fixed(self, rng: np.random.Generator) -> tuple | None:
         """Constant (F, CR) pair for a fixed-mode run, drawing if unspecified;
         None for a scheduled run, which draws nothing."""
         if self.mode == "scheduled":
@@ -149,7 +148,7 @@ class StrategyId:
         return MUTATIONS[self.mutation][0]
 
 
-def draw_distinct(rng: RngStream, pool: int, k: int, m: int, skip=None) -> np.ndarray:
+def draw_distinct(rng: np.random.Generator, pool: int, k: int, m: int, skip=None) -> np.ndarray:
     """``(m, k)`` indices from ``range(pool)``, distinct within each row, each
     row a uniformly random ordered pick; row r never holds ``skip[r]`` when an
     ``(m,)`` index array ``skip`` is given.
@@ -198,7 +197,7 @@ def mutation_donors(strategy: StrategyId, pop, bases, best, f: float, k) -> np.n
 # Crossover
 # ---------------------------------------------------------------------------
 
-def crossover_draws(kind: str, d: int, rng: RngStream, m: int) -> tuple:
+def crossover_draws(kind: str, d: int, rng: np.random.Generator, m: int) -> tuple:
     """The randomness of m trials' crossover, which no CR enters: ``(m,)``
     start indices, then ``(m, d)`` uniforms for ``bin`` or ``(m, d - 1)``
     for ``exp``, in two RNG calls."""
@@ -225,7 +224,7 @@ def crossover_masks(kind: str, firsts, uniforms, cr: float) -> np.ndarray:
     return (np.arange(d) - firsts[:, None]) % d < lengths[:, None]
 
 
-def _crossover(kind: str, target, donor, cr: float, rng: RngStream) -> np.ndarray:
+def _crossover(kind: str, target, donor, cr: float, rng: np.random.Generator) -> np.ndarray:
     target = np.asarray(target, dtype=float)
     donor = np.asarray(donor, dtype=float)
     if target.shape != donor.shape:
@@ -234,12 +233,12 @@ def _crossover(kind: str, target, donor, cr: float, rng: RngStream) -> np.ndarra
     return np.where(take, donor, target)
 
 
-def crossover_binomial(target, donor, cr: float, rng: RngStream) -> np.ndarray:
+def crossover_binomial(target, donor, cr: float, rng: np.random.Generator) -> np.ndarray:
     """Per-component Bernoulli mix; at least one donor component survives."""
     return _crossover("bin", target, donor, cr, rng)
 
 
-def crossover_exponential(target, donor, cr: float, rng: RngStream) -> np.ndarray:
+def crossover_exponential(target, donor, cr: float, rng: np.random.Generator) -> np.ndarray:
     """Copy a circular run of consecutive donor components, length >= 1."""
     return _crossover("exp", target, donor, cr, rng)
 
@@ -282,7 +281,7 @@ class LocalSearchBudget:
         for name in ("gradient_step", "probability"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
-    def refines(self, rng: RngStream, m: int) -> np.ndarray:
+    def refines(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """Mask of which of m trials are refined: one uniform per trial when
         refinement is on with a probability below 1, no draw otherwise."""
         if not self.enabled or self.probability >= 1.0:

@@ -44,6 +44,11 @@ class TestRngStream:
         b = RngStream(42).random(100)
         assert (a == b).all()
 
+    def test_is_numpy_generator_over_philox(self):
+        rng = RngStream(0)
+        assert type(rng) is np.random.Generator
+        assert type(rng.bit_generator) is np.random.Philox
+
     def test_pinned_first_draws(self):
         # regression pin: the stream must be stable across platforms/releases
         expected = {

@@ -275,6 +275,11 @@ class TestListBenchmarks:
     def test_stable_ordering(self):
         assert cmd_list_benchmarks() == cmd_list_benchmarks()
 
+    @pytest.mark.parametrize("fmt", ["xml", "CSV", "", None])
+    def test_unknown_format_is_refused(self, fmt):
+        with pytest.raises(ConfigError, match=re.escape(repr(fmt))):
+            cmd_list_benchmarks(fmt)
+
     def test_json_format(self):
         entries = json.loads(cmd_list_benchmarks("json"))
         ids = [e["id"] for e in entries]

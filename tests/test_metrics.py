@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,14 @@ class TestFdc:
         with pytest.raises(UndefinedMetricError):
             fdc(np.zeros((2, 2)), [1.0, 2.0], np.zeros(2))
 
+    @pytest.mark.parametrize("reference", [np.zeros(2), 0.0, np.zeros(4), np.zeros((1, 3))],
+                             ids=["short", "scalar", "long", "row"])
+    def test_reference_not_of_the_members_width_is_refused(self, reference):
+        x = np.random.default_rng(0).random((5, 3))
+        shape = np.shape(reference)
+        with pytest.raises(ShapeError, match=rf"{re.escape(str(shape))}.*width 3"):
+            fdc(x, np.arange(5.0), reference)
+
 
 class TestDiversity:
     def test_identical_members(self):
@@ -128,6 +138,12 @@ class TestDiversity:
     def test_singleton_rejected(self):
         with pytest.raises(UndefinedMetricError):
             diversity(np.zeros((1, 2)), SearchSpace.cube(0.0, 1.0, 2))
+
+    @pytest.mark.parametrize("width,dim", [(3, 2), (2, 3), (1, 4)])
+    def test_members_not_of_the_space_dim_are_refused(self, width, dim):
+        x = np.random.default_rng(0).random((5, width))
+        with pytest.raises(ShapeError, match=rf"width {width} .* dim {dim}"):
+            diversity(x, SearchSpace.cube(0.0, 1.0, dim))
 
 
 class TestConvergenceRate:

@@ -165,6 +165,25 @@ class TestWelchT:
         ps = [2 * t_dist.sf(t, 10.0) for t in (0.5, 1.0, 2.0, 4.0)]
         assert all(x > y for x, y in zip(ps, ps[1:]))
 
+    @pytest.mark.parametrize("k", [-400, -300, 300, 400])
+    def test_scaling_both_samples_by_a_power_of_two_moves_at_most_the_last_bit_of_df(self, k):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            a = rng.normal(0.0, 1.0, size=rng.integers(2, 30))
+            b = rng.normal(rng.normal(), rng.uniform(0.1, 3.0), size=rng.integers(2, 30))
+            scaled, plain = welch_t(np.ldexp(a, k), np.ldexp(b, k)), welch_t(a, b)
+            assert scaled.t == plain.t
+            # the C library's pow(x, 2) is not always correctly rounded, so a
+            # power-of-two scale can move df by one unit in the last place
+            assert abs(scaled.df - plain.df) <= math.ulp(plain.df)
+            assert scaled.p == pytest.approx(plain.p, rel=1e-14)
+
+    @pytest.mark.parametrize("spike", [1e-100, 1e100])
+    def test_tiny_or_huge_variance_gives_a_finite_test(self, spike):
+        result = welch_t([0.0] * 9 + [spike], [0.0] * 10)
+        assert np.isfinite([result.t, result.p, result.df]).all()
+        assert result.df == pytest.approx(9.0)
+
     def test_tiny_samples_rejected(self):
         with pytest.raises(ConfigError):
             welch_t([1.0], [1.0, 2.0])
